@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import struct
 
-from .errors import CorruptionError
+from .errors import CorruptionError, FormatError
 
 
 class ByteReader:
@@ -30,7 +30,18 @@ class ByteReader:
 
     def take_str(self) -> str:
         (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
+        return self.take_text(n)
+
+    def take_text(self, n: int) -> str:
+        """The next n bytes as UTF-8 text."""
+        start = self.ofs
+        raw = self.take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{self.origin}: invalid UTF-8 at byte {start + exc.start}: {exc.reason}"
+            ) from None
 
     def exhausted(self) -> bool:
         return self.ofs == len(self.data)

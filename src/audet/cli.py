@@ -43,8 +43,8 @@ from .model import (
     parameter_count,
     save_checkpoint,
 )
-from .tensor import Tensor, conv2d, finite_difference_check
-from .training import TrainConfig, frame_loss, train, write_history
+from .tensor import Tensor, conv2d, finite_difference_report, masked_cross_entropy
+from .training import TrainConfig, train, write_history
 
 # Narrow variant of the default architecture: same layer types and wiring,
 # sized so the exhaustive finite-difference sweep finishes in seconds.
@@ -430,12 +430,16 @@ def _cmd_gradcheck(ns) -> int:
     clear_relu_margins(params, image, diff, margin=max(0.05, 50.0 * cfg["step"]))
 
     def loss_fn():
-        return frame_loss(model_forward(params, image, diff).logits, labels, weights)
+        # the training graph on a batch of this one frame
+        logits = model_forward(params, image[None], diff[None]).logits
+        return masked_cross_entropy(logits, labels[None], weights)
 
-    worst = finite_difference_check(loss_fn, params.all_parameters(), cfg["step"])
+    report = finite_difference_report(loss_fn, params.all_parameters(), cfg["step"])
+    worst = report.max_relative_error
     elapsed = time.monotonic() - started
     print(f"parameters = {parameter_count(config)}")
     print(f"max_relative_error = {worst:.3e}")
+    print(f"worst_parameter = {report.location()}")
     print(f"threshold = {cfg['threshold']:.3e}")
     print(f"elapsed_seconds = {elapsed:.1f}")
     if worst <= cfg["threshold"]:

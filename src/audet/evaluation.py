@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import AU_ORDER, VideoSequence, landmark_diffs
 from .errors import ContractViolation
-from .model import ModelParams, model_forward
+from .model import ModelParams, score_frames
 
 
 def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -148,12 +148,9 @@ def challenge_metric(
 
 
 def predict_video(params: ModelParams, video: VideoSequence) -> np.ndarray:
-    """Per-frame activation probabilities, T x 8 float64."""
-    diffs = landmark_diffs(video).astype(params.dtype)
-    probs = np.empty((len(video), len(AU_ORDER)))
-    for t, frame in enumerate(video.frames):
-        probs[t] = model_forward(params, frame.image_stack().astype(params.dtype), diffs[t]).probs
-    return probs
+    """Per-frame activation probabilities, T x 8 float64, frames run in batches."""
+    images = np.stack([f.image_stack() for f in video.frames]).astype(params.dtype)
+    return score_frames(params, images, landmark_diffs(video).astype(params.dtype))[0]
 
 
 @dataclass

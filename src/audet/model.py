@@ -16,6 +16,7 @@ sees only embeddings 0..i, never later ones.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -269,25 +270,31 @@ class ModelParams:
 
 
 def static_forward(params: ModelParams, image: np.ndarray) -> Tensor:
-    """Conv stack over the 2-plane frame, then a raster scan of the map."""
+    """Conv stack over the 2-plane frame, then a raster scan of the map.
+
+    ``image`` is 2 x S x S, or B x 2 x S x S for a batch of frames.
+    """
     cfg = params.config
     expect = (2, cfg.image_size, cfg.image_size)
-    if image.shape != expect:
-        raise ContractViolation(f"static_forward: image {image.shape}, expected {expect}")
+    if image.shape[-3:] != expect or image.ndim not in (3, 4):
+        raise ContractViolation(
+            f"static_forward: image {image.shape}, expected {expect} or B x {expect}"
+        )
     x = Tensor(np.ascontiguousarray(image, dtype=params.dtype))
     for (kern, bias), (_, _, _, stride) in zip(params.conv_layers, cfg.conv_spec):
         x = T.relu(T.conv2d(x, kern, bias, stride))
     seq = T.spatial_sequence(x)
-    h = Tensor(np.zeros(cfg.static_gru_hidden, dtype=params.dtype))
-    for t in range(seq.value.shape[0]):
-        h = T.gru_cell(T.row(seq, t), h, params.static_gru)
-    return h
+    h0 = Tensor(np.zeros(image.shape[:-3] + (cfg.static_gru_hidden,), dtype=params.dtype))
+    states = T.gru_scan(seq, h0, params.static_gru)
+    return T.row(states, states.shape[-2] - 1)
 
 
 def dynamic_forward(params: ModelParams, diff: np.ndarray) -> Tensor:
-    """MLP over the landmark motion vector."""
-    if diff.shape != (DIFF_DIM,):
-        raise ContractViolation(f"dynamic_forward: diff {diff.shape}, expected ({DIFF_DIM},)")
+    """MLP over the landmark motion vector (146, or B x 146 for a batch)."""
+    if diff.shape[-1:] != (DIFF_DIM,) or diff.ndim not in (1, 2):
+        raise ContractViolation(
+            f"dynamic_forward: diff {diff.shape}, expected ({DIFF_DIM},) or B x {DIFF_DIM}"
+        )
     x = Tensor(np.asarray(diff, dtype=params.dtype))
     for (w, b), (_, act) in zip(params.dynamic_layers, params.config.dynamic_hidden):
         x = _ACTIVATIONS[act](T.linear(w, b, x))
@@ -296,14 +303,22 @@ def dynamic_forward(params: ModelParams, diff: np.ndarray) -> Tensor:
 
 def fuse(params: ModelParams, dynamic: Tensor, static: Tensor) -> Tensor:
     """Joint state from both branches: tanh affine over [dynamic, static]."""
-    joint = T.concat([dynamic, static])
+    joint = T.concat([dynamic, static], axis=-1)
     return T.tanh(T.linear(params.fusion_weights, params.fusion_bias, joint))
 
 
 @dataclass
 class ForwardResult:
-    probs: np.ndarray  # 8 activation probabilities, float64
-    logits: list[Tensor]  # 8 nodes of shape (2,), index 1 is "active"
+    """Outputs of one frame, or of a batch of B frames.
+
+    For one frame ``probs`` holds 8 activation probabilities and
+    ``logits`` is a list of 8 nodes of shape (2,).  For a batch
+    ``probs`` is B x 8 and ``logits`` one B x 8 x 2 node.  Index 1 of
+    the last logit axis is "active"; probabilities are float64.
+    """
+
+    probs: np.ndarray
+    logits: list[Tensor] | Tensor
 
 
 def classify_aus(params: ModelParams, fused: Tensor) -> ForwardResult:
@@ -311,31 +326,55 @@ def classify_aus(params: ModelParams, fused: Tensor) -> ForwardResult:
 
     The query cell starts from the fused state and consumes embedding i
     at step i; that step's state goes through the shared 2-way
-    classifier.  Probability of activation is the softmax weight of
-    class 1, computed here directly from the logit gap.
+    classifier.  Every frame of a batch reads the same embeddings, so
+    their input projection is computed once.  Probability of activation
+    is the softmax weight of class 1, computed here directly from the
+    logit gap.
     """
-    state = fused
-    logits = []
-    probs = np.empty(len(AU_ORDER), dtype=np.float64)
-    for i in range(len(AU_ORDER)):
-        state = T.gru_cell(T.row(params.au_table, i), state, params.query_gru)
-        lg = T.linear(params.classifier_weights, params.classifier_bias, state)
-        logits.append(lg)
-        gap = float(lg.value[1]) - float(lg.value[0])
-        probs[i] = 1.0 / (1.0 + np.exp(-gap)) if gap >= 0 else np.exp(gap) / (1.0 + np.exp(gap))
-    return ForwardResult(probs=probs, logits=logits)
+    states = T.gru_scan(params.au_table, fused, params.query_gru)
+    logits = T.linear(params.classifier_weights, params.classifier_bias, states)
+    gap = logits.value[..., 1].astype(np.float64) - logits.value[..., 0].astype(np.float64)
+    probs = T.logistic(gap)
+    if fused.value.ndim == 1:
+        return ForwardResult(probs, [T.row(logits, i) for i in range(len(AU_ORDER))])
+    return ForwardResult(probs, logits)
 
 
 def model_forward(params: ModelParams, image, diff: np.ndarray) -> ForwardResult:
-    """Full per-frame pass: probabilities and logit nodes for all 8 AUs.
+    """Full pass: probabilities and logit nodes for all 8 AUs.
 
-    image is a 2 x H x W array (gray plus edge planes) or a FrameSample.
+    One frame: image is a 2 x H x W array (gray plus edge planes) or a
+    FrameSample, diff has 146 values.  A batch: B x 2 x H x W images and
+    B x 146 diffs, run as one graph.
     """
     if hasattr(image, "image_stack"):
         image = image.image_stack().astype(params.dtype)
+    if image.shape[:-3] != diff.shape[:-1]:
+        raise ContractViolation(
+            f"model_forward: images {image.shape} and diffs {diff.shape} differ in batch extent"
+        )
     h_static = static_forward(params, image)
     h_dynamic = dynamic_forward(params, diff)
     return classify_aus(params, fuse(params, h_dynamic, h_static))
+
+
+# Frames per forward pass when scoring a whole video.  A pass holds its
+# graph, about 0.6 MB per 64 x 64 frame, so longer videos go in chunks.
+SCORING_BATCH = 64
+
+
+def score_frames(params: ModelParams, images: np.ndarray, diffs: np.ndarray):
+    """Probabilities (T x 8) and float64 logits (T x 8 x 2) of T frames.
+
+    Runs up to SCORING_BATCH frames per pass and keeps no graph.
+    """
+    probs, logits = [], []
+    for start in range(0, len(images), SCORING_BATCH):
+        chunk = slice(start, start + SCORING_BATCH)
+        res = model_forward(params, images[chunk], diffs[chunk])
+        probs.append(res.probs)
+        logits.append(res.logits.value.astype(np.float64))
+    return np.concatenate(probs), np.concatenate(logits)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +387,7 @@ def model_forward(params: ModelParams, image, diff: np.ndarray) -> ForwardResult
 
 CHECKPOINT_MAGIC = b"AUCK"
 CHECKPOINT_VERSION = 1
+MAX_TENSOR_RANK = 4  # conv kernels, the highest-rank parameters
 
 
 def save_checkpoint(params: ModelParams, path) -> Path:
@@ -388,7 +428,7 @@ def load_checkpoint(path) -> ModelParams:
         )
     (cfg_len,) = r.unpack("<I")
     kv = {}
-    for line in r.take(cfg_len).decode("utf-8").splitlines():
+    for line in r.take_text(cfg_len).splitlines():
         if not line.strip():
             continue
         if "=" not in line:
@@ -402,8 +442,14 @@ def load_checkpoint(path) -> ModelParams:
     for _ in range(count):
         name = r.take_str()
         (rank,) = r.unpack("<B")
+        if rank > MAX_TENSOR_RANK:
+            raise FormatError(
+                f"{target}: tensor {name!r} has rank {rank}, at most {MAX_TENSOR_RANK} allowed"
+            )
         shape = tuple(r.unpack("<" + "I" * rank)) if rank else ()
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        # exact product: in int64, four u32 extents can wrap to a negative
+        # size; take() then rejects any size beyond the bytes left
+        n = math.prod(shape)
         payload = np.frombuffer(r.take(4 * n), "<f4").reshape(shape)
         if name in arrays:
             raise FormatError(f"{target}: duplicate tensor {name!r}")

@@ -12,6 +12,14 @@ raise ``ContractViolation`` otherwise.  Arithmetic runs in whatever
 dtype the inputs carry, so the same graph code serves float32 training
 and float64 gradient checking.
 
+The layer primitives (:func:`linear`, :func:`conv2d`,
+:func:`spatial_sequence`, :func:`gru_scan`) take an optional leading
+batch axis: a B x ... input runs B independent examples through one
+node, and the unbatched call is the same code on a batch of one.  A
+training step therefore builds one graph for its whole batch.  The
+recurrent scan is one node for all S steps of a gated cell: it projects
+every step's input with a single matmul, then steps the B x h states.
+
 Build one graph per step and call :func:`backward` on it once; reusing
 a graph for a second backward pass double-counts interior gradients.
 """
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, NumericError
+from .errors import ContractViolation, EmptyBatchError, NumericError
 
 
 class Tensor:
@@ -152,18 +160,16 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # piecewise form stays finite for large |v|
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+def logistic(v: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + e^-v) of an array, outside the graph."""
+    # piecewise form stays finite for large |v|: 1/(1+e^-v) for v >= 0,
+    # e^v/(1+e^v) below; exp(-|v|) is e^-v on one side and e^v on the other
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    y = _sigmoid(a.value)
+    y = logistic(a.value)
     out = Tensor(y, (a,))
 
     def push(g):
@@ -201,26 +207,37 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def flatten(a: Tensor) -> Tensor:
-    shape = a.value.shape
-    out = Tensor(a.value.reshape(-1), (a,))
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Same elements in a new shape of equal size."""
+    shape = tuple(shape)
+    _require(
+        int(np.prod(shape, dtype=np.int64)) == a.value.size,
+        f"reshape: cannot view {a.value.shape} as {shape}",
+    )
+    source = a.value.shape
+    out = Tensor(a.value.reshape(shape), (a,))
 
     def push(g):
-        _accum(a, g.reshape(shape))
+        _accum(a, g.reshape(source))
 
     out._push = push
     return out
 
 
+def flatten(a: Tensor) -> Tensor:
+    return reshape(a, (a.value.size,))
+
+
 def row(a: Tensor, index: int) -> Tensor:
-    """Select one row of a matrix as a vector."""
-    _require(a.value.ndim == 2, f"row: expected matrix, got shape {a.value.shape}")
-    _require(0 <= index < a.value.shape[0], f"row: index {index} out of range for {a.value.shape}")
-    out = Tensor(a.value[index].copy(), (a,))
+    """Select one row of a matrix, or of every matrix in a batch."""
+    _require(a.value.ndim >= 2, f"row: expected matrix, got shape {a.value.shape}")
+    _require(0 <= index < a.value.shape[-2],
+             f"row: index {index} out of range for {a.value.shape}")
+    out = Tensor(a.value[..., index, :].copy(), (a,))
 
     def push(g):
         full = np.zeros_like(a.value)
-        full[index] = g
+        full[..., index, :] = g
         _accum(a, full)
 
     out._push = push
@@ -250,36 +267,46 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
-    """Affine map ``weights @ x + bias`` for a vector input."""
-    _require(x.value.ndim == 1, f"linear: input must be a vector, got {x.value.shape}")
+    """Affine map ``weights @ x + bias`` of a vector, or of each row of a batch.
+
+    ``x`` is d or ... x d; the output replaces the last extent with the
+    weights' row count.
+    """
+    _require(x.value.ndim >= 1, f"linear: input must be a vector, got {x.value.shape}")
     _require(weights.value.ndim == 2, f"linear: weights must be a matrix, got {weights.value.shape}")
+    n, d = weights.value.shape
     _require(
-        weights.value.shape[1] == x.value.shape[0],
+        x.value.shape[-1] == d,
         f"linear: weights {weights.value.shape} do not accept input {x.value.shape}",
     )
     _require(
-        bias.value.shape == (weights.value.shape[0],),
-        f"linear: bias {bias.value.shape} does not match output dim {weights.value.shape[0]}",
+        bias.value.shape == (n,),
+        f"linear: bias {bias.value.shape} does not match output dim {n}",
     )
-    out = Tensor(weights.value @ x.value + bias.value, (weights, bias, x))
+    out = Tensor(x.value @ weights.value.T + bias.value, (weights, bias, x))
 
     def push(g):
-        _accum(weights, np.outer(g, x.value))
-        _accum(bias, g)
-        _accum(x, weights.value.T @ g)
+        rows = g.reshape(-1, n)
+        _accum(weights, rows.T @ x.value.reshape(-1, d))
+        _accum(bias, rows.sum(axis=0))
+        _accum(x, g @ weights.value)
 
     out._push = push
     return out
 
 
 def spatial_sequence(a: Tensor) -> Tensor:
-    """Read a C x H x W map as H*W feature vectors in raster order."""
-    _require(a.value.ndim == 3, f"spatial_sequence: expected C,H,W map, got {a.value.shape}")
-    c, h, w = a.value.shape
-    out = Tensor(a.value.reshape(c, h * w).T.copy(), (a,))
+    """Read a C x H x W map as H*W feature vectors in raster order.
+
+    A B x C x H x W batch gives B x H*W x C.
+    """
+    _require(a.value.ndim in (3, 4),
+             f"spatial_sequence: expected C,H,W map or a batch of them, got {a.value.shape}")
+    *lead, c, h, w = a.value.shape
+    out = Tensor(a.value.reshape(*lead, c, h * w).swapaxes(-1, -2).copy(), (a,))
 
     def push(g):
-        _accum(a, g.T.reshape(c, h, w))
+        _accum(a, g.swapaxes(-1, -2).reshape(a.value.shape))
 
     out._push = push
     return out
@@ -299,42 +326,50 @@ def conv_output_size(size: int, kernel: int, stride: int) -> int:
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
     """2-d cross-correlation, valid padding.
 
-    ``x`` is C x H x W, ``kernels`` is F x C x k x k, ``bias`` is F.
-    Output is F x H' x W' with H' = (H - k) // stride + 1.
+    ``x`` is C x H x W or a B x C x H x W batch, ``kernels`` is
+    F x C x k x k, ``bias`` is F.  Output is F x H' x W' (B x F x H' x W'
+    for a batch) with H' = (H - k) // stride + 1.  The whole batch is one
+    im2col matmul.
     """
-    _require(x.value.ndim == 3, f"conv2d: input must be C,H,W, got {x.value.shape}")
+    _require(x.value.ndim in (3, 4),
+             f"conv2d: input must be C,H,W or a batch of them, got {x.value.shape}")
     _require(kernels.value.ndim == 4, f"conv2d: kernels must be F,C,k,k, got {kernels.value.shape}")
     f, kc, kh, kw = kernels.value.shape
-    c, h, w = x.value.shape
+    xs = x.value if x.value.ndim == 4 else x.value[None]
+    b, c, h, w = xs.shape
     _require(kh == kw, f"conv2d: kernels must be square, got {kh}x{kw}")
     _require(kc == c, f"conv2d: kernel channels {kc} != input channels {c}")
     _require(bias.value.shape == (f,), f"conv2d: bias {bias.value.shape} != filter count {f}")
     ho = conv_output_size(h, kh, stride)
     wo = conv_output_size(w, kh, stride)
 
-    xs = x.value
-    sc, sh, sw = xs.strides
+    sb, sc, sh, sw = xs.strides
     patches = np.lib.stride_tricks.as_strided(
         xs,
-        shape=(c, kh, kh, ho, wo),
-        strides=(sc, sh, sw, sh * stride, sw * stride),
+        shape=(c, kh, kh, b, ho, wo),
+        strides=(sc, sh, sw, sb, sh * stride, sw * stride),
     )
-    col = patches.reshape(c * kh * kh, ho * wo)  # copies; safe to keep
+    col = patches.reshape(c * kh * kh, b * ho * wo)  # copies; safe to keep
     km = kernels.value.reshape(f, c * kh * kh)
-    out_val = (km @ col + bias.value[:, None]).reshape(f, ho, wo)
-    out = Tensor(out_val, (x, kernels, bias))
+    out_val = (km @ col + bias.value[:, None]).reshape(f, b, ho, wo).swapaxes(0, 1)
+    out = Tensor(np.ascontiguousarray(out_val).reshape(x.value.shape[:-3] + (f, ho, wo)),
+                 (x, kernels, bias))
+    # an input that is neither a parameter nor computed (the image) needs no gradient
+    input_grad = isinstance(x, Parameter) or bool(x.parents)
 
     def push(g):
-        gm = g.reshape(f, ho * wo)
+        gm = g.reshape(b, f, ho * wo).swapaxes(0, 1).reshape(f, b * ho * wo)
         _accum(kernels, (gm @ col.T).reshape(f, c, kh, kh))
         _accum(bias, gm.sum(axis=1))
-        dcol = (km.T @ gm).reshape(c, kh, kh, ho, wo)
+        if not input_grad:
+            return
+        dcol = (km.T @ gm).reshape(c, kh, kh, b, ho, wo).swapaxes(0, 3)  # b,kh,kh,c,ho,wo
         dx = np.zeros_like(xs)
         for u in range(kh):
             for v in range(kh):
-                dx[:, u : u + (ho - 1) * stride + 1 : stride,
-                      v : v + (wo - 1) * stride + 1 : stride] += dcol[:, u, v]
-        _accum(x, dx)
+                dx[:, :, u : u + (ho - 1) * stride + 1 : stride,
+                         v : v + (wo - 1) * stride + 1 : stride] += dcol[:, u, v]
+        _accum(x, dx.reshape(x.value.shape))
 
     out._push = push
     return out
@@ -393,42 +428,106 @@ def gru_cell(x: Tensor, h: Tensor, cell: GruCellParams) -> Tensor:
     reset    r = sigmoid(Wr x + Ur h + br)
     cand     c = tanh(Wc x + Uc (r*h) + bc)
     output   h' = (1 - z) * h + z * c
-    """
-    hd = cell.hidden_dim
-    _require(x.value.shape == (cell.input_dim,),
-             f"gru_cell: input {x.value.shape} != ({cell.input_dim},)")
-    _require(h.value.shape == (hd,), f"gru_cell: state {h.value.shape} != ({hd},)")
 
-    wi, wh, b = cell.input_weights, cell.hidden_weights, cell.biases
-    xv, hv = x.value, h.value
-    gi = wi.value @ xv + b.value
-    rec_zr = wh.value[: 2 * hd] @ hv
-    z = _sigmoid(gi[:hd] + rec_zr[:hd])
-    r = _sigmoid(gi[hd : 2 * hd] + rec_zr[hd:])
-    rh = r * hv
-    c = np.tanh(gi[2 * hd :] + wh.value[2 * hd :] @ rh)
-    out = Tensor((1.0 - z) * hv + z * c, (x, h, wi, wh, b))
+    ``x`` is d and ``h`` is h, or B x d and B x h for a batch.  This is
+    :func:`gru_scan` over a single step.
+    """
+    d, hd = cell.input_dim, cell.hidden_dim
+    batched = h.value.ndim == 2
+    lead = h.value.shape[:1] if batched else ()
+    _require(x.value.shape == lead + (d,), f"gru_cell: input {x.value.shape} != {lead + (d,)}")
+    _require(h.value.shape == lead + (hd,), f"gru_cell: state {h.value.shape} != {lead + (hd,)}")
+    rows = h.value.shape[0] if batched else 1
+    return _gru_recurrence(x, x.value.reshape(rows, 1, d), h, h.value.reshape(rows, hd), cell,
+                           h.value.shape)
+
+
+def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
+    """Run a gated recurrent cell over S steps, as a single node.
+
+    ``xs`` is S x d and ``h0`` is h: the output is the S x h sequence of
+    states, row t being the state after consuming input t.  With a B x h
+    ``h0`` the B states step together; ``xs`` is then either B x S x d,
+    one input sequence per row, or S x d, one sequence shared by every
+    row (projected once, not B times).  The output is B x S x h.
+
+    Every step's input projection is computed up front in one matmul;
+    the loop over steps does only the recurrent part.
+    """
+    d, hd = cell.input_dim, cell.hidden_dim
+    _require(h0.value.ndim in (1, 2), f"gru_scan: state must be h or B x h, got {h0.value.shape}")
+    _require(h0.value.shape[-1] == hd, f"gru_scan: state {h0.value.shape} has width != {hd}")
+    _require(xs.value.ndim in (2, 3) and xs.value.shape[-1] == d,
+             f"gru_scan: inputs must be S x {d} or B x S x {d}, got {xs.value.shape}")
+    if xs.value.ndim == 3:
+        _require(h0.value.ndim == 2 and xs.value.shape[0] == h0.value.shape[0],
+                 f"gru_scan: input batch {xs.value.shape} does not match state {h0.value.shape}")
+    _require(xs.value.shape[-2] >= 1, "gru_scan: no steps")
+    steps = xs.value.shape[-2]
+    states = h0.value.reshape(-1, hd)
+    out_shape = h0.value.shape[:-1] + (steps, hd)
+    return _gru_recurrence(xs, xs.value, h0, states, cell, out_shape)
+
+
+def _gru_recurrence(xs: Tensor, xv: np.ndarray, h0: Tensor, hv: np.ndarray,
+                    cell: GruCellParams, out_shape) -> Tensor:
+    """Shared node of gru_cell and gru_scan.
+
+    ``xv`` is S x d (shared by all rows) or B x S x d, ``hv`` is B x h;
+    the node's value is the B x S x h state sequence viewed as
+    ``out_shape``, and gradients flow back in the callers' shapes.
+    """
+    wi, wh, bias = cell.input_weights, cell.hidden_weights, cell.biases
+    hd = cell.hidden_dim
+    rows, steps = hv.shape[0], xv.shape[-2]
+    shared = xv.ndim == 2
+    wh_zr, wh_c = wh.value[: 2 * hd], wh.value[2 * hd :]
+    # every step's input projection at once: S x 3h, or B x S x 3h
+    gi = xv @ wi.value.T + bias.value
+
+    hs = np.empty((rows, steps + 1, hd), dtype=hv.dtype)  # hs[:, t] is the state before step t
+    hs[:, 0] = hv
+    zr = np.empty((rows, steps, 2 * hd), dtype=hv.dtype)
+    cand = np.empty((rows, steps, hd), dtype=hv.dtype)
+    rh = np.empty((rows, steps, hd), dtype=hv.dtype)
+    for t in range(steps):
+        g_t = gi[t] if shared else gi[:, t]
+        h_prev = hs[:, t]
+        zr[:, t] = logistic(g_t[..., : 2 * hd] + h_prev @ wh_zr.T)
+        z, r = zr[:, t, :hd], zr[:, t, hd:]
+        rh[:, t] = r * h_prev
+        cand[:, t] = np.tanh(g_t[..., 2 * hd :] + rh[:, t] @ wh_c.T)
+        hs[:, t + 1] = (1.0 - z) * h_prev + z * cand[:, t]
+    out = Tensor(hs[:, 1:].reshape(out_shape), (xs, h0, wi, wh, bias))
 
     def push(g):
-        dz = g * (c - hv)
-        dh = g * (1.0 - z)
-        dci = (g * z) * (1.0 - c * c)
-        drh = wh.value[2 * hd :].T @ dci
-        dr = drh * hv
-        dh += drh * r
-        dri = dr * r * (1.0 - r)
-        dzi = dz * z * (1.0 - z)
-        dpre = np.concatenate([dzi, dri, dci])
-        _accum(wi, np.outer(dpre, xv))
-        _accum(b, dpre)
+        g = g.reshape(rows, steps, hd)
+        dpre = np.empty((rows, steps, 3 * hd), dtype=gi.dtype)  # gate pre-activations
+        dh = np.zeros_like(hv)
+        for t in reversed(range(steps)):
+            h_prev, c = hs[:, t], cand[:, t]
+            z, r = zr[:, t, :hd], zr[:, t, hd:]
+            gt = g[:, t] + dh
+            dh = gt * (1.0 - z)
+            dci = (gt * z) * (1.0 - c * c)
+            drh = dci @ wh_c
+            dh += drh * r
+            dzr = np.concatenate([gt * (c - h_prev), drh * h_prev], axis=1)
+            dzr *= zr[:, t] * (1.0 - zr[:, t])
+            dh += dzr @ wh_zr
+            dpre[:, t, : 2 * hd] = dzr
+            dpre[:, t, 2 * hd :] = dci
+        flat = dpre.reshape(rows * steps, 3 * hd)
         dwh = np.empty_like(wh.value)
-        dwh[:hd] = np.outer(dzi, hv)
-        dwh[hd : 2 * hd] = np.outer(dri, hv)
-        dwh[2 * hd :] = np.outer(dci, rh)
+        dwh[: 2 * hd] = flat[:, : 2 * hd].T @ hs[:, :-1].reshape(rows * steps, hd)
+        dwh[2 * hd :] = flat[:, 2 * hd :].T @ rh.reshape(rows * steps, hd)
         _accum(wh, dwh)
-        dh += wh.value[: 2 * hd].T @ np.concatenate([dzi, dri])
-        _accum(h, dh)
-        _accum(x, wi.value.T @ dpre)
+        dgi = dpre.sum(axis=0) if shared else dpre  # shared inputs gather every row
+        dgi_flat = dgi.reshape(-1, 3 * hd)
+        _accum(wi, dgi_flat.T @ xv.reshape(-1, xv.shape[-1]))
+        _accum(bias, dgi_flat.sum(axis=0))
+        _accum(xs, (dgi @ wi.value).reshape(xs.value.shape))
+        _accum(h0, dh.reshape(h0.value.shape))
 
     out._push = push
     return out
@@ -469,6 +568,54 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> tuple[Tensor, Tensor]:
 
     loss._push = push_loss
     return probs, loss
+
+
+def masked_cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Class-weighted cross entropy of a batch of per-task 2-way logits.
+
+    ``logits`` is B x K x 2, ``labels`` B x K in {-1, 0, 1}, ``weights``
+    K positive-class weights.  A term is scaled by its task's weight
+    where the label is 1; labels of -1 contribute nothing.  Each frame's
+    loss is the mean over its known labels, and the result is the mean
+    over the frames that have at least one.  Raises EmptyBatchError when
+    no frame does.
+    """
+    v = logits.value
+    labels = np.asarray(labels)
+    weights = np.asarray(weights)
+    _require(v.ndim == 3 and v.shape[2] == 2,
+             f"masked_cross_entropy: logits must be B x K x 2, got {v.shape}")
+    _require(labels.shape == v.shape[:2],
+             f"masked_cross_entropy: labels {labels.shape} do not match logits {v.shape}")
+    _require(weights.shape == (v.shape[1],),
+             f"masked_cross_entropy: weights {weights.shape} != ({v.shape[1]},)")
+    _require(bool(np.isin(labels, (-1, 0, 1)).all()),
+             f"masked_cross_entropy: labels outside {{-1, 0, 1}}: {np.unique(labels).tolist()}")
+    known = labels != -1
+    per_frame = known.sum(axis=1)
+    frames = int((per_frame > 0).sum())
+    if frames == 0:
+        raise EmptyBatchError("every label in the batch is -1")
+    # coefficient of each term in the batch mean, zero for unknown labels
+    coef = np.where(labels == 1, weights, 1.0) * known / np.maximum(per_frame, 1)[:, None] / frames
+    coef = coef.astype(v.dtype)
+    target = np.where(known, labels, 0)[..., None]
+
+    m = v.max(axis=2, keepdims=True)
+    e = np.exp(v - m)
+    se = e.sum(axis=2, keepdims=True)
+    p = e / se
+    # grouped so an exact common shift of the logits cancels before the log
+    ce = (np.log(se) - (np.take_along_axis(v, target, axis=2) - m))[..., 0]
+    loss = Tensor(np.asarray((coef * ce).sum(), dtype=v.dtype), (logits,))
+
+    def push(g):
+        d = p.copy()
+        np.put_along_axis(d, target, np.take_along_axis(d, target, axis=2) - 1.0, axis=2)
+        _accum(logits, d * (coef * g)[..., None])
+
+    loss._push = push
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +665,32 @@ def global_grad_norm(params) -> float:
     return float(np.sqrt(acc))
 
 
+@dataclass
+class GradientCheckReport:
+    """Worst finite-difference disagreement and where it occurred."""
+
+    max_relative_error: float
+    worst_parameter: str
+    worst_index: tuple[int, ...]
+
+    def location(self) -> str:
+        return f"{self.worst_parameter}[{','.join(map(str, self.worst_index))}]"
+
+
 def finite_difference_check(loss_fn, params, step: float = 1e-3) -> float:
+    """Worst relative error of :func:`finite_difference_report`."""
+    return finite_difference_report(loss_fn, params, step).max_relative_error
+
+
+def finite_difference_report(loss_fn, params, step: float = 1e-3) -> GradientCheckReport:
     """Compare analytic gradients against central differences.
 
     ``loss_fn`` rebuilds the loss graph from the current parameter
     values and returns the scalar node.  Every component of every
-    parameter is perturbed by +/-step.  Returns the worst relative
-    error ``|a - e| / max(1e-8, |a| + |e|)``.  Demands float64
-    parameters and a deterministic loss.
+    parameter is perturbed by +/-step.  Reports the worst relative
+    error ``|a - e| / max(1e-8, |a| + |e|)`` and the first component
+    that reached it.  Demands float64 parameters and a deterministic
+    loss.
     """
     params = list(params)
     _require(len(params) > 0, "finite_difference_check: no parameters")
@@ -548,6 +713,7 @@ def finite_difference_check(loss_fn, params, step: float = 1e-3) -> float:
     analytic = [p.grad.copy() for p in params]
 
     worst = 0.0
+    where = (params[0].name, (0,) * params[0].value.ndim)
     for p, grads in zip(params, analytic):
         for idx in np.ndindex(p.value.shape):
             orig = p.value[idx]
@@ -561,4 +727,5 @@ def finite_difference_check(loss_fn, params, step: float = 1e-3) -> float:
             rel = abs(a - estimate) / max(1e-8, abs(a) + abs(estimate))
             if rel > worst:
                 worst = rel
-    return worst
+                where = (p.name, tuple(int(i) for i in idx))
+    return GradientCheckReport(worst, *where)

@@ -1,10 +1,10 @@
 """Deterministic training loop: weighted cross entropy, clipping, Adam.
 
 Videos split 80/20 into train and validation by id.  Every batch
-rebuilds the graph, accumulates gradients once, clips by global norm,
-then applies bias-corrected Adam.  All shuffling comes from RNGs seeded
-by (seed, salt), so two runs with the same corpus and config produce
-bitwise identical parameters.
+builds one graph for all of its frames, accumulates gradients once,
+clips by global norm, then applies bias-corrected Adam.  All shuffling
+comes from RNGs seeded by (seed, salt), so two runs with the same
+corpus and config produce bitwise identical parameters.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import evaluation, tensor as T
 from .data import AU_ORDER, VideoSequence, landmark_diffs
 from .errors import ContractViolation, EmptyBatchError, NumericError
-from .model import ModelConfig, ModelParams, model_forward
+from .model import ModelConfig, ModelParams, model_forward, score_frames
 from .tensor import Tensor
 
 WEIGHT_CAP = 10.0
@@ -84,52 +84,17 @@ def frame_loss(logits: list[Tensor], labels: np.ndarray, weights: np.ndarray):
 
     Weight applies only where the label is 1.  Labels of -1 are
     skipped; if every label is unknown the frame carries no signal and
-    None is returned.
+    None is returned.  This is :func:`tensor.masked_cross_entropy` on a
+    batch of one frame.
     """
     if len(logits) != len(AU_ORDER) or labels.shape != (len(AU_ORDER),):
         raise ContractViolation(
             f"frame_loss: got {len(logits)} logit nodes and labels {labels.shape}"
         )
-    terms = []
-    for i, lg in enumerate(logits):
-        lab = int(labels[i])
-        if lab == -1:
-            continue
-        if lab not in (0, 1):
-            raise ContractViolation(f"frame_loss: label {lab} for {AU_ORDER[i]}")
-        _, ce = T.softmax_cross_entropy(lg, lab)
-        if lab == 1:
-            w = float(weights[i])
-            if w != 1.0:
-                ce = T.scale(ce, w)
-        terms.append(ce)
-    if not terms:
+    if (labels == -1).all():
         return None
-    node = terms[0]
-    for extra in terms[1:]:
-        node = T.add(node, extra)
-    return T.scale(node, 1.0 / len(terms))
-
-
-def cross_entropy_value(logit_values: np.ndarray, label: int) -> float:
-    """Loss value straight from logit numbers, for no-graph passes."""
-    v = np.asarray(logit_values, dtype=np.float64)
-    m = float(v.max())
-    return m + float(np.log(np.exp(v - m).sum())) - float(v[label])
-
-
-def frame_loss_value(logit_values: np.ndarray, labels: np.ndarray, weights: np.ndarray):
-    """Same objective as frame_loss, computed outside the graph."""
-    acc = 0.0
-    n = 0
-    for i in range(len(AU_ORDER)):
-        lab = int(labels[i])
-        if lab == -1:
-            continue
-        ce = cross_entropy_value(logit_values[i], lab)
-        acc += ce * float(weights[i]) if lab == 1 else ce
-        n += 1
-    return acc / n if n else None
+    joint = T.reshape(T.concat(logits), (1, len(AU_ORDER), 2))
+    return T.masked_cross_entropy(joint, labels[None], weights)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +207,12 @@ def _prepare(video: VideoSequence, dtype) -> _VideoArrays:
     return _VideoArrays(images, diffs, video.labels_array())
 
 
+def _gather(videos: list[_VideoArrays], frames) -> _VideoArrays:
+    """The given (video index, frame index) pairs as one batch."""
+    return _VideoArrays(*(np.stack([getattr(videos[vi], k)[t] for vi, t in frames])
+                          for k in ("images", "diffs", "labels")))
+
+
 def train(
     corpus: list[VideoSequence],
     model_config: ModelConfig | None = None,
@@ -264,6 +235,13 @@ def train(
     dtype = train_config.dtype
     train_data = [_prepare(by_id[i], dtype) for i in train_ids]
     val_data = [_prepare(by_id[i], dtype) for i in val_ids]
+    if all((d.labels == -1).all() for d in train_data):
+        raise EmptyBatchError(f"every label of the {len(train_ids)} training videos is -1")
+    if all((d.labels == -1).all() for d in val_data):
+        raise ContractViolation(
+            f"the {len(val_ids)} validation videos hold no known label, so no epoch "
+            f"could be scored: {val_ids}"
+        )
 
     if train_config.class_weighting:
         weights = compute_class_weights([by_id[i] for i in train_ids])
@@ -271,8 +249,7 @@ def train(
         weights = np.ones(len(AU_ORDER))
 
     params = ModelParams.init(model_config, train_config.seed, dtype)
-    plist = params.all_parameters()
-    adam = AdamState.for_params(plist)
+    adam = AdamState.for_params(params.all_parameters())
 
     samples = [(vi, t) for vi, video in enumerate(train_data) for t in range(len(video.labels))]
     history: list[EpochStats] = []
@@ -286,32 +263,10 @@ def train(
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, len(order), train_config.batch_size):
-            batch = [samples[k] for k in order[start : start + train_config.batch_size]]
-            T.zero_grads(plist)
-            losses = []
-            for vi, t in batch:
-                d = train_data[vi]
-                res = model_forward(params, d.images[t], d.diffs[t])
-                fl = frame_loss(res.logits, d.labels[t], weights)
-                if fl is not None:
-                    losses.append(fl)
-            if not losses:
-                raise EmptyBatchError(
-                    f"epoch {epoch}, batch {n_batches}: every label in the batch is -1"
-                )
-            node = losses[0]
-            for extra in losses[1:]:
-                node = T.add(node, extra)
-            batch_node = T.scale(node, 1.0 / len(losses))
-            value = float(batch_node.value)
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"training diverged: loss {value} at epoch {epoch}, batch {n_batches}"
-                )
-            T.backward(batch_node)
-            clip_gradients(plist, train_config.grad_clip_global_norm)
-            adam_step(plist, adam, train_config)
-            epoch_loss += value
+            picks = order[start : start + train_config.batch_size]
+            batch = _gather(train_data, [samples[k] for k in picks])
+            where = f"epoch {epoch}, batch {n_batches}"
+            epoch_loss += _train_step(params, adam, batch, weights, train_config, where)
             n_batches += 1
 
         stats = _validate_epoch(epoch, epoch_loss / n_batches, params, val_data, val_ids, weights)
@@ -335,30 +290,51 @@ def train(
     )
 
 
+def _train_step(params, adam, batch: _VideoArrays, weights, cfg: TrainConfig,
+                where: str) -> float:
+    """Forward, backward, clip and Adam on one batch; returns the batch loss.
+
+    The batch's graph lives only inside this call, so it is freed before
+    the next batch builds its own.
+    """
+    plist = params.all_parameters()
+    T.zero_grads(plist)
+    res = model_forward(params, batch.images, batch.diffs)
+    try:
+        loss = T.masked_cross_entropy(res.logits, batch.labels, weights)
+    except EmptyBatchError:
+        raise EmptyBatchError(f"{where}: every label in the batch is -1") from None
+    value = float(loss.value)
+    if not np.isfinite(value):
+        raise NumericError(f"training diverged: loss {value} at {where}")
+    T.backward(loss)
+    clip_gradients(plist, cfg.grad_clip_global_norm)
+    adam_step(plist, adam, cfg)
+    return value
+
+
 def _validate_epoch(epoch, train_loss, params, val_data, val_ids, weights) -> EpochStats:
-    loss_sum = 0.0
-    loss_n = 0
+    """Score each validation video in batches of its frames.
+
+    The validation loss is the training objective over all validation
+    frames at once, computed in float64 from the logits.
+    """
     predictions = {}
     labels = {}
+    logits = []
     for vid, d in zip(val_ids, val_data):
-        n = len(d.labels)
-        probs = np.empty((n, len(AU_ORDER)))
-        for t in range(n):
-            res = model_forward(params, d.images[t], d.diffs[t])
-            probs[t] = res.probs
-            lv = frame_loss_value(
-                np.stack([lg.value for lg in res.logits]), d.labels[t], weights
-            )
-            if lv is not None:
-                loss_sum += lv
-                loss_n += 1
+        probs, video_logits = score_frames(params, d.images, d.diffs)
         predictions[vid] = evaluation.binarize(probs)
         labels[vid] = d.labels
+        logits.append(video_logits)
+    val_loss = T.masked_cross_entropy(
+        Tensor(np.concatenate(logits)), np.concatenate([d.labels for d in val_data]), weights
+    )
     report = evaluation.challenge_metric(predictions, labels)
     return EpochStats(
         epoch=epoch,
         train_loss=float(train_loss),
-        val_loss=loss_sum / max(loss_n, 1),
+        val_loss=float(val_loss.value),
         val_accuracy=report.accuracy,
         val_f1=report.mean_f1,
         val_metric=report.metric,

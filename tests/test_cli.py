@@ -273,6 +273,21 @@ class TestRuntimeErrors:
         assert code == 2
         assert "7" in err and str(CHECKPOINT_VERSION) in err
 
+    def test_checkpoint_with_bad_utf8_config_is_a_data_error(self, capsys, cli_env, tmp_path):
+        mutated = tmp_path / "mutated.auck"
+        blob = bytearray(cli_env["checkpoint"].read_bytes())
+        blob[12] = 0xFF  # inside the config block, which starts at byte 10
+        mutated.write_bytes(bytes(blob))
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--checkpoint", str(mutated),
+            "--corpus", str(cli_env["corpus"]),
+            "--out", str(tmp_path / "scores"),
+        )
+        assert code == 2
+        assert "UTF-8" in err
+
     def test_truncated_corpus_is_a_data_error(self, capsys, cli_env, tmp_path):
         clipped = tmp_path / "clipped.auc"
         blob = cli_env["corpus"].read_bytes()
@@ -306,6 +321,21 @@ class TestRuntimeErrors:
 
 # ---------------------------------------------------------------------------
 # determinism of artifacts
+
+
+class TestGradcheck:
+    def test_reports_worst_parameter(self, capsys, monkeypatch):
+        from conftest import TINY_MODEL
+
+        from audet.model import ModelParams
+
+        monkeypatch.setattr(cli, "GRADCHECK_CONFIG", TINY_MODEL)
+        code, out, _ = run(capsys, "gradcheck", "--seed", "7")
+        assert code == 0
+        line = next(x for x in out.splitlines() if x.startswith("worst_parameter = "))
+        name, _, index = line.split(" = ")[1].partition("[")
+        assert name in {p.name for p in ModelParams.zeros(TINY_MODEL).all_parameters()}
+        assert index.endswith("]") and all(i.isdigit() for i in index[:-1].split(","))
 
 
 class TestArtifactDeterminism:

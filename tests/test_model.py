@@ -264,3 +264,144 @@ def test_checkpoint_float64_params_stored_as_float32(tmp_path):
     assert loaded.dtype == np.float32
     for pa, pb in zip(params.all_parameters(), loaded.all_parameters()):
         np.testing.assert_array_equal(pa.value.astype(np.float32), pb.value)
+
+
+# ---------------------------------------------------------------------------
+# batch axis: one graph per batch against one graph per frame
+
+
+def _per_frame_reference(params, image, diff, labels, weights):
+    """One frame's probabilities and loss node, built step by step.
+
+    This is the per-frame graph of one gru_cell node per scan step and
+    one softmax_cross_entropy node per known label, without the batched
+    scan or the masked batch loss.  Returns (probs, loss node or None).
+    """
+    from audet import tensor as T
+
+    cfg = params.config
+    x = Tensor(image)
+    for (kern, bias), (_, _, _, stride) in zip(params.conv_layers, cfg.conv_spec):
+        x = T.relu(T.conv2d(x, kern, bias, stride))
+    seq = T.spatial_sequence(x)
+    h = Tensor(np.zeros(cfg.static_gru_hidden))
+    for t in range(seq.shape[0]):
+        h = T.gru_cell(T.row(seq, t), h, params.static_gru)
+    d = Tensor(diff)
+    for (w, b), (_, act) in zip(params.dynamic_layers, cfg.dynamic_hidden):
+        d = (T.relu if act == "relu" else T.tanh)(T.linear(w, b, d))
+    state = T.tanh(T.linear(params.fusion_weights, params.fusion_bias, T.concat([d, h])))
+    probs, terms = [], []
+    for i in range(len(AU_ORDER)):
+        state = T.gru_cell(T.row(params.au_table, i), state, params.query_gru)
+        lg = T.linear(params.classifier_weights, params.classifier_bias, state)
+        p, ce = T.softmax_cross_entropy(lg, int(max(labels[i], 0)))
+        probs.append(float(p.value[1]))
+        if labels[i] != -1:
+            terms.append(T.scale(ce, weights[i]) if labels[i] == 1 else ce)
+    if not terms:
+        return np.array(probs), None
+    node = terms[0]
+    for extra in terms[1:]:
+        node = T.add(node, extra)
+    return np.array(probs), T.scale(node, 1.0 / len(terms))
+
+
+def _reference_batch(params, images, diffs, labels, weights):
+    from audet import tensor as T
+
+    probs, losses = [], []
+    for image, diff, lab in zip(images, diffs, labels):
+        p, loss = _per_frame_reference(params, image, diff, lab, weights)
+        probs.append(p)
+        if loss is not None:
+            losses.append(loss)
+    node = losses[0]
+    for extra in losses[1:]:
+        node = T.add(node, extra)
+    return np.array(probs), T.scale(node, 1.0 / len(losses))
+
+
+def _grads(params, loss):
+    from audet import tensor as T
+
+    T.zero_grads(params.all_parameters())
+    T.backward(loss)
+    return {p.name: p.grad.copy() for p in params.all_parameters()}
+
+
+@pytest.mark.parametrize("frames", [1, 6])
+def test_batched_forward_loss_and_gradients_match_per_frame_graphs(frames):
+    from audet.tensor import masked_cross_entropy
+
+    params = ModelParams.init(TINY_MODEL, seed=31, dtype=np.float64)
+    rng = np.random.default_rng(32)
+    size = TINY_MODEL.image_size
+    images = rng.uniform(0, 1, (frames, 2, size, size))
+    diffs = rng.uniform(-1, 1, (frames, 146))
+    labels = rng.integers(-1, 2, (frames, 8)).astype(np.int8)
+    labels[0, :3] = (1, 0, -1)  # partly unknown
+    if frames > 1:
+        labels[2] = -1  # a frame with no known label drops out of the mean
+    weights = np.array([2.0, 1.0, 3.5, 1.0, 10.0, 1.0, 1.5, 4.0])
+
+    batched = model_forward(params, images, diffs)
+    assert batched.probs.shape == (frames, 8)
+    assert batched.logits.shape == (frames, 8, 2)
+    loss = masked_cross_entropy(batched.logits, labels, weights)
+    got = _grads(params, loss)
+
+    ref_probs, ref_loss = _reference_batch(params, images, diffs, labels, weights)
+    want = _grads(params, ref_loss)
+
+    np.testing.assert_allclose(batched.probs, ref_probs, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(float(loss.value), float(ref_loss.value), rtol=1e-12)
+    for name, g in want.items():
+        scale = max(1.0, float(np.abs(g).max()))
+        assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
+
+    if frames > 1:
+        # removing the all-unknown frame changes neither the loss nor a gradient
+        keep = [t for t in range(frames) if t != 2]
+        rest = masked_cross_entropy(model_forward(params, images[keep], diffs[keep]).logits,
+                                    labels[keep], weights)
+        np.testing.assert_allclose(float(rest.value), float(loss.value), rtol=1e-12)
+        for name, g in _grads(params, rest).items():
+            assert np.abs(got[name] - g).max() <= 1e-12 * max(1.0, float(np.abs(g).max()))
+
+
+def test_single_frame_call_is_a_batch_of_one():
+    params = ModelParams.init(TINY_MODEL, seed=33, dtype=np.float64)
+    image, diff = _inputs(TINY_MODEL, seed=34)
+    single = model_forward(params, image, diff)
+    batch = model_forward(params, image[None], diff[None])
+    np.testing.assert_allclose(single.probs, batch.probs[0], rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(np.stack([lg.value for lg in single.logits]),
+                               batch.logits.value[0], rtol=1e-13, atol=1e-14)
+
+
+def test_batch_extents_of_images_and_diffs_must_agree():
+    params = ModelParams.zeros(TINY_MODEL)
+    size = TINY_MODEL.image_size
+    with pytest.raises(ContractViolation, match="batch"):
+        model_forward(params, np.zeros((3, 2, size, size), np.float32),
+                      np.zeros((2, 146), np.float32))
+    with pytest.raises(ContractViolation, match="batch"):
+        model_forward(params, np.zeros((2, size, size), np.float32),
+                      np.zeros((1, 146), np.float32))
+
+
+def test_score_frames_chunks_match_one_batch(monkeypatch):
+    import audet.model as M
+
+    params = ModelParams.init(TINY_MODEL, seed=35, dtype=np.float64)
+    rng = np.random.default_rng(36)
+    size = TINY_MODEL.image_size
+    images = rng.uniform(0, 1, (10, 2, size, size))
+    diffs = rng.uniform(-1, 1, (10, 146))
+    whole = model_forward(params, images, diffs)
+    monkeypatch.setattr(M, "SCORING_BATCH", 4)  # chunks of 4, 4 and 2 frames
+    probs, logits = M.score_frames(params, images, diffs)
+    assert probs.shape == (10, 8) and logits.shape == (10, 8, 2)
+    np.testing.assert_allclose(probs, whole.probs, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(logits, whole.logits.value, rtol=1e-12, atol=1e-14)

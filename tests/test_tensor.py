@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import audet.tensor as T
-from audet.errors import ContractViolation, NumericError
+from audet.errors import ContractViolation, EmptyBatchError, NumericError
 from audet.tensor import GruCellParams, Parameter, Tensor
 
 
@@ -420,3 +420,185 @@ def test_fd_check_requires_float64():
     w = Parameter(np.array([1.0], dtype=np.float32), "w")
     with pytest.raises(ContractViolation, match="float64"):
         T.finite_difference_check(lambda: T.total(w), [w], 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# batch axis
+
+
+def test_grad_batched_linear():
+    rng = np.random.default_rng(50)
+    w = _param(rng, (3, 4), "w")
+    bias = _param(rng, (3,), "bias")
+    x = _param(rng, (5, 4), "x")
+    weights = Tensor(rng.uniform(-1, 1, (5, 3)))
+    _check(lambda: T.total(T.mul(T.linear(w, bias, x), weights)), [w, bias, x])
+    # rows are independent: each equals the unbatched call
+    out = T.linear(w, bias, x).value
+    for i in range(5):
+        np.testing.assert_allclose(out[i], T.linear(w, bias, Tensor(x.value[i])).value,
+                                   rtol=1e-14, atol=1e-15)
+
+
+def test_grad_batched_conv2d_stride_two():
+    rng = np.random.default_rng(51)
+    x = _param(rng, (3, 2, 7, 7), "x")
+    k = _param(rng, (4, 2, 3, 3), "k")
+    b = _param(rng, (4,), "b")
+    weights = Tensor(rng.uniform(-1, 1, (3, 4, 3, 3)))
+    _check(lambda: T.total(T.mul(T.conv2d(x, k, b, 2), weights)), [x, k, b])
+    out = T.conv2d(x, k, b, 2).value
+    for i in range(3):
+        np.testing.assert_allclose(out[i], _conv_reference(x.value[i], k.value, b.value, 2),
+                                   atol=1e-12)
+
+
+def test_conv2d_skips_gradient_of_constant_input():
+    rng = np.random.default_rng(52)
+    x = Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)))
+    k = _param(rng, (3, 2, 3, 3), "k")
+    T.backward(T.total(T.conv2d(x, k, Tensor(np.zeros(3)), 1)))
+    assert x.grad is None
+    assert np.abs(k.grad).sum() > 0
+
+
+def _cell(rng, d, h):
+    # weights in [-0.5, 0.5], as in the acceptance sweep: over several steps,
+    # unit-scale weights let step-1e-3 truncation error pass 1e-5 on the
+    # smallest gradients (it shrinks with the step squared)
+    return GruCellParams(*(_param(rng, shape, name, -0.5, 0.5) for shape, name in
+                           (((3 * h, d), "wi"), ((3 * h, h), "wh"), ((3 * h,), "b"))))
+
+
+def test_grad_gru_scan_per_row_inputs():
+    rng = np.random.default_rng(53)
+    cell = _cell(rng, 4, 3)
+    xs = _param(rng, (2, 5, 4), "xs")
+    h0 = _param(rng, (2, 3), "h0")
+    weights = Tensor(rng.uniform(-1, 1, (2, 5, 3)))
+    _check(lambda: T.total(T.mul(T.gru_scan(xs, h0, cell), weights)),
+           [xs, h0] + cell.parameters())
+
+
+def test_grad_gru_scan_shared_inputs():
+    rng = np.random.default_rng(54)
+    cell = _cell(rng, 4, 3)
+    xs = _param(rng, (5, 4), "xs")
+    h0 = _param(rng, (3, 3), "h0")
+    weights = Tensor(rng.uniform(-1, 1, (3, 5, 3)))
+    _check(lambda: T.total(T.mul(T.gru_scan(xs, h0, cell), weights)),
+           [xs, h0] + cell.parameters())
+
+
+def test_gru_scan_matches_chain_of_cells():
+    rng = np.random.default_rng(55)
+    cell = _cell(rng, 4, 3)
+    xs = rng.uniform(-1, 1, (2, 6, 4))
+    h0 = rng.uniform(-1, 1, (2, 3))
+    states = T.gru_scan(Tensor(xs), Tensor(h0), cell).value
+    assert states.shape == (2, 6, 3)
+    for i in range(2):
+        h = Tensor(h0[i])
+        for t in range(6):
+            h = T.gru_cell(Tensor(xs[i, t]), h, cell)
+            ref = _gru_reference(xs[i, t], states[i, t - 1] if t else h0[i],
+                                 cell.input_weights.value, cell.hidden_weights.value,
+                                 cell.biases.value)
+            np.testing.assert_allclose(states[i, t], h.value, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(states[i, t], ref, atol=1e-12)
+    shared = T.gru_scan(Tensor(xs[0]), Tensor(h0), cell).value
+    np.testing.assert_allclose(shared[0], states[0], rtol=1e-13, atol=1e-14)
+    single = T.gru_scan(Tensor(xs[1]), Tensor(h0[1]), cell).value
+    assert single.shape == (6, 3)
+    np.testing.assert_allclose(single, states[1], rtol=1e-13, atol=1e-14)
+
+
+def test_grad_masked_cross_entropy():
+    rng = np.random.default_rng(56)
+    logits = _param(rng, (4, 3, 2), "logits")
+    labels = np.array([[1, 0, -1], [-1, -1, -1], [0, 1, 1], [-1, 1, 0]], dtype=np.int8)
+    weights = np.array([2.5, 1.0, 4.0])
+    _check(lambda: T.masked_cross_entropy(logits, labels, weights), [logits])
+
+
+def test_masked_cross_entropy_means_frames_then_batch():
+    rng = np.random.default_rng(57)
+    raw = rng.normal(size=(3, 8, 2)) * 3.0
+    labels = rng.integers(-1, 2, size=(3, 8)).astype(np.int8)
+    labels[1] = -1
+    labels[0, 0] = 1
+    labels[2, 3] = 0
+    weights = rng.uniform(1.0, 10.0, size=8)
+    loss = T.masked_cross_entropy(Tensor(raw), labels, weights)
+    per_frame = []
+    for b in (0, 2):
+        terms = [T.softmax_cross_entropy(Tensor(raw[b, k]), int(labels[b, k]))[1].value
+                 * (weights[k] if labels[b, k] == 1 else 1.0)
+                 for k in range(8) if labels[b, k] != -1]
+        per_frame.append(sum(terms) / len(terms))
+    np.testing.assert_allclose(float(loss.value), sum(per_frame) / 2, rtol=1e-13)
+    with pytest.raises(EmptyBatchError):
+        T.masked_cross_entropy(Tensor(raw), np.full((3, 8), -1, np.int8), weights)
+    with pytest.raises(ContractViolation, match="outside"):
+        T.masked_cross_entropy(Tensor(raw), np.full((3, 8), 2, np.int8), weights)
+
+
+def test_batch_extents_must_agree():
+    rng = np.random.default_rng(58)
+    cell = _cell(rng, 4, 3)
+    with pytest.raises(ContractViolation, match="batch"):
+        T.gru_scan(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((3, 3))), cell)
+    with pytest.raises(ContractViolation, match="batch"):
+        T.gru_scan(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros(3)), cell)
+    with pytest.raises(ContractViolation, match="gru_cell"):
+        T.gru_cell(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 3))), cell)
+    with pytest.raises(ContractViolation, match="gru_cell"):
+        T.gru_cell(Tensor(np.zeros(4)), Tensor(np.zeros((1, 3))), cell)
+    with pytest.raises(ContractViolation, match="labels"):
+        T.masked_cross_entropy(Tensor(np.zeros((2, 8, 2))), np.zeros((3, 8), np.int8),
+                               np.ones(8))
+    with pytest.raises(ContractViolation, match="incompatible"):
+        T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], axis=-1)
+    with pytest.raises(ContractViolation, match="conv2d"):
+        T.conv2d(Tensor(np.zeros((1, 2, 2, 5, 5))), Tensor(np.zeros((1, 2, 3, 3))),
+                 Tensor(np.zeros(1)), 1)
+
+
+def test_batched_shapes():
+    rng = np.random.default_rng(59)
+    cell = _cell(rng, 4, 3)
+    for xs, h0, states in (((6, 4), (2, 3), (2, 6, 3)), ((2, 6, 4), (2, 3), (2, 6, 3)),
+                           ((6, 4), (3,), (6, 3))):
+        assert T.gru_scan(Tensor(np.zeros(xs)), Tensor(np.zeros(h0)), cell).shape == states
+    assert T.gru_cell(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))), cell).shape == (2, 3)
+    assert T.spatial_sequence(Tensor(np.zeros((2, 5, 3, 4)))).shape == (2, 12, 5)
+    assert T.linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)),
+                    Tensor(np.zeros((2, 6, 4)))).shape == (2, 6, 3)
+    assert T.row(Tensor(np.zeros((2, 6, 4))), 5).shape == (2, 4)
+    assert T.reshape(Tensor(np.zeros((2, 6))), (3, 4)).shape == (3, 4)
+    with pytest.raises(ContractViolation, match="reshape"):
+        T.reshape(Tensor(np.zeros((2, 6))), (5,))
+
+
+def test_fd_report_names_worst_component():
+    a = Parameter(np.array([0.3, -0.2]), "a")
+    b = Parameter(np.array([0.5, 0.7, -0.1]), "b")
+
+    def loss_fn():
+        # correct for a; b's gradient is wrong in component 1 only
+        out = T.total(T.mul(a, a))
+        bad = Tensor(np.asarray(float((b.value ** 2).sum())), (b,))
+
+        def push(g):
+            grad = 2.0 * b.value * g
+            grad[1] *= 1.5
+            T._accum(b, grad)
+
+        bad._push = push
+        return T.add(out, bad)
+
+    report = T.finite_difference_report(loss_fn, [a, b], 1e-3)
+    assert report.worst_parameter == "b" and report.worst_index == (1,)
+    assert report.location() == "b[1]"
+    assert report.max_relative_error > 0.1
+    assert T.finite_difference_check(loss_fn, [a, b], 1e-3) == report.max_relative_error

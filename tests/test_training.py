@@ -16,9 +16,7 @@ from audet.training import (
     adam_step,
     clip_gradients,
     compute_class_weights,
-    cross_entropy_value,
     frame_loss,
-    frame_loss_value,
     split_videos,
     train,
     write_history,
@@ -109,29 +107,6 @@ class TestFrameLoss:
                 assert (labels == -1).all()
             else:
                 assert float(loss.value) >= 0.0
-
-    def test_value_path_matches_graph_path(self):
-        rng = np.random.default_rng(23)
-        for _ in range(25):
-            raw = rng.normal(size=(8, 2)) * 3.0
-            labels = rng.integers(-1, 2, size=8).astype(np.int8)
-            weights = rng.uniform(1.0, 10.0, size=8)
-            node = frame_loss([Tensor(raw[i]) for i in range(8)], labels, weights)
-            value = frame_loss_value(raw, labels, weights)
-            if node is None:
-                assert value is None
-            else:
-                np.testing.assert_allclose(value, float(node.value), rtol=1e-12)
-
-    def test_cross_entropy_value_matches_graph(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            v = rng.normal(size=2) * 10.0
-            for label in (0, 1):
-                _, node = T.softmax_cross_entropy(Tensor(v), label)
-                np.testing.assert_allclose(
-                    cross_entropy_value(v, label), float(node.value), rtol=1e-9, atol=1e-12
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +359,25 @@ class TestTrain:
         ]
         with pytest.raises(EmptyBatchError, match="-1"):
             _tiny_train(corpus, epochs=1)
+
+    def test_unlabelled_validation_split_rejected_before_training(self):
+        rows = [[0, 1, 0, 0, 1, 0, 0, 0]] * 3
+        ids = [f"v{i}" for i in range(5)]
+        _, val_ids = split_videos([_video(i, rows) for i in ids], 7, 0.2)
+        corpus = [_video(i, [[-1] * 8] * 3 if i in val_ids else rows) for i in ids]
+        epochs = []
+        with pytest.raises(ContractViolation, match="validation videos hold no known label"):
+            _tiny_train(corpus, epochs=1, on_epoch_end=lambda stats, _: epochs.append(stats))
+        assert epochs == []
+
+    def test_double_precision_batched_runs_are_bitwise_identical(self, tiny_corpus):
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=3, precision="double")
+        a = train(tiny_corpus, TINY_MODEL, cfg)
+        b = train(tiny_corpus, TINY_MODEL, cfg)
+        assert a.final_params.dtype == np.float64
+        for (name, arr), (_, other) in zip(a.final_params.named_arrays(),
+                                           b.final_params.named_arrays()):
+            assert arr.tobytes() == other.tobytes(), name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_absurd_learning_rate_diverges_with_location(self, tiny_corpus):
