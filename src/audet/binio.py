@@ -1,8 +1,11 @@
-"""Little-endian byte reading shared by the corpus and checkpoint formats."""
+"""Byte-level I/O shared by the corpus and checkpoint formats and the
+text artifacts: little-endian reading and atomic file writes."""
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 from .errors import CorruptionError, FormatError
 
@@ -53,3 +56,20 @@ class ByteReader:
 def pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
     return struct.pack("<H", len(raw)) + raw
+
+
+def write_atomic(path, data: bytes | str) -> Path:
+    """Write data (str as UTF-8) to path via <name>.tmp and os.replace.
+
+    Creates the parent directory.  A reader sees either the old file or
+    the complete new one; the temporary file is removed if any step fails.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return target

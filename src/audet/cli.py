@@ -14,11 +14,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import SynthConfig, generate_synthetic, landmark_diffs, load_corpus, store_corpus
+from .binio import write_atomic
+from .data import SynthConfig, generate_synthetic, load_corpus, store_corpus
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -157,16 +159,7 @@ KEY_PARSERS = {
 # flag spellings that differ from the config key
 FLAG_ALIASES = {"frames_per_video": "frames"}
 
-SYNTH_KEYS = (
-    "videos",
-    "frames_per_video",
-    "seed",
-    "image_size",
-    "stay_probability",
-    "label_flip_noise",
-    "landmark_jitter_sigma",
-    "pixel_noise_sigma",
-)
+SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
 TRAIN_KEYS = (
     "seed",
     "image_size",
@@ -186,27 +179,9 @@ GRADCHECK_KEYS = ("seed", "step", "threshold")
 
 
 def _defaults() -> dict:
-    sc = SynthConfig()
-    tc = TrainConfig()
     return {
-        "videos": sc.videos,
-        "frames_per_video": sc.frames_per_video,
-        "seed": sc.seed,
-        "image_size": sc.image_size,
-        "stay_probability": sc.stay_probability,
-        "label_flip_noise": sc.label_flip_noise,
-        "landmark_jitter_sigma": sc.landmark_jitter_sigma,
-        "pixel_noise_sigma": sc.pixel_noise_sigma,
-        "learning_rate": tc.learning_rate,
-        "adam_beta1": tc.adam_beta1,
-        "adam_beta2": tc.adam_beta2,
-        "adam_epsilon": tc.adam_epsilon,
-        "batch_size": tc.batch_size,
-        "epochs": tc.epochs,
-        "grad_clip_global_norm": tc.grad_clip_global_norm,
-        "class_weighting": tc.class_weighting,
-        "precision": tc.precision,
-        "val_fraction": tc.val_fraction,
+        **asdict(SynthConfig()),
+        **asdict(TrainConfig()),
         "window": 5,
         "step": 1e-3,
         "threshold": 1e-4,
@@ -299,19 +274,7 @@ def _cmd_train(ns) -> int:
     _echo(cfg, TRAIN_KEYS + ("corpus", "out"))
     corpus = load_corpus(corpus_path)
     mconf = ModelConfig(image_size=cfg["image_size"])
-    tconf = TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        adam_beta1=cfg["adam_beta1"],
-        adam_beta2=cfg["adam_beta2"],
-        adam_epsilon=cfg["adam_epsilon"],
-        batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"],
-        grad_clip_global_norm=cfg["grad_clip_global_norm"],
-        class_weighting=cfg["class_weighting"],
-        precision=cfg["precision"],
-        val_fraction=cfg["val_fraction"],
-        seed=cfg["seed"],
-    )
+    tconf = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
     def progress(stats, _params):
         print(
@@ -337,9 +300,8 @@ def _cmd_eval(ns) -> int:
     params = load_checkpoint(ckpt_path)
     corpus = load_corpus(corpus_path)
     report = evaluate(params, corpus, cfg["window"])
-    out.mkdir(parents=True, exist_ok=True)
     text = render_report(report, len(corpus))
-    (out / "report.txt").write_text(text)
+    write_atomic(out / "report.txt", text)
     write_report_csv(report, out / "report.csv")
     print(text, end="")
     return 0
@@ -422,9 +384,9 @@ def _cmd_gradcheck(ns) -> int:
         )
     )[0]
     frame_t = 1
-    image = video.frames[frame_t].image_stack().astype(np.float64)
-    diff = landmark_diffs(video)[frame_t].astype(np.float64)
-    labels = video.frames[frame_t].labels
+    images, diffs = video.model_inputs(np.float64)
+    image, diff = images[frame_t], diffs[frame_t]
+    labels = video.labels[frame_t]
     weights = np.ones(labels.shape[0])
     params = ModelParams.init(config, cfg["seed"], np.float64)
     clear_relu_margins(params, image, diff, margin=max(0.05, 50.0 * cfg["step"]))

@@ -1,25 +1,26 @@
 """Corpus handling: synthetic face videos, input features, binary storage.
 
-A frame carries a grayscale rendering of a schematic 73-point face, its
-Sobel edge map, the landmark coordinates, and one binary label per
-action unit (-1 marks unknown).  Videos are generated by a five-state
-expression Markov chain; activations ramp linearly over three frames so
-that labels flip before the face fully settles, which is the only label
-noise in the default corpus.
-
-Pixel planes are quantised to the u8 grid at generation time, so a
-store/load round trip reproduces frames bit for bit.
+A video is held column-wise, T-leading, in the corpus file's own units:
+u8 pixel planes (grayscale rendering of a schematic 73-point face, then
+its Sobel edge map), f32 landmark coordinates, and one i8 label per
+action unit (-1 marks unknown).  One record dtype describes a stored
+frame, so a video is written and read as one block of bytes, and
+:func:`decode_planes` is the only place u8 planes become model input.
+Videos are generated by a five-state expression Markov chain;
+activations ramp linearly over three frames so that labels flip before
+the face fully settles, which is the only label noise in the default
+corpus.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .binio import ByteReader, pack_str
+from .binio import ByteReader, pack_str, write_atomic
 from .errors import ContractViolation, EmptyCorpusError, FormatError
 
 AU_ORDER = ("AU1", "AU2", "AU4", "AU6", "AU12", "AU15", "AU20", "AU25")
@@ -140,75 +141,81 @@ def displaced_landmarks(intensities: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# samples
-
-
-@dataclass
-class FrameSample:
-    """One video frame with features and per-AU labels."""
-
-    video_id: str
-    frame_index: int
-    gray: np.ndarray  # 1 x H x W float32 in [0, 1]
-    edge: np.ndarray  # 1 x H x W float32 in [0, 1]
-    landmarks: np.ndarray  # 73 x 2 float32, normalised coordinates
-    labels: np.ndarray  # 8 int8 in {0, 1, -1}
-
-    def __post_init__(self):
-        if self.gray.ndim != 3 or self.gray.shape[0] != 1:
-            raise ContractViolation(f"gray must be 1,H,W, got {self.gray.shape}")
-        if self.edge.shape != self.gray.shape:
-            raise ContractViolation(
-                f"edge {self.edge.shape} does not match gray {self.gray.shape}"
-            )
-        if self.landmarks.shape != (LANDMARK_COUNT, 2):
-            raise ContractViolation(f"landmarks must be 73 x 2, got {self.landmarks.shape}")
-        if self.labels.shape != (len(AU_ORDER),):
-            raise ContractViolation(f"labels must be ({len(AU_ORDER)},), got {self.labels.shape}")
-        if not np.isin(self.labels, (-1, 0, 1)).all():
-            raise ContractViolation(f"labels outside {{-1, 0, 1}}: {self.labels.tolist()}")
-        for name, plane in (("gray", self.gray), ("edge", self.edge)):
-            if plane.size and (plane.min() < 0.0 or plane.max() > 1.0):
-                raise ContractViolation(
-                    f"{name} values outside [0, 1]: [{plane.min()}, {plane.max()}]"
-                )
-
-    def image_stack(self) -> np.ndarray:
-        """Gray and edge planes as one 2 x H x W array."""
-        return np.concatenate([self.gray, self.edge], axis=0)
+# videos
 
 
 @dataclass
 class VideoSequence:
-    """Consecutive frames of one video, indices starting at 0."""
+    """One video as T-leading arrays, T >= 3.
+
+    planes: T x 2 x H x W uint8, gray then edge, 0..255 standing for [0, 1]
+    landmarks: T x 73 x 2 float32, normalised coordinates, all finite
+    labels: T x 8 int8 in {-1, 0, 1}
+    """
 
     video_id: str
-    frames: list[FrameSample] = field(default_factory=list)
+    planes: np.ndarray
+    landmarks: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        # motion features need a neighbour on at least one side of every frame
-        if len(self.frames) < 3:
+        where = f"video {self.video_id!r}"
+        for name, dtype, tail in (("planes", np.uint8, None),
+                                  ("landmarks", np.float32, (LANDMARK_COUNT, 2)),
+                                  ("labels", np.int8, (len(AU_ORDER),))):
+            arr = getattr(self, name)
+            if not isinstance(arr, np.ndarray) or arr.dtype != dtype:
+                raise ContractViolation(
+                    f"{where}: {name} must be {np.dtype(dtype)}, "
+                    f"got {getattr(arr, 'dtype', type(arr).__name__)}"
+                )
+            if tail is not None and arr.shape[1:] != tail:
+                raise ContractViolation(f"{where}: {name} must be T x {tail}, got {arr.shape}")
+        if self.planes.ndim != 4 or self.planes.shape[1] != 2:
             raise ContractViolation(
-                f"video {self.video_id!r} has {len(self.frames)} frames, need >= 3"
+                f"{where}: planes must be T x 2 x H x W, got {self.planes.shape}"
             )
-        for t, fr in enumerate(self.frames):
-            if fr.video_id != self.video_id:
-                raise ContractViolation(
-                    f"frame {t} belongs to {fr.video_id!r}, not {self.video_id!r}"
-                )
-            if fr.frame_index != t:
-                raise ContractViolation(
-                    f"video {self.video_id!r}: frame {t} carries index {fr.frame_index}"
-                )
+        lengths = {len(self.planes), len(self.landmarks), len(self.labels)}
+        if len(lengths) > 1:
+            raise ContractViolation(
+                f"{where}: frame counts differ: planes {len(self.planes)}, "
+                f"landmarks {len(self.landmarks)}, labels {len(self.labels)}"
+            )
+        # motion features need a neighbour on at least one side of every frame
+        if len(self) < 3:
+            raise ContractViolation(f"{where} has {len(self)} frames, need >= 3")
+        bad = ~np.isin(self.labels, (-1, 0, 1)).all(axis=1)
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise ContractViolation(
+                f"{where}: frame {t} has labels outside {{-1, 0, 1}}: {self.labels[t].tolist()}"
+            )
+        finite = np.isfinite(self.landmarks).all(axis=(1, 2))
+        if not finite.all():
+            raise ContractViolation(
+                f"{where}: frame {int(np.argmin(finite))} has non-finite landmarks"
+            )
 
     def __len__(self):
-        return len(self.frames)
-
-    def landmarks_array(self) -> np.ndarray:
-        return np.stack([f.landmarks for f in self.frames])
+        return len(self.labels)
 
     def labels_array(self) -> np.ndarray:
-        return np.stack([f.labels for f in self.frames])
+        """The T x 8 labels (the ``labels`` array itself, not a copy)."""
+        return self.labels
+
+    def model_inputs(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Decoded planes (T x 2 x H x W) and motion features (T x 146) in dtype."""
+        return decode_planes(self.planes, dtype), landmark_diffs(self.landmarks).astype(dtype)
+
+
+def encode_planes(values: np.ndarray) -> np.ndarray:
+    """Values in [0, 1] (clipped) to the u8 grid: round(255 x)."""
+    return np.round(np.clip(values, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+
+def decode_planes(planes: np.ndarray, dtype) -> np.ndarray:
+    """u8 planes as model input: planes / 255 computed in float32, then cast to dtype."""
+    return (planes / np.float32(255)).astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -239,30 +246,20 @@ def sobel_edge(gray: np.ndarray) -> np.ndarray:
     return mag[None].astype(gray.dtype)
 
 
-def landmark_diff(landmarks: "np.ndarray | VideoSequence", t: int) -> np.ndarray:
-    """Scaled landmark motion around frame t, flattened to 146 values.
+def landmark_diffs(landmarks: np.ndarray) -> np.ndarray:
+    """Scaled landmark motion of every frame, T x 146, from T x 73 x 2 landmarks.
 
-    diff = 10 * (L[min(t+1, T-1)] - L[max(t-1, 0)]), laid out as
+    Row t is 10 * (L[min(t+1, T-1)] - L[max(t-1, 0)]), laid out as
     x0, y0, x1, y1, ...  Endpoints clamp, so first and last frames use
-    a one-sided difference.  Accepts a VideoSequence or a T x 73 x 2
-    array of per-frame landmarks.
+    a one-sided difference.
     """
-    if isinstance(landmarks, VideoSequence):
-        landmarks = landmarks.landmarks_array()
     if landmarks.ndim != 3 or landmarks.shape[1:] != (LANDMARK_COUNT, 2):
-        raise ContractViolation(f"landmark_diff: expected T,73,2, got {landmarks.shape}")
-    n = landmarks.shape[0]
-    if not 0 <= t < n:
-        raise ContractViolation(f"landmark_diff: frame {t} out of range for {n} frames")
-    ahead = landmarks[min(t + 1, n - 1)]
-    behind = landmarks[max(t - 1, 0)]
-    return (10.0 * (ahead - behind)).reshape(-1)
-
-
-def landmark_diffs(video: VideoSequence) -> np.ndarray:
-    """Motion features for every frame of a video, T x 146."""
-    lm = video.landmarks_array()
-    return np.stack([landmark_diff(lm, t) for t in range(len(video))])
+        raise ContractViolation(f"landmark_diffs: expected T,73,2, got {landmarks.shape}")
+    n = len(landmarks)
+    t = np.arange(n)
+    ahead = landmarks[np.minimum(t + 1, n - 1)]
+    behind = landmarks[np.maximum(t - 1, 0)]
+    return (10.0 * (ahead - behind)).reshape(n, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +350,6 @@ def render_face(landmarks: np.ndarray, size: int = 64) -> np.ndarray:
     return 0.2 + 0.8 * cov
 
 
-def _quantise(img: np.ndarray) -> np.ndarray:
-    return (np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0).astype(np.float32)
-
-
 def generate_synthetic(config: SynthConfig) -> list[VideoSequence]:
     """Sample a corpus of schematic face videos.
 
@@ -365,19 +358,21 @@ def generate_synthetic(config: SynthConfig) -> list[VideoSequence]:
     earlier videos.  Expression states follow a Markov chain that stays
     put with ``stay_probability`` and otherwise jumps uniformly to one
     of the other four states.  Activations ramp by 1/3 per frame toward
-    the current prototype; frame 0 starts settled.  Pixel planes are
-    quantised to the u8 grid here, so storage round trips exactly.
+    the current prototype; frame 0 starts settled.  The edge map is
+    taken from the gray plane as decoded from the u8 grid, so it sees
+    exactly what the model sees.
     """
     config.validate()
-    size = config.image_size
+    size, n = config.image_size, config.frames_per_video
     videos = []
     for v in range(config.videos):
         rng = np.random.default_rng([config.seed, v])
-        video_id = f"synth{v:04d}"
-        frames = []
+        planes = np.empty((n, 2, size, size), np.uint8)
+        landmarks = np.empty((n, LANDMARK_COUNT, 2), np.float32)
+        labels = np.empty((n, len(AU_ORDER)), np.int8)
         state = int(rng.integers(5))
         intensities = PROTOTYPE_LABELS[state].astype(np.float64)
-        for t in range(config.frames_per_video):
+        for t in range(n):
             if t > 0:
                 if rng.random() >= config.stay_probability:
                     others = [s for s in range(5) if s != state]
@@ -386,20 +381,19 @@ def generate_synthetic(config: SynthConfig) -> list[VideoSequence]:
                 intensities = np.clip(
                     intensities + RAMP_STEP * (2.0 * target - 1.0), 0.0, 1.0
                 )
-            target_labels = PROTOTYPE_LABELS[state].copy()
+            target_labels = PROTOTYPE_LABELS[state]
             flips = rng.random(len(AU_ORDER)) < config.label_flip_noise
-            labels = np.where(flips, 1 - target_labels, target_labels).astype(np.int8)
+            labels[t] = np.where(flips, 1 - target_labels, target_labels)
 
             lm = displaced_landmarks(intensities)
             lm = lm + rng.normal(0.0, config.landmark_jitter_sigma, lm.shape)
-            lm = np.clip(lm, 0.0, 1.0).astype(np.float32)
+            landmarks[t] = np.clip(lm, 0.0, 1.0)
 
-            img = render_face(lm.astype(np.float64), size)
+            img = render_face(landmarks[t], size)
             img = img + rng.normal(0.0, config.pixel_noise_sigma, img.shape)
-            gray = _quantise(img)[None]
-            edge = _quantise(sobel_edge(gray)[0])[None]
-            frames.append(FrameSample(video_id, t, gray, edge, lm, labels))
-        videos.append(VideoSequence(video_id, frames))
+            planes[t, 0] = encode_planes(img)
+            planes[t, 1] = encode_planes(sobel_edge(decode_planes(planes[t, :1], np.float32))[0])
+        videos.append(VideoSequence(f"synth{v:04d}", planes, landmarks, labels))
     return videos
 
 
@@ -407,12 +401,22 @@ def generate_synthetic(config: SynthConfig) -> list[VideoSequence]:
 # binary corpus format
 #
 # magic "AUC1", version u16, height u16, width u16, video count u32, then
-# per video: id (u16 length + utf8), frame count u32, then per frame:
-# gray u8*H*W, edge u8*H*W, landmarks 146 * f32, labels 8 * i8.
-# All integers and floats little endian.
+# per video: id (u16 length + utf8), frame count u32, then one
+# frame_record(height, width) per frame: gray u8*H*W, edge u8*H*W,
+# landmarks 146 * f32, labels 8 * i8.  All integers and floats little
+# endian.
 
 CORPUS_MAGIC = b"AUC1"
 CORPUS_VERSION = 1
+
+
+def frame_record(height: int, width: int) -> np.dtype:
+    """Packed dtype of one stored frame; its fields are VideoSequence's arrays."""
+    return np.dtype([
+        ("planes", "u1", (2, height, width)),
+        ("landmarks", "<f4", (LANDMARK_COUNT, 2)),
+        ("labels", "i1", (len(AU_ORDER),)),
+    ])
 
 
 def _corpus_file(path: Path) -> Path:
@@ -423,26 +427,20 @@ def store_corpus(videos: list[VideoSequence], path) -> Path:
     """Write videos to one .auc file; a directory path gets corpus.auc."""
     if not videos:
         raise ContractViolation("store_corpus: no videos to store")
-    target = _corpus_file(Path(path))
-    target.parent.mkdir(parents=True, exist_ok=True)
-    h, w = videos[0].frames[0].gray.shape[1:]
-    buf = bytearray()
-    buf += CORPUS_MAGIC
-    buf += struct.pack("<HHHI", CORPUS_VERSION, h, w, len(videos))
+    h, w = videos[0].planes.shape[2:]
+    record = frame_record(h, w)
+    chunks = [CORPUS_MAGIC, struct.pack("<HHHI", CORPUS_VERSION, h, w, len(videos))]
     for video in videos:
-        buf += pack_str(video.video_id)
-        buf += struct.pack("<I", len(video))
-        for fr in video.frames:
-            if fr.gray.shape[1:] != (h, w):
-                raise ContractViolation(
-                    f"store_corpus: frame size {fr.gray.shape[1:]} != corpus size {(h, w)}"
-                )
-            buf += np.round(fr.gray[0] * 255.0).astype(np.uint8).tobytes()
-            buf += np.round(fr.edge[0] * 255.0).astype(np.uint8).tobytes()
-            buf += fr.landmarks.astype("<f4").tobytes()
-            buf += fr.labels.astype(np.int8).tobytes()
-    target.write_bytes(bytes(buf))
-    return target
+        if video.planes.shape[2:] != (h, w):
+            raise ContractViolation(
+                f"store_corpus: video {video.video_id!r} frame size "
+                f"{video.planes.shape[2:]} != corpus size {(h, w)}"
+            )
+        rows = np.empty(len(video), record)
+        rows["planes"], rows["landmarks"], rows["labels"] = (
+            video.planes, video.landmarks, video.labels)
+        chunks += [pack_str(video.video_id), struct.pack("<I", len(video)), rows.tobytes()]
+    return write_atomic(_corpus_file(Path(path)), b"".join(chunks))
 
 
 def _load_file(target: Path) -> list[VideoSequence]:
@@ -457,29 +455,18 @@ def _load_file(target: Path) -> list[VideoSequence]:
         )
     if count == 0:
         raise EmptyCorpusError(f"{target}: corpus holds no videos")
-    plane = h * w
+    record = frame_record(h, w)
     videos = []
     for _ in range(count):
         video_id = r.take_str()
         (n_frames,) = r.unpack("<I")
-        frames = []
-        for t in range(n_frames):
-            gray = np.frombuffer(r.take(plane), np.uint8).reshape(1, h, w) / np.float32(255)
-            edge = np.frombuffer(r.take(plane), np.uint8).reshape(1, h, w) / np.float32(255)
-            lm = np.frombuffer(r.take(LANDMARK_COUNT * 2 * 4), "<f4").reshape(
-                LANDMARK_COUNT, 2
-            )
-            labels = np.frombuffer(r.take(len(AU_ORDER)), np.int8).copy()
-            if not np.isin(labels, (-1, 0, 1)).all():
-                raise FormatError(
-                    f"{target}: video {video_id!r} frame {t} has labels outside "
-                    f"{{-1, 0, 1}}: {labels.tolist()}"
-                )
-            frames.append(
-                FrameSample(video_id, t, gray.astype(np.float32), edge.astype(np.float32),
-                            lm.copy(), labels)
-            )
-        videos.append(VideoSequence(video_id, frames))
+        rows = np.frombuffer(r.take(n_frames * record.itemsize), record)
+        try:
+            videos.append(VideoSequence(video_id, rows["planes"].copy(),
+                                        rows["landmarks"].astype(np.float32),
+                                        rows["labels"].copy()))
+        except ContractViolation as exc:
+            raise FormatError(f"{target}: {exc}") from None
     if not r.exhausted():
         raise FormatError(f"{target}: {r.remaining()} trailing bytes after last video")
     return videos

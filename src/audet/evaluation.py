@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AU_ORDER, VideoSequence, landmark_diffs
+from .binio import write_atomic
+from .data import AU_ORDER, VideoSequence
 from .errors import ContractViolation
 from .model import ModelParams, score_frames
 
@@ -149,8 +150,7 @@ def challenge_metric(
 
 def predict_video(params: ModelParams, video: VideoSequence) -> np.ndarray:
     """Per-frame activation probabilities, T x 8 float64, frames run in batches."""
-    images = np.stack([f.image_stack() for f in video.frames]).astype(params.dtype)
-    return score_frames(params, images, landmark_diffs(video).astype(params.dtype))[0]
+    return score_frames(params, *video.model_inputs(params.dtype))[0]
 
 
 @dataclass
@@ -183,7 +183,7 @@ def evaluate(params: ModelParams, corpus: list[VideoSequence], window: int = 5) 
     if not corpus:
         raise ContractViolation("evaluate: empty corpus")
     tracks = predict_tracks(params, corpus, window)
-    labels = {v.video_id: v.labels_array() for v in corpus}
+    labels = {v.video_id: v.labels for v in corpus}
     raw = challenge_metric({t.video_id: t.binary for t in tracks}, labels)
     smoothed = challenge_metric({t.video_id: t.smoothed for t in tracks}, labels)
     return EvalReport(window=window, unsmoothed=raw, smoothed=smoothed, tracks=tracks)
@@ -196,24 +196,18 @@ PREDICTION_HEADER = "frame," + ",".join(AU_ORDER)
 
 
 def write_probability_csv(track: PredictionTrack, path) -> Path:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     lines = [PREDICTION_HEADER]
     for t in range(track.probs.shape[0]):
         lines.append(f"{t}," + ",".join(f"{p:.6f}" for p in track.probs[t]))
-    target.write_text("\n".join(lines) + "\n")
-    return target
+    return write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_binary_csv(track: PredictionTrack, path, smoothed: bool = True) -> Path:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     decisions = track.smoothed if smoothed else track.binary
     lines = [PREDICTION_HEADER]
     for t in range(decisions.shape[0]):
         lines.append(f"{t}," + ",".join(str(int(x)) for x in decisions[t]))
-    target.write_text("\n".join(lines) + "\n")
-    return target
+    return write_atomic(path, "\n".join(lines) + "\n")
 
 
 def render_report(report: EvalReport, videos: int) -> str:
@@ -242,12 +236,9 @@ REPORT_CSV_HEADER = (
 
 def write_report_csv(report: EvalReport, path) -> Path:
     """Single-row summary suitable for aggregating runs in a spreadsheet."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     u, s = report.unsmoothed, report.smoothed
     row = (
         f"{report.window},{u.accuracy:.6f},{u.mean_f1:.6f},{u.metric:.6f},"
         f"{s.accuracy:.6f},{s.mean_f1:.6f},{s.metric:.6f}"
     )
-    target.write_text(REPORT_CSV_HEADER + "\n" + row + "\n")
-    return target
+    return write_atomic(path, REPORT_CSV_HEADER + "\n" + row + "\n")

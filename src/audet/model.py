@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .binio import ByteReader, pack_str
+from .binio import ByteReader, pack_str, write_atomic
 from .data import AU_ORDER, LANDMARK_COUNT
 from .errors import ContractViolation, FormatError
 from .tensor import GruCellParams, Parameter, Tensor
@@ -340,15 +340,13 @@ def classify_aus(params: ModelParams, fused: Tensor) -> ForwardResult:
     return ForwardResult(probs, logits)
 
 
-def model_forward(params: ModelParams, image, diff: np.ndarray) -> ForwardResult:
+def model_forward(params: ModelParams, image: np.ndarray, diff: np.ndarray) -> ForwardResult:
     """Full pass: probabilities and logit nodes for all 8 AUs.
 
-    One frame: image is a 2 x H x W array (gray plus edge planes) or a
-    FrameSample, diff has 146 values.  A batch: B x 2 x H x W images and
-    B x 146 diffs, run as one graph.
+    One frame: image is a 2 x H x W array (gray plus edge planes, see
+    data.decode_planes), diff has 146 values.  A batch: B x 2 x H x W
+    images and B x 146 diffs, run as one graph.
     """
-    if hasattr(image, "image_stack"):
-        image = image.image_stack().astype(params.dtype)
     if image.shape[:-3] != diff.shape[:-1]:
         raise ContractViolation(
             f"model_forward: images {image.shape} and diffs {diff.shape} differ in batch extent"
@@ -392,8 +390,6 @@ MAX_TENSOR_RANK = 4  # conv kernels, the highest-rank parameters
 
 def save_checkpoint(params: ModelParams, path) -> Path:
     """Write parameters as float32 named tensors; returns the file path."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<H", CHECKPOINT_VERSION)
@@ -410,8 +406,7 @@ def save_checkpoint(params: ModelParams, path) -> Path:
     buf += struct.pack("<B", len(AU_ORDER))
     for au in AU_ORDER:
         buf += pack_str(au)
-    target.write_bytes(bytes(buf))
-    return target
+    return write_atomic(path, bytes(buf))
 
 
 def load_checkpoint(path) -> ModelParams:

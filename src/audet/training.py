@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, tensor as T
-from .data import AU_ORDER, VideoSequence, landmark_diffs
+from .binio import write_atomic
+from .data import AU_ORDER, VideoSequence, decode_planes, landmark_diffs
 from .errors import ContractViolation, EmptyBatchError, NumericError
 from .model import ModelConfig, ModelParams, model_forward, score_frames
 from .tensor import Tensor
@@ -72,7 +73,7 @@ def compute_class_weights(videos: list[VideoSequence]) -> np.ndarray:
     An AU with no positive examples at all gets the cap.  Unknown
     labels (-1) are ignored.
     """
-    labels = np.concatenate([v.labels_array() for v in videos])
+    labels = np.concatenate([v.labels for v in videos])
     pos = (labels == 1).sum(axis=0).astype(np.float64)
     neg = (labels == 0).sum(axis=0).astype(np.float64)
     ratio = np.where(pos > 0, neg / np.maximum(pos, 1.0), WEIGHT_CAP)
@@ -194,25 +195,6 @@ class TrainResult:
     val_ids: list[str]
 
 
-@dataclass
-class _VideoArrays:
-    images: np.ndarray  # T x 2 x S x S
-    diffs: np.ndarray  # T x 146
-    labels: np.ndarray  # T x 8 int8
-
-
-def _prepare(video: VideoSequence, dtype) -> _VideoArrays:
-    images = np.stack([f.image_stack() for f in video.frames]).astype(dtype)
-    diffs = landmark_diffs(video).astype(dtype)
-    return _VideoArrays(images, diffs, video.labels_array())
-
-
-def _gather(videos: list[_VideoArrays], frames) -> _VideoArrays:
-    """The given (video index, frame index) pairs as one batch."""
-    return _VideoArrays(*(np.stack([getattr(videos[vi], k)[t] for vi, t in frames])
-                          for k in ("images", "diffs", "labels")))
-
-
 def train(
     corpus: list[VideoSequence],
     model_config: ModelConfig | None = None,
@@ -233,25 +215,28 @@ def train(
     train_ids, val_ids = split_videos(corpus, train_config.seed, train_config.val_fraction)
     by_id = {v.video_id: v for v in corpus}
     dtype = train_config.dtype
-    train_data = [_prepare(by_id[i], dtype) for i in train_ids]
-    val_data = [_prepare(by_id[i], dtype) for i in val_ids]
-    if all((d.labels == -1).all() for d in train_data):
+    # every training frame, in (video, frame) order: a batch is rows of these
+    train_videos = [by_id[i] for i in train_ids]
+    planes = np.concatenate([v.planes for v in train_videos])
+    diffs = np.concatenate([landmark_diffs(v.landmarks) for v in train_videos]).astype(dtype)
+    labels = np.concatenate([v.labels for v in train_videos])
+    val_videos = [by_id[i] for i in val_ids]
+    if (labels == -1).all():
         raise EmptyBatchError(f"every label of the {len(train_ids)} training videos is -1")
-    if all((d.labels == -1).all() for d in val_data):
+    if all((v.labels == -1).all() for v in val_videos):
         raise ContractViolation(
             f"the {len(val_ids)} validation videos hold no known label, so no epoch "
             f"could be scored: {val_ids}"
         )
 
     if train_config.class_weighting:
-        weights = compute_class_weights([by_id[i] for i in train_ids])
+        weights = compute_class_weights(train_videos)
     else:
         weights = np.ones(len(AU_ORDER))
 
     params = ModelParams.init(model_config, train_config.seed, dtype)
     adam = AdamState.for_params(params.all_parameters())
 
-    samples = [(vi, t) for vi, video in enumerate(train_data) for t in range(len(video.labels))]
     history: list[EpochStats] = []
     best_params = params.copy()
     best_epoch = -1
@@ -259,17 +244,17 @@ def train(
 
     for epoch in range(train_config.epochs):
         rng = np.random.default_rng([train_config.seed, 3, epoch])
-        order = rng.permutation(len(samples))
+        order = rng.permutation(len(labels))
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, len(order), train_config.batch_size):
             picks = order[start : start + train_config.batch_size]
-            batch = _gather(train_data, [samples[k] for k in picks])
+            batch = (decode_planes(planes[picks], dtype), diffs[picks], labels[picks])
             where = f"epoch {epoch}, batch {n_batches}"
             epoch_loss += _train_step(params, adam, batch, weights, train_config, where)
             n_batches += 1
 
-        stats = _validate_epoch(epoch, epoch_loss / n_batches, params, val_data, val_ids, weights)
+        stats = _validate_epoch(epoch, epoch_loss / n_batches, params, val_videos, weights)
         history.append(stats)
         if stats.val_metric > best_metric:
             best_metric = stats.val_metric
@@ -290,18 +275,18 @@ def train(
     )
 
 
-def _train_step(params, adam, batch: _VideoArrays, weights, cfg: TrainConfig,
-                where: str) -> float:
+def _train_step(params, adam, batch, weights, cfg: TrainConfig, where: str) -> float:
     """Forward, backward, clip and Adam on one batch; returns the batch loss.
 
-    The batch's graph lives only inside this call, so it is freed before
-    the next batch builds its own.
+    The batch is (images, diffs, labels).  Its graph lives only inside
+    this call, so it is freed before the next batch builds its own.
     """
+    images, diffs, labels = batch
     plist = params.all_parameters()
     T.zero_grads(plist)
-    res = model_forward(params, batch.images, batch.diffs)
+    res = model_forward(params, images, diffs)
     try:
-        loss = T.masked_cross_entropy(res.logits, batch.labels, weights)
+        loss = T.masked_cross_entropy(res.logits, labels, weights)
     except EmptyBatchError:
         raise EmptyBatchError(f"{where}: every label in the batch is -1") from None
     value = float(loss.value)
@@ -313,7 +298,7 @@ def _train_step(params, adam, batch: _VideoArrays, weights, cfg: TrainConfig,
     return value
 
 
-def _validate_epoch(epoch, train_loss, params, val_data, val_ids, weights) -> EpochStats:
+def _validate_epoch(epoch, train_loss, params, val_videos, weights) -> EpochStats:
     """Score each validation video in batches of its frames.
 
     The validation loss is the training objective over all validation
@@ -322,13 +307,13 @@ def _validate_epoch(epoch, train_loss, params, val_data, val_ids, weights) -> Ep
     predictions = {}
     labels = {}
     logits = []
-    for vid, d in zip(val_ids, val_data):
-        probs, video_logits = score_frames(params, d.images, d.diffs)
-        predictions[vid] = evaluation.binarize(probs)
-        labels[vid] = d.labels
+    for video in val_videos:
+        probs, video_logits = score_frames(params, *video.model_inputs(params.dtype))
+        predictions[video.video_id] = evaluation.binarize(probs)
+        labels[video.video_id] = video.labels
         logits.append(video_logits)
     val_loss = T.masked_cross_entropy(
-        Tensor(np.concatenate(logits)), np.concatenate([d.labels for d in val_data]), weights
+        Tensor(np.concatenate(logits)), np.concatenate([v.labels for v in val_videos]), weights
     )
     report = evaluation.challenge_metric(predictions, labels)
     return EpochStats(
@@ -345,13 +330,10 @@ HISTORY_HEADER = "epoch,train_loss,val_loss,val_accuracy,val_f1,val_metric"
 
 
 def write_history(history: list[EpochStats], path) -> Path:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     lines = [HISTORY_HEADER]
     for s in history:
         lines.append(
             f"{s.epoch},{s.train_loss:.6f},{s.val_loss:.6f},"
             f"{s.val_accuracy:.6f},{s.val_f1:.6f},{s.val_metric:.6f}"
         )
-    target.write_text("\n".join(lines) + "\n")
-    return target
+    return write_atomic(path, "\n".join(lines) + "\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from audet import cli
+from audet.data import frame_record
 from audet.errors import ConfigError
 from audet.model import CHECKPOINT_VERSION
 
@@ -165,6 +166,17 @@ class TestConfigResolution:
         assert code == 0
         assert (tmp_path / "scored" / "report.txt").exists()
 
+    def test_defaults_cover_every_key_and_match_the_dataclasses(self):
+        from dataclasses import asdict
+
+        from audet.data import SynthConfig
+        from audet.training import TrainConfig
+
+        defaults = cli._defaults()
+        assert set(defaults) == set(cli.KEY_PARSERS)
+        for config in (SynthConfig(), TrainConfig()):
+            assert {k: defaults[k] for k in asdict(config)} == asdict(config)
+
     def test_bool_keys_accept_onoff(self, tmp_path):
         cfg = tmp_path / "settings.cfg"
         cfg.write_text("class_weighting = off\n")
@@ -299,6 +311,23 @@ class TestRuntimeErrors:
             "--out", str(tmp_path),
         )
         assert code == 2
+
+    def test_non_finite_landmark_is_a_data_error(self, capsys, cli_env, tmp_path):
+        poisoned = tmp_path / "nan.auc"
+        blob = bytearray(cli_env["corpus"].read_bytes())
+        first = 4 + 10 + 2 + len("synth0000") + 4  # header, then the first video's id and count
+        rows = np.frombuffer(blob, frame_record(24, 24), count=6, offset=first)
+        rows["landmarks"][3, 10, 0] = np.nan
+        poisoned.write_bytes(bytes(blob))
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--checkpoint", str(cli_env["checkpoint"]),
+            "--corpus", str(poisoned),
+            "--out", str(tmp_path / "scores"),
+        )
+        assert code == 2
+        assert str(poisoned) in err and "frame 3 has non-finite landmarks" in err
 
     def test_divergent_training_is_a_numeric_error(self, capsys, cli_env, tmp_path):
         np_err = np.seterr(all="ignore")

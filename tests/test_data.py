@@ -1,6 +1,7 @@
 """Data module tests: edge features, motion features, the synthetic
 generator's statistics, and the corpus container format."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -10,14 +11,14 @@ from audet.data import (
     AU_ORDER,
     EXPRESSION_PROTOTYPES,
     EXPRESSION_STATES,
-    FrameSample,
     LANDMARK_TEMPLATE,
     PROTOTYPE_LABELS,
     SynthConfig,
     VideoSequence,
+    decode_planes,
     displaced_landmarks,
+    encode_planes,
     generate_synthetic,
-    landmark_diff,
     landmark_diffs,
     load_corpus,
     read_label_csv,
@@ -73,71 +74,52 @@ def test_sobel_rejects_bad_shapes():
 # motion features
 
 
-def _video_from_landmarks(tracks):
-    frames = []
-    for t, lm in enumerate(tracks):
-        frames.append(
-            FrameSample(
-                video_id="v",
-                frame_index=t,
-                gray=np.zeros((1, 8, 8), dtype=np.float32),
-                edge=np.zeros((1, 8, 8), dtype=np.float32),
-                landmarks=lm.astype(np.float32),
-                labels=np.zeros(8, dtype=np.int8),
-            )
-        )
-    return VideoSequence("v", frames)
+def _landmark_diff(landmarks, t):
+    """Per-frame reference: 10 * (L[min(t+1, T-1)] - L[max(t-1, 0)]), flattened."""
+    n = len(landmarks)
+    return (10.0 * (landmarks[min(t + 1, n - 1)] - landmarks[max(t - 1, 0)])).reshape(-1)
 
 
 def test_landmark_diff_static_is_zero():
     lm = np.tile(LANDMARK_TEMPLATE[None], (5, 1, 1))
-    for t in range(5):
-        np.testing.assert_array_equal(landmark_diff(lm, t), np.zeros(146))
+    np.testing.assert_array_equal(landmark_diffs(lm), np.zeros((5, 146)))
 
 
 def test_landmark_diff_uniform_motion():
     v = np.full((73, 2), 0.001)
     lm = np.stack([LANDMARK_TEMPLATE + t * v for t in range(6)])
+    diffs = landmark_diffs(lm)
+    assert diffs.shape == (6, 146)
     want_interior = 10.0 * 2.0 * v.reshape(-1)
     for t in range(1, 5):
-        np.testing.assert_allclose(landmark_diff(lm, t), want_interior, atol=1e-12)
+        np.testing.assert_allclose(diffs[t], want_interior, atol=1e-12)
     # clamped endpoints fall back to one-sided differences
-    np.testing.assert_allclose(
-        landmark_diff(lm, 0), 10.0 * (lm[1] - lm[0]).reshape(-1), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        landmark_diff(lm, 5), 10.0 * (lm[5] - lm[4]).reshape(-1), atol=1e-12
-    )
+    np.testing.assert_allclose(diffs[0], 10.0 * (lm[1] - lm[0]).reshape(-1), atol=1e-12)
+    np.testing.assert_allclose(diffs[5], 10.0 * (lm[5] - lm[4]).reshape(-1), atol=1e-12)
 
 
 def test_landmark_diff_time_reversal_antisymmetry():
     rng = np.random.default_rng(7)
     lm = rng.uniform(0.2, 0.8, (9, 73, 2))
-    rev = lm[::-1].copy()
-    for t in range(9):
-        np.testing.assert_allclose(
-            landmark_diff(rev, 8 - t), -landmark_diff(lm, t), atol=1e-12
-        )
+    np.testing.assert_allclose(landmark_diffs(lm[::-1].copy())[::-1], -landmark_diffs(lm),
+                               atol=1e-12)
 
 
-def test_landmark_diff_accepts_video():
+def test_landmark_diffs_equal_per_frame_reference():
     rng = np.random.default_rng(8)
-    tracks = rng.uniform(0.2, 0.8, (4, 73, 2)).astype(np.float32)
-    video = _video_from_landmarks(tracks)
-    np.testing.assert_allclose(
-        landmark_diff(video, 2), landmark_diff(video.landmarks_array(), 2)
-    )
-    diffs = landmark_diffs(video)
-    assert diffs.shape == (4, 146)
-    np.testing.assert_allclose(diffs[1], landmark_diff(video, 1))
+    for n in (1, 2, 3, 7):
+        lm = rng.uniform(0.2, 0.8, (n, 73, 2)).astype(np.float32)
+        want = np.stack([_landmark_diff(lm, t) for t in range(n)])
+        got = landmark_diffs(lm)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
 
 
 def test_landmark_diff_range_errors():
-    lm = np.zeros((4, 73, 2))
-    with pytest.raises(ContractViolation, match="out of range"):
-        landmark_diff(lm, 4)
     with pytest.raises(ContractViolation, match="73"):
-        landmark_diff(np.zeros((4, 70, 2)), 0)
+        landmark_diffs(np.zeros((4, 70, 2)))
+    with pytest.raises(ContractViolation, match="T,73,2"):
+        landmark_diffs(np.zeros((73, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +148,9 @@ def test_happy_frames_carry_exact_prototype_labels():
     au6 = AU_ORDER.index("AU6")
     hits = 0
     for video in videos:
-        for frame in video.frames:
-            if frame.labels[au6] == 1:
-                np.testing.assert_array_equal(frame.labels, happy)
+        for row in video.labels:
+            if row[au6] == 1:
+                np.testing.assert_array_equal(row, happy)
                 hits += 1
     assert hits > 0
 
@@ -191,29 +173,26 @@ def test_generator_is_deterministic():
     assert len(a) == len(b)
     for va, vb in zip(a, b):
         assert va.video_id == vb.video_id
-        for fa, fb in zip(va.frames, vb.frames):
-            np.testing.assert_array_equal(fa.gray, fb.gray)
-            np.testing.assert_array_equal(fa.edge, fb.edge)
-            np.testing.assert_array_equal(fa.landmarks, fb.landmarks)
-            np.testing.assert_array_equal(fa.labels, fb.labels)
+        np.testing.assert_array_equal(va.planes, vb.planes)
+        np.testing.assert_array_equal(va.landmarks, vb.landmarks)
+        np.testing.assert_array_equal(va.labels, vb.labels)
 
 
 def test_video_count_change_keeps_earlier_videos():
     small = generate_synthetic(SynthConfig(videos=2, frames_per_video=5, seed=4, image_size=24))
     big = generate_synthetic(SynthConfig(videos=4, frames_per_video=5, seed=4, image_size=24))
     for va, vb in zip(small, big):
-        np.testing.assert_array_equal(va.frames[-1].gray, vb.frames[-1].gray)
-        np.testing.assert_array_equal(va.frames[-1].labels, vb.frames[-1].labels)
+        np.testing.assert_array_equal(va.planes[-1], vb.planes[-1])
+        np.testing.assert_array_equal(va.labels[-1], vb.labels[-1])
 
 
 def test_frames_quantised_to_byte_grid():
     videos = generate_synthetic(SynthConfig(videos=1, frames_per_video=4, seed=5, image_size=24))
-    for frame in videos[0].frames:
-        for plane in (frame.gray, frame.edge):
-            np.testing.assert_array_equal(
-                plane, (np.round(plane * 255.0) / 255.0).astype(np.float32)
-            )
-        assert plane.min() >= 0.0 and plane.max() <= 1.0
+    decoded = decode_planes(videos[0].planes, np.float32)
+    assert videos[0].planes.dtype == np.uint8 and decoded.dtype == np.float32
+    np.testing.assert_array_equal(decoded, (np.round(decoded * 255.0) / 255.0).astype(np.float32))
+    np.testing.assert_array_equal(encode_planes(decoded), videos[0].planes)
+    assert decoded.min() >= 0.0 and decoded.max() <= 1.0
 
 
 def test_label_flip_noise_changes_labels():
@@ -221,11 +200,7 @@ def test_label_flip_noise_changes_labels():
     noisy = generate_synthetic(
         SynthConfig(videos=2, frames_per_video=40, seed=6, image_size=24, label_flip_noise=0.5)
     )
-    diffs = sum(
-        int(np.any(fa.labels != fb.labels))
-        for va, vb in zip(clean, noisy)
-        for fa, fb in zip(va.frames, vb.frames)
-    )
+    diffs = sum(int(np.any(va.labels != vb.labels, axis=1).sum()) for va, vb in zip(clean, noisy))
     assert diffs > 0
 
 
@@ -252,11 +227,9 @@ def test_corpus_round_trip_is_exact(small_corpus, tmp_path):
     loaded = load_corpus(path)
     assert [v.video_id for v in loaded] == [v.video_id for v in small_corpus]
     for va, vb in zip(small_corpus, loaded):
-        for fa, fb in zip(va.frames, vb.frames):
-            np.testing.assert_array_equal(fa.gray, fb.gray)
-            np.testing.assert_array_equal(fa.edge, fb.edge)
-            np.testing.assert_allclose(fa.landmarks, fb.landmarks, atol=1e-7)
-            np.testing.assert_array_equal(fa.labels, fb.labels)
+        np.testing.assert_array_equal(va.planes, vb.planes)
+        np.testing.assert_allclose(va.landmarks, vb.landmarks, atol=1e-7)
+        np.testing.assert_array_equal(va.labels, vb.labels)
 
 
 def test_store_into_directory_and_load_directory(small_corpus, tmp_path):
@@ -318,56 +291,109 @@ def test_load_zero_video_file(tmp_path):
         load_corpus(path)
 
 
+# corpus bytes written by the per-frame store loop that preceded the
+# record dtype; the format is unchanged, so these must not move
+PINNED_CORPORA = [
+    (SynthConfig(videos=2, frames_per_video=4, seed=11, image_size=16),
+     "bdb7584a1c97dffc2f5dc1d504a22c29d842cdcc12975adf0846e025266e134f"),
+    (SynthConfig(videos=3, frames_per_video=5, seed=3, image_size=12, label_flip_noise=0.3),
+     "57d92d634590b743d0dea6b79c08088311bc04a798b5108808e76698f09d9bd3"),
+]
+
+
+@pytest.mark.parametrize("config,digest", PINNED_CORPORA, ids=["16px", "12px-flips"])
+def test_stored_corpus_bytes_are_pinned(tmp_path, config, digest):
+    path = store_corpus(generate_synthetic(config), tmp_path / "c.auc")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _stored_with(tmp_path, small_corpus, edit):
+    """small_corpus stored, with edit(record view of the first video) applied to the bytes."""
+    from audet.data import frame_record
+
+    path = store_corpus(small_corpus, tmp_path / "c.auc")
+    data = bytearray(path.read_bytes())
+    first = 4 + 10 + 2 + len(small_corpus[0].video_id) + 4
+    record = frame_record(*small_corpus[0].planes.shape[2:])
+    edit(np.frombuffer(data, record, count=len(small_corpus[0]), offset=first))
+    path.write_bytes(bytes(data))
+    return path
+
+
+def test_load_rejects_non_finite_landmark(tmp_path, small_corpus):
+    def poison(rows):
+        rows["landmarks"][2, 5, 1] = np.nan
+
+    path = _stored_with(tmp_path, small_corpus, poison)
+    with pytest.raises(FormatError, match=r"c\.auc.*frame 2 has non-finite landmarks"):
+        load_corpus(path)
+
+
+def test_load_rejects_out_of_range_label(tmp_path, small_corpus):
+    def corrupt(rows):
+        rows["labels"][1, 3] = 2
+
+    path = _stored_with(tmp_path, small_corpus, corrupt)
+    with pytest.raises(FormatError, match=r"c\.auc.*frame 1 has labels outside"):
+        load_corpus(path)
+
+
 # ---------------------------------------------------------------------------
-# sample contracts
+# video contracts
 
 
-def _frame(**kw):
+def _video(n=3, size=8, **kw):
     base = dict(
         video_id="v",
-        frame_index=0,
-        gray=np.zeros((1, 8, 8), dtype=np.float32),
-        edge=np.zeros((1, 8, 8), dtype=np.float32),
-        landmarks=np.zeros((73, 2), dtype=np.float32),
-        labels=np.zeros(8, dtype=np.int8),
+        planes=np.zeros((n, 2, size, size), dtype=np.uint8),
+        landmarks=np.zeros((n, 73, 2), dtype=np.float32),
+        labels=np.zeros((n, 8), dtype=np.int8),
     )
     base.update(kw)
-    return FrameSample(**base)
+    return VideoSequence(**base)
 
 
-def test_frame_sample_validation():
-    with pytest.raises(ContractViolation, match="labels"):
-        _frame(labels=np.array([0, 1, 2, 0, 0, 0, 0, 0], dtype=np.int8))
+def test_video_sequence_field_validation():
+    bad_labels = np.zeros((3, 8), dtype=np.int8)
+    bad_labels[1, 2] = 2
+    with pytest.raises(ContractViolation, match=r"frame 1 has labels outside"):
+        _video(labels=bad_labels)
     with pytest.raises(ContractViolation, match="73"):
-        _frame(landmarks=np.zeros((70, 2), dtype=np.float32))
-    with pytest.raises(ContractViolation, match="edge"):
-        _frame(edge=np.zeros((1, 4, 4), dtype=np.float32))
-    with pytest.raises(ContractViolation, match=r"\[0, 1\]"):
-        _frame(gray=np.full((1, 8, 8), 1.5, dtype=np.float32))
+        _video(landmarks=np.zeros((3, 70, 2), dtype=np.float32))
+    with pytest.raises(ContractViolation, match="2 x H x W"):
+        _video(planes=np.zeros((3, 1, 8, 8), dtype=np.uint8))
+    with pytest.raises(ContractViolation, match="planes must be uint8, got float32"):
+        _video(planes=np.zeros((3, 2, 8, 8), dtype=np.float32))
+    with pytest.raises(ContractViolation, match="landmarks must be float32, got float64"):
+        _video(landmarks=np.zeros((3, 73, 2)))
+    with pytest.raises(ContractViolation, match="labels must be int8, got int64"):
+        _video(labels=np.zeros((3, 8), dtype=np.int64))
+    nan = np.zeros((3, 73, 2), dtype=np.float32)
+    nan[2, 0, 0] = np.inf
+    with pytest.raises(ContractViolation, match="frame 2 has non-finite"):
+        _video(landmarks=nan)
 
 
 def test_video_sequence_validation():
-    frames = [_frame(frame_index=i) for i in range(3)]
-    assert len(VideoSequence("v", frames)) == 3
+    assert len(_video(n=3)) == 3
     with pytest.raises(ContractViolation, match=">= 3"):
-        VideoSequence("v", frames[:2])
-    bad = [_frame(frame_index=i) for i in (0, 2, 1)]
-    with pytest.raises(ContractViolation, match="index"):
-        VideoSequence("v", bad)
-    stray = [_frame(frame_index=i) for i in range(2)] + [
-        _frame(video_id="other", frame_index=2)
-    ]
-    with pytest.raises(ContractViolation, match="belongs"):
-        VideoSequence("v", stray)
+        _video(n=2)
+    with pytest.raises(ContractViolation, match="frame counts differ"):
+        _video(labels=np.zeros((4, 8), dtype=np.int8))
+    with pytest.raises(ContractViolation, match="frame counts differ"):
+        _video(planes=np.zeros((2, 2, 8, 8), dtype=np.uint8))
 
 
-def test_image_stack_order():
-    fr = _frame(gray=np.full((1, 4, 4), 0.25, dtype=np.float32),
-                edge=np.full((1, 4, 4), 0.75, dtype=np.float32))
-    stack = fr.image_stack()
-    assert stack.shape == (2, 4, 4)
-    np.testing.assert_array_equal(stack[0], fr.gray[0])
-    np.testing.assert_array_equal(stack[1], fr.edge[0])
+def test_decode_planes_keeps_gray_then_edge():
+    planes = np.zeros((3, 2, 4, 4), dtype=np.uint8)
+    planes[:, 0], planes[:, 1] = 64, 191
+    images, diffs = _video(planes=planes).model_inputs(np.float64)
+    assert images.shape == (3, 2, 4, 4) and images.dtype == np.float64
+    assert diffs.shape == (3, 146) and diffs.dtype == np.float64
+    np.testing.assert_array_equal(images[:, 0], np.float32(64) / np.float32(255))
+    np.testing.assert_array_equal(images[:, 1], np.float32(191) / np.float32(255))
+    every = np.arange(256, dtype=np.uint8)
+    np.testing.assert_array_equal(encode_planes(decode_planes(every, np.float32)), every)
 
 
 # ---------------------------------------------------------------------------

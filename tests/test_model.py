@@ -1,6 +1,8 @@
 """Model tests: branch shapes, zero-parameter fixed points, decoder
 causality, parameter accounting, and the checkpoint container."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -159,19 +161,6 @@ def test_decoder_causality():
         assert probs[j] != base[j]
 
 
-def test_model_forward_accepts_frame_sample():
-    from audet.data import SynthConfig, generate_synthetic, landmark_diffs
-
-    video = generate_synthetic(
-        SynthConfig(videos=1, frames_per_video=3, seed=8, image_size=TINY_MODEL.image_size)
-    )[0]
-    params = ModelParams.init(TINY_MODEL, seed=9, dtype=np.float32)
-    diff = landmark_diffs(video)[1].astype(np.float32)
-    by_frame = model_forward(params, video.frames[1], diff)
-    by_array = model_forward(params, video.frames[1].image_stack().astype(np.float32), diff)
-    np.testing.assert_array_equal(by_frame.probs, by_array.probs)
-
-
 def test_static_forward_rejects_wrong_image():
     params = ModelParams.zeros(TINY_MODEL)
     with pytest.raises(ContractViolation, match="image"):
@@ -215,6 +204,20 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     np.testing.assert_array_equal(
         model_forward(params, image, diff).probs, model_forward(loaded, image, diff).probs
     )
+
+
+def test_failed_checkpoint_write_leaves_the_old_file(tmp_path, monkeypatch):
+    path = save_checkpoint(ModelParams.init(TINY_MODEL, seed=25), tmp_path / "m.auck")
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        save_checkpoint(ModelParams.init(TINY_MODEL, seed=26), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.auck"]
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

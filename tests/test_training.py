@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from audet import tensor as T
-from audet.data import AU_ORDER, LANDMARK_COUNT, FrameSample, VideoSequence
+from audet.data import AU_ORDER, LANDMARK_COUNT, VideoSequence
 from audet.errors import ContractViolation, EmptyBatchError, NumericError
 from audet.model import ModelParams, load_checkpoint, save_checkpoint
 from audet.tensor import Parameter, Tensor
@@ -37,19 +37,13 @@ def _labels(*values):
 
 def _video(video_id, label_rows, size=24):
     """Minimal valid video with the given per-frame label rows."""
-    frames = []
-    for t, row in enumerate(label_rows):
-        frames.append(
-            FrameSample(
-                video_id=video_id,
-                frame_index=t,
-                gray=np.zeros((1, size, size), dtype=np.float32),
-                edge=np.zeros((1, size, size), dtype=np.float32),
-                landmarks=np.full((LANDMARK_COUNT, 2), 0.5, dtype=np.float32),
-                labels=np.asarray(row, dtype=np.int8),
-            )
-        )
-    return VideoSequence(video_id=video_id, frames=frames)
+    n = len(label_rows)
+    return VideoSequence(
+        video_id=video_id,
+        planes=np.zeros((n, 2, size, size), dtype=np.uint8),
+        landmarks=np.full((n, LANDMARK_COUNT, 2), 0.5, dtype=np.float32),
+        labels=np.asarray(label_rows, dtype=np.int8),
+    )
 
 
 # ---------------------------------------------------------------------------
