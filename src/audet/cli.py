@@ -260,10 +260,13 @@ def _cmd_synth(ns) -> int:
     out = _need(cfg, "out")
     _echo(cfg, SYNTH_KEYS + ("out",))
     sconf = SynthConfig(**{k: cfg[k] for k in SYNTH_KEYS})
+    started = time.perf_counter()
     videos = generate_synthetic(sconf)
+    seconds = time.perf_counter() - started
     path = store_corpus(videos, out)
     total = sum(len(v) for v in videos)
     print(f"wrote {len(videos)} videos, {total} frames: {path}")
+    print(f"synthesis: {seconds:.3f} s, {total / seconds:.0f} frames/s")
     return 0
 
 

@@ -223,27 +223,35 @@ def decode_planes(planes: np.ndarray, dtype) -> np.ndarray:
 
 
 def sobel_edge(gray: np.ndarray) -> np.ndarray:
-    """Sobel gradient magnitude, replicate padding, peak-normalised.
+    """Sobel gradient magnitude per frame, replicate padding, peak-normalised.
 
-    Takes and returns a 1 x H x W array.  The result is divided by
-    max(1e-8, max magnitude), so values land in [0, 1] and a flat
-    image maps to all zeros.
+    Takes and returns a T x 1 x H x W float array.  Each frame is
+    divided by max(1e-8, its max magnitude), so values land in [0, 1]
+    and a flat frame maps to all zeros.
     """
-    if gray.ndim != 3 or gray.shape[0] != 1:
-        raise ContractViolation(f"sobel_edge: expected 1,H,W, got {gray.shape}")
-    if gray.shape[1] < 3 or gray.shape[2] < 3:
+    if gray.ndim != 4 or gray.shape[1] != 1:
+        raise ContractViolation(f"sobel_edge: expected T,1,H,W, got {gray.shape}")
+    if gray.shape[2] < 3 or gray.shape[3] < 3:
         raise ContractViolation(f"sobel_edge: image must be at least 3 x 3, got {gray.shape}")
-    g = gray[0].astype(np.float64)
-    p = np.pad(g, 1, mode="edge")
-    gx = (p[:-2, 2:] + 2 * p[1:-1, 2:] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2 * p[1:-1, :-2] + p[2:, :-2]
-    )
-    gy = (p[2:, :-2] + 2 * p[2:, 1:-1] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2 * p[:-2, 1:-1] + p[:-2, 2:]
-    )
-    mag = np.sqrt(gx * gx + gy * gy)
-    mag /= max(1e-8, mag.max())
-    return mag[None].astype(gray.dtype)
+    if not np.issubdtype(gray.dtype, np.floating):
+        raise ContractViolation(f"sobel_edge: expected a float image, got {gray.dtype}")
+    p = np.pad(gray[:, 0], ((0, 0), (1, 1), (1, 1)), mode="edge").astype(np.float64)
+    # separable: [1, 2, 1] smoothing across the derivative's direction, then a
+    # central difference.  A whole video's float64 planes are megabytes each,
+    # so intermediates are dropped as soon as they are used and squared in place.
+    down = p[:, :-2] + 2 * p[:, 1:-1] + p[:, 2:]
+    gx = down[:, :, 2:] - down[:, :, :-2]
+    del down
+    across = p[:, :, :-2] + 2 * p[:, :, 1:-1] + p[:, :, 2:]
+    del p
+    gy = across[:, 2:] - across[:, :-2]
+    del across
+    gx *= gx
+    gy *= gy
+    gx += gy
+    mag = np.sqrt(gx, out=gx)
+    mag /= np.maximum(1e-8, mag.max(axis=(1, 2), keepdims=True))
+    return mag[:, None].astype(gray.dtype)
 
 
 def landmark_diffs(landmarks: np.ndarray) -> np.ndarray:
@@ -308,46 +316,64 @@ _DRAWN_GROUPS = (
 )
 
 
-def _draw_segment(cov: np.ndarray, ax, ay, bx, by):
-    size = cov.shape[0]
-    c0 = max(0, int(np.floor(min(ax, bx) - 2)))
-    c1 = min(size - 1, int(np.ceil(max(ax, bx) + 2)))
-    r0 = max(0, int(np.floor(min(ay, by) - 2)))
-    r1 = min(size - 1, int(np.ceil(max(ay, by) + 2)))
-    if c0 > c1 or r0 > r1:
-        return
-    px = np.arange(c0, c1 + 1)[None, :]
-    py = np.arange(r0, r1 + 1)[:, None]
-    dx, dy = bx - ax, by - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 < 1e-12:
-        t = np.zeros((r1 - r0 + 1, c1 - c0 + 1))
-    else:
-        t = np.clip(((px - ax) * dx + (py - ay) * dy) / seg2, 0.0, 1.0)
-    dist = np.sqrt((px - (ax + t * dx)) ** 2 + (py - (ay + t * dy)) ** 2)
-    region = cov[r0 : r1 + 1, c0 : c1 + 1]
-    np.maximum(region, np.clip(1.5 - dist, 0.0, 1.0), out=region)
+def _stroke_segments() -> np.ndarray:
+    """Landmark index pairs of every drawn segment, S x 2, in drawing order."""
+    pairs = []
+    for group, closed in _DRAWN_GROUPS:
+        idx = list(range(group.start, group.stop))
+        pairs += zip(idx[:-1], idx[1:])
+        if closed:
+            pairs.append((idx[-1], idx[0]))
+    return np.array(pairs)
+
+
+_SEGMENTS = _stroke_segments()
 
 
 def render_face(landmarks: np.ndarray, size: int = 64) -> np.ndarray:
     """Rasterise brows, eyes and lips as anti-aliased polylines.
 
+    Takes T x 73 x 2 landmarks and returns T x size x size images.
     Coverage per pixel is clip(1.5 - distance_to_stroke, 0, 1); the
     image is 0.2 background plus 0.8 * coverage.  Jaw and nose points
     exist only for the motion features and are not drawn.
+
+    Each segment is evaluated for all frames at once on a window the
+    size of its largest bounding box (the stroke's extent plus 2 px,
+    clipped to the image), then max-merged into a coverage buffer
+    padded by one window so that no window needs clipping.  Window
+    pixels outside a frame's own box lie more than 2 px from the
+    stroke, so they add nothing.
     """
-    if landmarks.shape != (LANDMARK_COUNT, 2):
-        raise ContractViolation(f"render_face: expected 73 x 2, got {landmarks.shape}")
-    cov = np.zeros((size, size))
+    if landmarks.ndim != 3 or landmarks.shape[1:] != (LANDMARK_COUNT, 2):
+        raise ContractViolation(f"render_face: expected T x 73 x 2, got {landmarks.shape}")
     pts = np.asarray(landmarks, dtype=np.float64) * (size - 1)
-    for group, closed in _DRAWN_GROUPS:
-        idx = range(group.start, group.stop)
-        pairs = list(zip(idx[:-1], idx[1:]))
-        if closed:
-            pairs.append((group.stop - 1, group.start))
-        for a, b in pairs:
-            _draw_segment(cov, pts[a, 0], pts[a, 1], pts[b, 0], pts[b, 1])
-    return 0.2 + 0.8 * cov
+    if not np.isfinite(pts).all():
+        raise ContractViolation("render_face: landmarks must be finite")
+    n = len(pts)
+    a, b = pts[:, _SEGMENTS[:, 0]], pts[:, _SEGMENTS[:, 1]]  # T x segments x (x, y)
+    # bounding boxes, first pixel clipped to [0, size] and last to [-1, size - 1]
+    lo = np.clip(np.floor(np.minimum(a, b) - 2), 0, size).astype(np.int64)
+    hi = np.clip(np.ceil(np.maximum(a, b) + 2), -1, size - 1).astype(np.int64)
+    window = np.maximum(1, (hi - lo + 1).max(axis=0))  # segments x (width, height)
+    stride = size + int(window.max())
+    cov = np.zeros((n, stride, stride))
+    flat = cov.reshape(-1)
+    frame_start = (np.arange(n) * stride * stride)[:, None, None]
+    for s, (width, height) in enumerate(window):
+        px = (lo[:, s, 0, None] + np.arange(width))[:, None, :]  # T x 1 x width
+        py = (lo[:, s, 1, None] + np.arange(height))[:, :, None]  # T x height x 1
+        ax, ay = a[:, s, 0, None, None], a[:, s, 1, None, None]
+        dx = b[:, s, 0, None, None] - ax
+        dy = b[:, s, 1, None, None] - ay
+        seg2 = dx * dx + dy * dy
+        point = seg2 < 1e-12
+        t = np.clip(((px - ax) * dx + (py - ay) * dy) / np.where(point, 1.0, seg2), 0.0, 1.0)
+        t = np.where(point, 0.0, t)
+        dist = np.sqrt((px - (ax + t * dx)) ** 2 + (py - (ay + t * dy)) ** 2)
+        at = frame_start + py * stride + px
+        flat[at] = np.maximum(flat[at], np.clip(1.5 - dist, 0.0, 1.0))
+    return 0.2 + 0.8 * cov[:, :size, :size]
 
 
 def generate_synthetic(config: SynthConfig) -> list[VideoSequence]:
@@ -358,43 +384,51 @@ def generate_synthetic(config: SynthConfig) -> list[VideoSequence]:
     earlier videos.  Expression states follow a Markov chain that stays
     put with ``stay_probability`` and otherwise jumps uniformly to one
     of the other four states.  Activations ramp by 1/3 per frame toward
-    the current prototype; frame 0 starts settled.  The edge map is
-    taken from the gray plane as decoded from the u8 grid, so it sees
-    exactly what the model sees.
+    the current prototype; frame 0 starts settled.  The per-frame loop
+    only draws random numbers; each video is then rendered and
+    edge-filtered as one T-leading batch.  The edge map is taken from
+    the gray plane as decoded from the u8 grid, so it sees exactly what
+    the model sees.
     """
     config.validate()
+    return [_synthesize_video(config, v) for v in range(config.videos)]
+
+
+def _synthesize_video(config: SynthConfig, v: int) -> VideoSequence:
+    # The video's own arrays are allocated before its whole-video float64
+    # temporaries, which are all freed on return, so a corpus leaves no
+    # free holes between its videos in the heap.  Such holes later served
+    # training's large arrays without raising glibc's adaptive trim
+    # threshold, and training then re-faulted its memory on every epoch.
     size, n = config.image_size, config.frames_per_video
-    videos = []
-    for v in range(config.videos):
-        rng = np.random.default_rng([config.seed, v])
-        planes = np.empty((n, 2, size, size), np.uint8)
-        landmarks = np.empty((n, LANDMARK_COUNT, 2), np.float32)
-        labels = np.empty((n, len(AU_ORDER)), np.int8)
-        state = int(rng.integers(5))
-        intensities = PROTOTYPE_LABELS[state].astype(np.float64)
-        for t in range(n):
-            if t > 0:
-                if rng.random() >= config.stay_probability:
-                    others = [s for s in range(5) if s != state]
-                    state = others[int(rng.integers(4))]
-                target = PROTOTYPE_LABELS[state].astype(np.float64)
-                intensities = np.clip(
-                    intensities + RAMP_STEP * (2.0 * target - 1.0), 0.0, 1.0
-                )
-            target_labels = PROTOTYPE_LABELS[state]
-            flips = rng.random(len(AU_ORDER)) < config.label_flip_noise
-            labels[t] = np.where(flips, 1 - target_labels, target_labels)
+    rng = np.random.default_rng([config.seed, v])
+    planes = np.empty((n, 2, size, size), np.uint8)
+    landmarks = np.empty((n, LANDMARK_COUNT, 2), np.float32)
+    labels = np.empty((n, len(AU_ORDER)), np.int8)
+    noise = np.empty((n, size, size))
+    state = int(rng.integers(5))
+    intensities = PROTOTYPE_LABELS[state].astype(np.float64)
+    for t in range(n):
+        if t > 0:
+            if rng.random() >= config.stay_probability:
+                others = [s for s in range(5) if s != state]
+                state = others[int(rng.integers(4))]
+            target = PROTOTYPE_LABELS[state].astype(np.float64)
+            intensities = np.clip(
+                intensities + RAMP_STEP * (2.0 * target - 1.0), 0.0, 1.0
+            )
+        target_labels = PROTOTYPE_LABELS[state]
+        flips = rng.random(len(AU_ORDER)) < config.label_flip_noise
+        labels[t] = np.where(flips, 1 - target_labels, target_labels)
 
-            lm = displaced_landmarks(intensities)
-            lm = lm + rng.normal(0.0, config.landmark_jitter_sigma, lm.shape)
-            landmarks[t] = np.clip(lm, 0.0, 1.0)
+        lm = displaced_landmarks(intensities)
+        lm = lm + rng.normal(0.0, config.landmark_jitter_sigma, lm.shape)
+        landmarks[t] = np.clip(lm, 0.0, 1.0)
+        noise[t] = rng.normal(0.0, config.pixel_noise_sigma, (size, size))
 
-            img = render_face(landmarks[t], size)
-            img = img + rng.normal(0.0, config.pixel_noise_sigma, img.shape)
-            planes[t, 0] = encode_planes(img)
-            planes[t, 1] = encode_planes(sobel_edge(decode_planes(planes[t, :1], np.float32))[0])
-        videos.append(VideoSequence(f"synth{v:04d}", planes, landmarks, labels))
-    return videos
+    planes[:, 0] = encode_planes(render_face(landmarks, size) + noise)
+    planes[:, 1] = encode_planes(sobel_edge(decode_planes(planes[:, :1], np.float32))[:, 0])
+    return VideoSequence(f"synth{v:04d}", planes, landmarks, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +507,11 @@ def _load_file(target: Path) -> list[VideoSequence]:
 
 
 def load_corpus(path) -> list[VideoSequence]:
-    """Read a corpus from a .auc file or from every .auc file in a directory."""
+    """Read a corpus from a .auc file or from every .auc file in a directory.
+
+    Video ids must be unique across everything read: scores and track
+    files are keyed by id, so a repeat raises FormatError naming both files.
+    """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"corpus path does not exist: {p}")
@@ -481,11 +519,19 @@ def load_corpus(path) -> list[VideoSequence]:
         files = sorted(f for f in p.iterdir() if f.suffix == ".auc")
         if not files:
             raise EmptyCorpusError(f"no .auc files in {p}")
-        videos = []
-        for f in files:
-            videos.extend(_load_file(f))
-        return videos
-    return _load_file(p)
+    else:
+        files = [p]
+    videos = []
+    source = {}
+    for f in files:
+        for video in _load_file(f):
+            if video.video_id in source:
+                raise FormatError(
+                    f"{f}: video id {video.video_id!r} repeats one in {source[video.video_id]}"
+                )
+            source[video.video_id] = f
+            videos.append(video)
+    return videos
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in-process via cli.main."""
 
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -154,6 +155,7 @@ class TestConfigResolution:
         assert "videos = 2" in out  # flag beat the file
         assert "frames_per_video = 6" in out  # file beat the default
         assert "wrote 2 videos, 12 frames" in out
+        assert re.search(r"^synthesis: \d+\.\d{3} s, \d+ frames/s$", out, re.M)
 
     def test_paths_can_come_from_config_file(self, capsys, tmp_path, cli_env):
         cfg = tmp_path / "settings.cfg"
@@ -328,6 +330,32 @@ class TestRuntimeErrors:
         )
         assert code == 2
         assert str(poisoned) in err and "frame 3 has non-finite landmarks" in err
+
+    @pytest.fixture(scope="class")
+    def repeated_ids(self, tmp_path_factory):
+        """Two synth runs into one directory: both files hold synth0000 and synth0001."""
+        root = tmp_path_factory.mktemp("repeated")
+        for seed in ("1", "2"):
+            out = root / f"seed{seed}.auc"
+            args = ["synth", "--videos", "2", "--frames", "4", "--image-size", "24",
+                    "--seed", seed, "--out", str(out)]
+            assert cli.main(args) == 0
+        return root
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_repeated_video_ids_are_a_data_error(self, capsys, cli_env, repeated_ids,
+                                                 tmp_path, command):
+        out = tmp_path / "scores"
+        code, _, err = run(
+            capsys,
+            command,
+            "--checkpoint", str(cli_env["checkpoint"]),
+            "--corpus", str(repeated_ids),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "seed2.auc: video id 'synth0000' repeats one in" in err and "seed1.auc" in err
+        assert not list(out.glob("*.csv"))  # no report.csv, no track CSVs
 
     def test_divergent_training_is_a_numeric_error(self, capsys, cli_env, tmp_path):
         np_err = np.seterr(all="ignore")

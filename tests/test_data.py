@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from audet.data import (
+    _DRAWN_GROUPS,
     AU_ORDER,
     EXPRESSION_PROTOTYPES,
     EXPRESSION_STATES,
@@ -22,6 +23,7 @@ from audet.data import (
     landmark_diffs,
     load_corpus,
     read_label_csv,
+    render_face,
     sobel_edge,
     store_corpus,
 )
@@ -38,14 +40,14 @@ from audet.errors import (
 
 
 def test_sobel_flat_image_is_zero():
-    out = sobel_edge(np.full((1, 8, 8), 0.37, dtype=np.float32))
-    np.testing.assert_array_equal(out, np.zeros((1, 8, 8), dtype=np.float32))
+    out = sobel_edge(np.full((1, 1, 8, 8), 0.37, dtype=np.float32))
+    np.testing.assert_array_equal(out, np.zeros((1, 1, 8, 8), dtype=np.float32))
 
 
 def test_sobel_vertical_step_peaks_at_step():
-    img = np.zeros((1, 10, 10), dtype=np.float32)
-    img[:, :, 5:] = 1.0
-    out = sobel_edge(img)[0]
+    img = np.zeros((1, 1, 10, 10), dtype=np.float32)
+    img[..., 5:] = 1.0
+    out = sobel_edge(img)[0, 0]
     # strongest response on the two columns around the 4|5 boundary
     np.testing.assert_allclose(out[:, 4], 1.0)
     np.testing.assert_allclose(out[:, 5], 1.0)
@@ -55,19 +57,54 @@ def test_sobel_vertical_step_peaks_at_step():
 
 def test_sobel_range_and_shape():
     rng = np.random.default_rng(1)
-    img = rng.uniform(0, 1, (1, 12, 9)).astype(np.float32)
+    img = rng.uniform(0, 1, (3, 1, 12, 9)).astype(np.float32)
     out = sobel_edge(img)
-    assert out.shape == (1, 12, 9)
+    assert out.shape == (3, 1, 12, 9) and out.dtype == np.float32
     assert out.min() >= 0.0 and out.max() <= 1.0
+    # each frame is normalised by its own peak
+    np.testing.assert_array_equal(out.max(axis=(1, 2, 3)), np.ones(3, dtype=np.float32))
 
 
 def test_sobel_rejects_bad_shapes():
-    with pytest.raises(ContractViolation, match="1,H,W"):
-        sobel_edge(np.zeros((8, 8)))
+    with pytest.raises(ContractViolation, match="T,1,H,W"):
+        sobel_edge(np.zeros((1, 8, 8)))
+    with pytest.raises(ContractViolation, match="T,1,H,W"):
+        sobel_edge(np.zeros((2, 2, 8, 8)))
     with pytest.raises(ContractViolation, match="3 x 3"):
-        sobel_edge(np.zeros((1, 2, 8)))
+        sobel_edge(np.zeros((1, 1, 2, 8)))
     with pytest.raises(ContractViolation, match="3 x 3"):
-        sobel_edge(np.zeros((1, 8, 2)))
+        sobel_edge(np.zeros((1, 1, 8, 2)))
+    # an integer image would have its [0, 1] magnitudes truncated to 0 or 1
+    with pytest.raises(ContractViolation, match="float"):
+        sobel_edge(np.zeros((1, 1, 8, 8), dtype=np.uint8))
+
+
+def _sobel_frame(gray):
+    """Per-frame reference: one 1 x H x W image, the formula as first written."""
+    g = gray[0].astype(np.float64)
+    p = np.pad(g, 1, mode="edge")
+    gx = (p[:-2, 2:] + 2 * p[1:-1, 2:] + p[2:, 2:]) - (
+        p[:-2, :-2] + 2 * p[1:-1, :-2] + p[2:, :-2]
+    )
+    gy = (p[2:, :-2] + 2 * p[2:, 1:-1] + p[2:, 2:]) - (
+        p[:-2, :-2] + 2 * p[:-2, 1:-1] + p[:-2, 2:]
+    )
+    mag = np.sqrt(gx * gx + gy * gy)
+    mag /= max(1e-8, mag.max())
+    return mag[None].astype(gray.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sobel_equals_per_frame_reference(dtype):
+    rng = np.random.default_rng(4)
+    for n, h, w in ((1, 8, 8), (7, 12, 9), (3, 64, 64)):
+        img = rng.uniform(0, 1, (n, 1, h, w)).astype(dtype)
+        img[0] = 0.37  # a flat frame maps to zeros without touching its neighbours
+        want = np.stack([_sobel_frame(frame) for frame in img])
+        got = sobel_edge(img)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[0], np.zeros((1, h, w), dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +173,96 @@ def test_prototype_labels_match_state_sets():
     for s, state in enumerate(EXPRESSION_STATES):
         active = {au for au, v in zip(AU_ORDER, PROTOTYPE_LABELS[s]) if v == 1}
         assert active == set(EXPRESSION_PROTOTYPES[state])
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
+def _draw_segment(cov, ax, ay, bx, by):
+    """Per-frame reference: one anti-aliased segment, clipped to its bounding box."""
+    size = cov.shape[0]
+    c0 = max(0, int(np.floor(min(ax, bx) - 2)))
+    c1 = min(size - 1, int(np.ceil(max(ax, bx) + 2)))
+    r0 = max(0, int(np.floor(min(ay, by) - 2)))
+    r1 = min(size - 1, int(np.ceil(max(ay, by) + 2)))
+    if c0 > c1 or r0 > r1:
+        return
+    px = np.arange(c0, c1 + 1)[None, :]
+    py = np.arange(r0, r1 + 1)[:, None]
+    dx, dy = bx - ax, by - ay
+    seg2 = dx * dx + dy * dy
+    if seg2 < 1e-12:
+        t = np.zeros((r1 - r0 + 1, c1 - c0 + 1))
+    else:
+        t = np.clip(((px - ax) * dx + (py - ay) * dy) / seg2, 0.0, 1.0)
+    dist = np.sqrt((px - (ax + t * dx)) ** 2 + (py - (ay + t * dy)) ** 2)
+    region = cov[r0 : r1 + 1, c0 : c1 + 1]
+    np.maximum(region, np.clip(1.5 - dist, 0.0, 1.0), out=region)
+
+
+def _render_frame(landmarks, size):
+    """Per-frame reference: one 73 x 2 frame, segment by segment."""
+    cov = np.zeros((size, size))
+    pts = np.asarray(landmarks, dtype=np.float64) * (size - 1)
+    for group, closed in _DRAWN_GROUPS:
+        idx = range(group.start, group.stop)
+        pairs = list(zip(idx[:-1], idx[1:]))
+        if closed:
+            pairs.append((group.stop - 1, group.start))
+        for a, b in pairs:
+            _draw_segment(cov, pts[a, 0], pts[a, 1], pts[b, 0], pts[b, 1])
+    return 0.2 + 0.8 * cov
+
+
+def _reference_frames(n, rng):
+    """n jittered faces, one with points at exactly 0.0 and 1.0 and a zero-length segment."""
+    lm = LANDMARK_TEMPLATE + rng.normal(0.0, 0.05, (n, 73, 2))
+    lm = np.clip(lm, 0.0, 1.0).astype(np.float32)
+    lm[0, 17] = (0.0, 0.0)  # left brow starts in the top-left corner
+    lm[0, 23] = (1.0, 0.0)
+    lm[0, 53] = (1.0, 1.0)  # right eye's closing segment runs to the bottom-right corner
+    lm[0, 55] = lm[0, 54]  # coincident points: a zero-length segment
+    return lm
+
+
+@pytest.mark.parametrize("size", [8, 12, 64])
+@pytest.mark.parametrize("frames", [1, 7])
+def test_render_face_equals_per_frame_reference(size, frames):
+    rng = np.random.default_rng(size * 10 + frames)
+    lm = _reference_frames(frames, rng)
+    want = np.stack([_render_frame(frame, size) for frame in lm])
+    got = render_face(lm, size)
+    assert got.shape == (frames, size, size) and got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
+
+
+def test_render_face_near_point_segment_equals_reference():
+    # seg2 below 1e-12 but not zero: drawn as a point at its first end.  The
+    # right brow's last point ends no other segment, so nothing else covers it.
+    lm = np.tile(LANDMARK_TEMPLATE[None], (2, 1, 1))
+    along = lm[1, 28] - lm[1, 27]
+    lm[1, 28] = lm[1, 27] + 1e-8 * along / np.linalg.norm(along)
+    for size in (12, 64):
+        want = np.stack([_render_frame(frame, size) for frame in lm])
+        np.testing.assert_array_equal(render_face(lm, size), want)
+
+
+def test_render_face_draws_only_inside_the_image():
+    lm = np.tile(LANDMARK_TEMPLATE[None], (2, 1, 1))
+    lm[1] += 3.0  # every stroke far outside the frame
+    out = render_face(lm, 16)
+    np.testing.assert_array_equal(out[0], _render_frame(lm[0], 16))
+    np.testing.assert_array_equal(out[1], np.full((16, 16), 0.2))
+
+
+def test_render_face_rejects_bad_input():
+    with pytest.raises(ContractViolation, match="T x 73 x 2"):
+        render_face(LANDMARK_TEMPLATE, 16)
+    lm = LANDMARK_TEMPLATE[None].copy()
+    lm[0, 20, 1] = np.nan
+    with pytest.raises(ContractViolation, match="finite"):
+        render_face(lm, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +398,19 @@ def test_load_rejects_trailing_bytes(small_corpus, tmp_path):
         load_corpus(path)
 
 
+def test_load_directory_rejects_repeated_video_ids(small_corpus, tmp_path):
+    store_corpus(small_corpus, tmp_path / "d" / "a.auc")
+    store_corpus(small_corpus[1:], tmp_path / "d" / "b.auc")
+    with pytest.raises(FormatError, match=r"b\.auc: video id 'synth0001' repeats one in .*a\.auc"):
+        load_corpus(tmp_path / "d")
+
+
+def test_load_file_rejects_repeated_video_ids(small_corpus, tmp_path):
+    path = store_corpus([small_corpus[0], small_corpus[0]], tmp_path / "c.auc")
+    with pytest.raises(FormatError, match="'synth0000'"):
+        load_corpus(path)
+
+
 def test_load_empty_directory_distinct_error(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(EmptyCorpusError):
@@ -291,20 +431,30 @@ def test_load_zero_video_file(tmp_path):
         load_corpus(path)
 
 
-# corpus bytes written by the per-frame store loop that preceded the
-# record dtype; the format is unchanged, so these must not move
+# corpus bytes written by the per-frame store loop and per-frame renderer
+# that preceded the record dtype and the batched renderer; neither the
+# format nor the generator's output changed, so these must not move
 PINNED_CORPORA = [
     (SynthConfig(videos=2, frames_per_video=4, seed=11, image_size=16),
      "bdb7584a1c97dffc2f5dc1d504a22c29d842cdcc12975adf0846e025266e134f"),
     (SynthConfig(videos=3, frames_per_video=5, seed=3, image_size=12, label_flip_noise=0.3),
      "57d92d634590b743d0dea6b79c08088311bc04a798b5108808e76698f09d9bd3"),
+    (SynthConfig(videos=2, frames_per_video=12, seed=5),
+     "a7ee0fc5019a086d41d0a0e3c9fa243c8a8967b76942c19928cf9de734cc0bec"),
 ]
 
 
-@pytest.mark.parametrize("config,digest", PINNED_CORPORA, ids=["16px", "12px-flips"])
+@pytest.mark.parametrize("config,digest", PINNED_CORPORA, ids=["16px", "12px-flips", "64px"])
 def test_stored_corpus_bytes_are_pinned(tmp_path, config, digest):
     path = store_corpus(generate_synthetic(config), tmp_path / "c.auc")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_stock_corpus_bytes_are_pinned(tmp_path, default_corpus):
+    # the acceptance gate trains on this corpus; its digest predates the batched renderer
+    path = store_corpus(default_corpus, tmp_path / "c.auc")
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "c2b1d7c36f1e6f77a2d0c6a249aeb96b2185cbc3abf15b7d8f2d1dd8366df923")
 
 
 def _stored_with(tmp_path, small_corpus, edit):
