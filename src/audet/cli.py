@@ -12,6 +12,7 @@ file-format problem, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from dataclasses import asdict, fields
@@ -285,12 +286,17 @@ def _cmd_train(ns) -> int:
             f"val_loss {stats.val_loss:.4f} val_metric {stats.val_metric:.4f}"
         )
 
-    result = train(corpus, mconf, tconf, on_epoch_end=progress)
+    result = train(corpus, mconf, tconf, on_epoch_end=progress,
+                   on_telemetry=lambda record: print(record.summary()))
     ckpt = save_checkpoint(result.best_params, out / "checkpoint.auck")
     hist = write_history(result.history, out / "history.csv")
+    # timings differ run to run, so they stay out of the hashed artifacts
+    run = {"epochs": [asdict(record) for record in result.telemetry]}
+    telemetry = write_atomic(out / "run.json", json.dumps(run, indent=1) + "\n")
     print(f"best epoch {result.best_epoch}, validation metric {result.best_metric:.6f}")
     print(f"checkpoint: {ckpt}")
     print(f"history: {hist}")
+    print(f"telemetry: {telemetry}")
     return 0
 
 

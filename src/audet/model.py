@@ -361,17 +361,21 @@ def model_forward(params: ModelParams, image: np.ndarray, diff: np.ndarray) -> F
 SCORING_BATCH = 64
 
 
-def score_frames(params: ModelParams, images: np.ndarray, diffs: np.ndarray):
+def score_frames(params: ModelParams, images: np.ndarray, diffs: np.ndarray,
+                 workspace: T.Workspace | None = None):
     """Probabilities (T x 8) and float64 logits (T x 8 x 2) of T frames.
 
-    Runs up to SCORING_BATCH frames per pass and keeps no graph.
+    Runs up to SCORING_BATCH frames per pass and keeps no graph.  Each
+    pass reuses ``workspace``'s buffers when one is given; the returned
+    arrays are copies and never alias them.
     """
     probs, logits = [], []
     for start in range(0, len(images), SCORING_BATCH):
         chunk = slice(start, start + SCORING_BATCH)
-        res = model_forward(params, images[chunk], diffs[chunk])
-        probs.append(res.probs)
-        logits.append(res.logits.value.astype(np.float64))
+        with T.reusing(workspace):
+            res = model_forward(params, images[chunk], diffs[chunk])
+            probs.append(res.probs)
+            logits.append(res.logits.value.astype(np.float64))
     return np.concatenate(probs), np.concatenate(logits)
 
 

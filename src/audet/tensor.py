@@ -20,12 +20,28 @@ training step therefore builds one graph for its whole batch.  The
 recurrent scan is one node for all S steps of a gated cell: it projects
 every step's input with a single matmul, then steps the B x h states.
 
-Build one graph per step and call :func:`backward` on it once; reusing
-a graph for a second backward pass double-counts interior gradients.
+Build one graph per step and call :func:`backward` on it once.  As
+the walk passes each interior node it releases the node's backward
+closure and gradient, so the arrays only a backward pass needs are freed
+as soon as they have been used; a second :func:`backward` over a
+consumed graph raises ``ContractViolation``.
+
+A :class:`Workspace` lets a pass that repeats with the same shapes, such
+as a training step, store its large forward arrays (each convolution's
+im2col matrix and output map, each relu's output) in the buffers of the
+previous pass instead of fresh allocations.  Inside ``with
+reusing(workspace):`` the i-th buffer request of the pass gets the
+buffer of the previous pass's i-th request when shape and dtype match.
+The values are bitwise the same as on fresh arrays; only where they
+live changes, so nothing computed in one pass may be kept past the
+start of the next.  With no workspace active every request is a plain
+``np.empty``.  A thread has at most one active pass.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +83,64 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.value.shape})"
+
+
+class Workspace:
+    """Forward buffers handed out again, in request order, on every pass.
+
+    The first request that differs from the previous pass's in shape or
+    dtype drops that buffer and every later one before allocating: a new
+    batch shape changes all of them, and holding the old set while the
+    new one is built would keep two passes' buffers in memory at once.
+    """
+
+    def __init__(self):
+        self.buffers: list[np.ndarray] = []
+        self.allocations = 0  # buffers created so far; steady passes add none
+        self._taken = 0
+
+    def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """The buffer for this pass's next request, uninitialised."""
+        i = self._taken
+        self._taken += 1
+        if i < len(self.buffers):
+            buf = self.buffers[i]
+            if buf.shape == shape and buf.dtype == dtype:
+                return buf
+        del self.buffers[i:]
+        buf = np.empty(shape, dtype)
+        self.allocations += 1
+        self.buffers.append(buf)
+        return buf
+
+
+_active: ContextVar[Workspace | None] = ContextVar("active_workspace", default=None)
+
+
+@contextmanager
+def reusing(workspace: Workspace | None):
+    """Run one pass with ``workspace`` active; ``None`` runs it on fresh arrays.
+
+    On exit, normal or not, the workspace is deactivated and keeps only
+    the buffers this pass requested.
+    """
+    if workspace is None:
+        yield
+        return
+    _require(_active.get() is None, "reusing: another workspace pass is already active")
+    workspace._taken = 0
+    token = _active.set(workspace)
+    try:
+        yield
+    finally:
+        _active.reset(token)
+        del workspace.buffers[workspace._taken :]
+
+
+def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array, from the active workspace if there is one."""
+    workspace = _active.get()
+    return np.empty(shape, dtype) if workspace is None else workspace.take(shape, dtype)
 
 
 def _accum(node: Tensor, g: np.ndarray):
@@ -140,7 +214,7 @@ def total(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.value, 0), (a,))
+    out = Tensor(np.maximum(a.value, 0, out=_empty(a.value.shape, a.value.dtype)), (a,))
 
     def push(g):
         _accum(a, g * (a.value > 0))
@@ -329,7 +403,8 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
     ``x`` is C x H x W or a B x C x H x W batch, ``kernels`` is
     F x C x k x k, ``bias`` is F.  Output is F x H' x W' (B x F x H' x W'
     for a batch) with H' = (H - k) // stride + 1.  The whole batch is one
-    im2col matmul.
+    im2col matmul, and the output is a strided view of its F x B*H'*W'
+    product.  All three operands share one dtype.
     """
     _require(x.value.ndim in (3, 4),
              f"conv2d: input must be C,H,W or a batch of them, got {x.value.shape}")
@@ -340,6 +415,11 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
     _require(kh == kw, f"conv2d: kernels must be square, got {kh}x{kw}")
     _require(kc == c, f"conv2d: kernel channels {kc} != input channels {c}")
     _require(bias.value.shape == (f,), f"conv2d: bias {bias.value.shape} != filter count {f}")
+    dtype = xs.dtype
+    if kernels.value.dtype != dtype or bias.value.dtype != dtype:
+        # tested before formatting: str() of three dtypes costs ~18 us per call
+        raise ContractViolation(f"conv2d: input {dtype}, kernels {kernels.value.dtype} and "
+                                f"bias {bias.value.dtype} must share a dtype")
     ho = conv_output_size(h, kh, stride)
     wo = conv_output_size(w, kh, stride)
 
@@ -349,11 +429,14 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
         shape=(c, kh, kh, b, ho, wo),
         strides=(sc, sh, sw, sb, sh * stride, sw * stride),
     )
-    col = patches.reshape(c * kh * kh, b * ho * wo)  # copies; safe to keep
+    col = _empty((c * kh * kh, b * ho * wo), dtype)
+    np.copyto(col.reshape(c, kh, kh, b, ho, wo), patches)
     km = kernels.value.reshape(f, c * kh * kh)
-    out_val = (km @ col + bias.value[:, None]).reshape(f, b, ho, wo).swapaxes(0, 1)
-    out = Tensor(np.ascontiguousarray(out_val).reshape(x.value.shape[:-3] + (f, ho, wo)),
-                 (x, kernels, bias))
+    prod = np.matmul(km, col, out=_empty((f, b * ho * wo), dtype))
+    prod += bias.value[:, None]
+    # the next op reads the view in batch-major order; no copy is made
+    out_val = prod.reshape(f, b, ho, wo).swapaxes(0, 1)
+    out = Tensor(out_val.reshape(x.value.shape[:-3] + (f, ho, wo)), (x, kernels, bias))
     # an input that is neither a parameter nor computed (the image) needs no gradient
     input_grad = isinstance(x, Parameter) or bool(x.parents)
 
@@ -642,13 +725,26 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(root: Tensor):
-    """Seed a scalar node with gradient 1 and propagate to all leaves."""
+    """Seed a scalar node with gradient 1 and propagate to all leaves.
+
+    Each interior node gives up its backward closure and gradient once
+    it has pushed, so the graph can be walked only once.
+    """
     _require(root.value.size == 1, f"backward: root must be scalar, got shape {root.value.shape}")
+    order = _topo_order(root)
+    # interior nodes always carry a closure until a backward pass consumes them
+    _require(not any(node.parents and node._push is None for node in order),
+             "backward: graph already consumed by an earlier backward pass; "
+             "build a new graph for every pass")
     if root.grad is None:
         root.grad = np.ones_like(root.value)
-    for node in reversed(_topo_order(root)):
-        if node._push is not None and node.grad is not None:
+    for node in reversed(order):
+        if node._push is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node._push(node.grad)
+        node._push = None
+        node.grad = None
 
 
 def zero_grads(params):

@@ -5,10 +5,18 @@ builds one graph for all of its frames, accumulates gradients once,
 clips by global norm, then applies bias-corrected Adam.  All shuffling
 comes from RNGs seeded by (seed, salt), so two runs with the same
 corpus and config produce bitwise identical parameters.
+
+One :class:`tensor.Workspace` serves every training step and
+validation pass of a run, so a step of the same batch shape as the one
+before it fills the previous step's forward buffers instead of
+allocating new ones; it is dropped when :func:`train` returns.  Timing
+and gradient-norm telemetry is kept apart from the history, which must
+stay bitwise reproducible.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,6 +192,30 @@ class EpochStats:
 
 
 @dataclass
+class EpochTelemetry:
+    """How one epoch's optimisation behaved and where its time went.
+
+    Norms are the global gradient norms before clipping.  Timings vary
+    run to run, so none of this goes into the history or a checkpoint.
+    """
+
+    epoch: int
+    steps: int
+    grad_norm_mean: float
+    grad_norm_max: float
+    clipped_fraction: float
+    step_seconds: float
+    validation_seconds: float
+
+    def summary(self) -> str:
+        return (
+            f"epoch {self.epoch}: grad_norm mean {self.grad_norm_mean:.4f} "
+            f"max {self.grad_norm_max:.4f} clipped {self.clipped_fraction:.3f} "
+            f"steps {self.step_seconds:.3f} s validation {self.validation_seconds:.3f} s"
+        )
+
+
+@dataclass
 class TrainResult:
     best_params: ModelParams
     final_params: ModelParams
@@ -193,6 +225,7 @@ class TrainResult:
     class_weights: np.ndarray
     train_ids: list[str]
     val_ids: list[str]
+    telemetry: list[EpochTelemetry]
 
 
 def train(
@@ -200,12 +233,14 @@ def train(
     model_config: ModelConfig | None = None,
     train_config: TrainConfig | None = None,
     on_epoch_end=None,
+    on_telemetry=None,
 ) -> TrainResult:
     """Train on a corpus; returns best-validation-metric parameters.
 
     ``on_epoch_end(stats, params)`` runs after each epoch's validation
-    pass; it must not mutate the parameters.  The best epoch is the
-    first one reaching the highest validation challenge metric.
+    pass; it must not mutate the parameters.  ``on_telemetry(record)``
+    then receives that epoch's :class:`EpochTelemetry`.  The best epoch
+    is the first one reaching the highest validation challenge metric.
     """
     model_config = model_config or ModelConfig()
     train_config = train_config or TrainConfig()
@@ -238,30 +273,49 @@ def train(
     adam = AdamState.for_params(params.all_parameters())
 
     history: list[EpochStats] = []
+    telemetry: list[EpochTelemetry] = []
     best_params = params.copy()
     best_epoch = -1
     best_metric = -np.inf
+    workspace = T.Workspace()
 
     for epoch in range(train_config.epochs):
         rng = np.random.default_rng([train_config.seed, 3, epoch])
         order = rng.permutation(len(labels))
         epoch_loss = 0.0
-        n_batches = 0
+        norms = []
+        started = time.perf_counter()
         for start in range(0, len(order), train_config.batch_size):
             picks = order[start : start + train_config.batch_size]
             batch = (decode_planes(planes[picks], dtype), diffs[picks], labels[picks])
-            where = f"epoch {epoch}, batch {n_batches}"
-            epoch_loss += _train_step(params, adam, batch, weights, train_config, where)
-            n_batches += 1
+            where = f"epoch {epoch}, batch {len(norms)}"
+            loss, norm = _train_step(params, adam, batch, weights, train_config, where,
+                                     workspace)
+            epoch_loss += loss
+            norms.append(norm)
+        validating = time.perf_counter()
+        stats = _validate_epoch(epoch, epoch_loss / len(norms), params, val_videos, weights,
+                                workspace)
+        done = time.perf_counter()
 
-        stats = _validate_epoch(epoch, epoch_loss / n_batches, params, val_videos, weights)
         history.append(stats)
+        telemetry.append(EpochTelemetry(
+            epoch=epoch,
+            steps=len(norms),
+            grad_norm_mean=float(np.mean(norms)),
+            grad_norm_max=max(norms),
+            clipped_fraction=float(np.mean(np.array(norms) > train_config.grad_clip_global_norm)),
+            step_seconds=validating - started,
+            validation_seconds=done - validating,
+        ))
         if stats.val_metric > best_metric:
             best_metric = stats.val_metric
             best_epoch = epoch
             best_params = params.copy()
         if on_epoch_end is not None:
             on_epoch_end(stats, params)
+        if on_telemetry is not None:
+            on_telemetry(telemetry[-1])
 
     return TrainResult(
         best_params=best_params,
@@ -272,33 +326,39 @@ def train(
         class_weights=weights,
         train_ids=train_ids,
         val_ids=val_ids,
+        telemetry=telemetry,
     )
 
 
-def _train_step(params, adam, batch, weights, cfg: TrainConfig, where: str) -> float:
-    """Forward, backward, clip and Adam on one batch; returns the batch loss.
+def _train_step(params, adam, batch, weights, cfg: TrainConfig, where: str,
+                workspace: T.Workspace | None) -> tuple[float, float]:
+    """Forward, backward, clip and Adam on one batch.
 
     The batch is (images, diffs, labels).  Its graph lives only inside
-    this call, so it is freed before the next batch builds its own.
+    this call, so it is freed before the next batch builds its own; its
+    forward arrays live in ``workspace``'s buffers when one is given.
+    Returns the batch loss and the gradient norm before clipping.
     """
     images, diffs, labels = batch
     plist = params.all_parameters()
     T.zero_grads(plist)
-    res = model_forward(params, images, diffs)
-    try:
-        loss = T.masked_cross_entropy(res.logits, labels, weights)
-    except EmptyBatchError:
-        raise EmptyBatchError(f"{where}: every label in the batch is -1") from None
-    value = float(loss.value)
-    if not np.isfinite(value):
-        raise NumericError(f"training diverged: loss {value} at {where}")
-    T.backward(loss)
-    clip_gradients(plist, cfg.grad_clip_global_norm)
+    with T.reusing(workspace):
+        res = model_forward(params, images, diffs)
+        try:
+            loss = T.masked_cross_entropy(res.logits, labels, weights)
+        except EmptyBatchError:
+            raise EmptyBatchError(f"{where}: every label in the batch is -1") from None
+        value = float(loss.value)
+        if not np.isfinite(value):
+            raise NumericError(f"training diverged: loss {value} at {where}")
+        T.backward(loss)
+    norm = clip_gradients(plist, cfg.grad_clip_global_norm)
     adam_step(plist, adam, cfg)
-    return value
+    return value, norm
 
 
-def _validate_epoch(epoch, train_loss, params, val_videos, weights) -> EpochStats:
+def _validate_epoch(epoch, train_loss, params, val_videos, weights,
+                    workspace: T.Workspace) -> EpochStats:
     """Score each validation video in batches of its frames.
 
     The validation loss is the training objective over all validation
@@ -308,7 +368,8 @@ def _validate_epoch(epoch, train_loss, params, val_videos, weights) -> EpochStat
     labels = {}
     logits = []
     for video in val_videos:
-        probs, video_logits = score_frames(params, *video.model_inputs(params.dtype))
+        probs, video_logits = score_frames(params, *video.model_inputs(params.dtype),
+                                           workspace=workspace)
         predictions[video.video_id] = evaluation.binarize(probs)
         labels[video.video_id] = video.labels
         logits.append(video_logits)

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in-process via cli.main."""
 
 import hashlib
+import json
 import re
 import struct
 
@@ -75,6 +76,31 @@ class TestFlow:
         lines = cli_env["history"].read_text().strip().split("\n")
         assert lines[0].startswith("epoch,train_loss")
         assert len(lines) == 3  # header + 2 epochs
+
+    def test_train_reports_telemetry_outside_the_hashed_artifacts(self, cli_env, capsys,
+                                                                   tmp_path):
+        code, out, _ = run(
+            capsys,
+            "train",
+            "--corpus", str(cli_env["corpus"]),
+            "--out", str(tmp_path),
+            "--image-size", "24",
+            "--epochs", "2",
+            "--batch-size", "8",
+            "--seed", "7",
+        )
+        assert code == 0
+        lines = [line for line in out.splitlines() if "grad_norm mean" in line]
+        assert [line.split(":")[0] for line in lines] == ["epoch 0", "epoch 1"]
+        assert f"telemetry: {tmp_path / 'run.json'}" in out
+        epochs = json.loads((tmp_path / "run.json").read_text())["epochs"]
+        assert [e["epoch"] for e in epochs] == [0, 1]
+        assert set(epochs[0]) == {"epoch", "steps", "grad_norm_mean", "grad_norm_max",
+                                  "clipped_fraction", "step_seconds", "validation_seconds"}
+        assert not list(tmp_path.glob("*.tmp"))
+        # timings vary run to run, so the checkpoint and history carry none
+        assert _sha256(tmp_path / "history.csv") == _sha256(cli_env["history"])
+        assert _sha256(tmp_path / "checkpoint.auck") == _sha256(cli_env["checkpoint"])
 
     def test_eval_writes_reports(self, cli_env, capsys, tmp_path):
         code, out, _ = run(

@@ -21,7 +21,8 @@ from audet.model import (
     save_checkpoint,
     static_forward,
 )
-from audet.tensor import Tensor, finite_difference_check, total, mul
+from audet import tensor as T
+from audet.tensor import Parameter, Tensor, finite_difference_check, total, mul
 
 from conftest import TINY_MODEL
 
@@ -408,3 +409,50 @@ def test_score_frames_chunks_match_one_batch(monkeypatch):
     assert probs.shape == (10, 8) and logits.shape == (10, 8, 2)
     np.testing.assert_allclose(probs, whole.probs, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(logits, whole.logits.value, rtol=1e-12, atol=1e-14)
+
+
+def test_scores_from_a_workspace_outlive_the_next_video(tiny_corpus):
+    import audet.model as M
+
+    params = ModelParams.init(TINY_MODEL, seed=37)
+    first, second = (v.model_inputs(np.float32) for v in tiny_corpus[:2])
+    assert first[0].shape == second[0].shape
+    ws = T.Workspace()
+    probs, logits = M.score_frames(params, *first, workspace=ws)
+    kept = probs.copy(), logits.copy()
+    allocated = ws.allocations
+    other, _ = M.score_frames(params, *second, workspace=ws)
+    assert ws.allocations == allocated  # the second video reused every buffer
+    assert probs.tobytes() == kept[0].tobytes() and logits.tobytes() == kept[1].tobytes()
+    assert not np.array_equal(other, probs)
+    fresh = M.score_frames(params, *first)
+    assert fresh[0].tobytes() == probs.tobytes() and fresh[1].tobytes() == logits.tobytes()
+
+
+def _graph_arrays(root):
+    """Values of every computed or input node under root, parameters excluded."""
+    arrays, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or isinstance(node, Parameter):
+            continue
+        seen.add(id(node))
+        arrays.append(node.value)
+        stack.extend(node.parents)
+    return arrays
+
+
+def test_forward_results_without_a_workspace_are_independent():
+    params = ModelParams.init(TINY_MODEL, seed=39)
+    rng = np.random.default_rng(40)
+    size = TINY_MODEL.image_size
+    batches = [(rng.uniform(0, 1, (3, 2, size, size)).astype(np.float32),
+                rng.uniform(-1, 1, (3, 146)).astype(np.float32)) for _ in range(2)]
+    a = model_forward(params, *batches[0])
+    kept = a.probs.copy(), a.logits.value.copy()
+    b = model_forward(params, *batches[1])
+    assert a.probs.tobytes() == kept[0].tobytes()
+    assert a.logits.value.tobytes() == kept[1].tobytes()
+    ours, theirs = _graph_arrays(a.logits), _graph_arrays(b.logits)
+    assert len(ours) > 10
+    assert not any(np.shares_memory(x, y) for x in ours for y in theirs)

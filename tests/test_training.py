@@ -1,12 +1,14 @@
 """Tests for the training loop: loss, weights, clipping, Adam, splits."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from audet import tensor as T
-from audet.data import AU_ORDER, LANDMARK_COUNT, VideoSequence
+from audet import training as TR
+from audet.data import AU_ORDER, LANDMARK_COUNT, SynthConfig, VideoSequence, generate_synthetic
 from audet.errors import ContractViolation, EmptyBatchError, NumericError
 from audet.model import ModelParams, load_checkpoint, save_checkpoint
 from audet.tensor import Parameter, Tensor
@@ -21,6 +23,7 @@ from audet.training import (
     train,
     write_history,
     HISTORY_HEADER,
+    _train_step,
 )
 
 from conftest import TINY_MODEL
@@ -395,3 +398,127 @@ class TestWriteHistory:
             np.testing.assert_allclose(float(fields[1]), stats.train_loss, atol=5e-7)
             for f in fields[1:]:
                 assert len(f.split(".")[1]) == 6
+
+
+# ---------------------------------------------------------------------------
+# forward workspace and telemetry
+
+
+def test_final_parameters_are_pinned():
+    # sha256 of the final float32 parameters, computed before training
+    # stored its forward arrays in a reused workspace: the workspace may
+    # change where values live, never the values.  Batch 7 leaves a
+    # 1-frame last batch of the 36 training frames.  At these sizes the
+    # digest is the same with one or two BLAS threads.
+    corpus = generate_synthetic(SynthConfig(videos=5, frames_per_video=9, seed=11,
+                                            image_size=24))
+    result = train(corpus, TINY_MODEL, TrainConfig(epochs=2, batch_size=7, seed=3))
+    arrays = [p.value for p in result.final_params.all_parameters()]
+    assert all(a.dtype == np.float32 for a in arrays)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == "f451cb0bb4e14d19068b94b1692e22771d037046e18008d35122ce4fadfe5527"
+
+
+def _random_batch(rng, frames):
+    size = TINY_MODEL.image_size
+    return (rng.uniform(0, 1, (frames, 2, size, size)).astype(np.float32),
+            rng.uniform(-1, 1, (frames, 2 * LANDMARK_COUNT)).astype(np.float32),
+            rng.integers(0, 2, (frames, len(AU_ORDER))).astype(np.int8))
+
+
+class TestWorkspace:
+    def setup_method(self):
+        self.params = ModelParams.init(TINY_MODEL, seed=5)
+        self.adam = AdamState.for_params(self.params.all_parameters())
+        self.rng = np.random.default_rng(9)
+
+    def step(self, batch, workspace):
+        return _train_step(self.params, self.adam, batch, np.ones(len(AU_ORDER)),
+                           TrainConfig(), "test step", workspace)
+
+    def test_steps_of_one_batch_shape_allocate_no_new_buffers(self):
+        ws = T.Workspace()
+        self.step(_random_batch(self.rng, 6), ws)
+        held, allocated = list(ws.buffers), ws.allocations
+        assert allocated > 0
+        for _ in range(3):
+            self.step(_random_batch(self.rng, 6), ws)
+        assert ws.allocations == allocated
+        assert all(a is b for a, b in zip(held, ws.buffers)) and len(held) == len(ws.buffers)
+        self.step(_random_batch(self.rng, 4), ws)  # a short last batch
+        assert ws.allocations > allocated
+
+    def test_steps_in_a_workspace_equal_steps_on_fresh_arrays(self):
+        batches = [_random_batch(self.rng, n) for n in (6, 6, 4, 6)]
+        start = self.params.copy()
+        ws = T.Workspace()
+        with_ws = [self.step(b, ws) for b in batches]
+        reused = self.params
+        self.params = start
+        self.adam = AdamState.for_params(start.all_parameters())
+        fresh = [self.step(b, None) for b in batches]
+        assert with_ws == fresh
+        for (name, a), (_, b) in zip(reused.named_arrays(), start.named_arrays()):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_train_passes_one_workspace_to_every_step_and_validation(self, tiny_corpus,
+                                                                     monkeypatch):
+        seen = []
+
+        def recording(real):
+            def call(*args, **kwargs):
+                seen.append((real.__name__, kwargs.get("workspace", args[-1])))
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(TR, "_train_step", recording(TR._train_step))
+        monkeypatch.setattr(TR, "score_frames", recording(TR.score_frames))
+        train(tiny_corpus, TINY_MODEL, TrainConfig(epochs=2, batch_size=8, seed=7))
+        assert {name for name, _ in seen} == {"_train_step", "score_frames"}
+        assert len({id(ws) for _, ws in seen}) == 1
+        assert isinstance(seen[0][1], T.Workspace)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failed_step_leaves_no_workspace_active(self):
+        unknown = _random_batch(self.rng, 3)
+        unknown[2][...] = -1
+        with pytest.raises(EmptyBatchError, match="test step"):
+            self.step(unknown, T.Workspace())
+        assert T._active.get() is None
+        self.params.classifier_bias.value[...] = np.nan
+        with pytest.raises(NumericError, match="diverged"):
+            self.step(_random_batch(self.rng, 3), T.Workspace())
+        assert T._active.get() is None
+
+
+class TestTelemetry:
+    def test_one_record_per_epoch_beside_the_history(self, tiny_corpus):
+        order = []
+        result = train(tiny_corpus, TINY_MODEL, TrainConfig(epochs=2, batch_size=8, seed=7),
+                       on_epoch_end=lambda stats, _: order.append(("stats", stats.epoch)),
+                       on_telemetry=lambda record: order.append(("telemetry", record.epoch)))
+        assert order == [("stats", 0), ("telemetry", 0), ("stats", 1), ("telemetry", 1)]
+        frames = sum(len(v) for v in tiny_corpus if v.video_id in result.train_ids)
+        assert [r.epoch for r in result.telemetry] == [0, 1]
+        for r in result.telemetry:
+            assert r.steps == math.ceil(frames / 8)
+            assert 0.0 < r.grad_norm_mean <= r.grad_norm_max
+            assert 0.0 <= r.clipped_fraction <= 1.0
+            assert r.step_seconds > 0.0 and r.validation_seconds > 0.0
+            assert r.summary().startswith(f"epoch {r.epoch}: grad_norm mean ")
+
+    def test_norms_are_those_clip_gradients_returns(self, tiny_corpus, monkeypatch):
+        returned = []
+
+        def recording(params, max_norm):
+            returned.append(clip_gradients(params, max_norm))
+            return returned[-1]
+
+        monkeypatch.setattr(TR, "clip_gradients", recording)
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=7, grad_clip_global_norm=0.25)
+        record = train(tiny_corpus, TINY_MODEL, cfg).telemetry[0]
+        assert record.steps == len(returned)
+        assert record.grad_norm_max == max(returned)
+        assert record.grad_norm_mean == pytest.approx(sum(returned) / len(returned), rel=1e-12)
+        assert record.clipped_fraction == sum(n > 0.25 for n in returned) / len(returned)
+        assert 0.0 < record.clipped_fraction < 1.0  # steps on both sides of the threshold
