@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,49 +63,8 @@ GRADCHECK_CONFIG = ModelConfig(
 # ---------------------------------------------------------------------------
 # config keys
 
-
-def _int_min(lo):
-    def parse(raw: str) -> int:
-        v = int(raw)
-        if v < lo:
-            raise ValueError(f"must be >= {lo}, got {v}")
-        return v
-
-    return parse
-
-
-def _float_min(lo, inclusive=True):
-    def parse(raw: str) -> float:
-        v = float(raw)
-        if not np.isfinite(v):
-            raise ValueError(f"must be finite, got {v}")
-        if v < lo or (not inclusive and v == lo):
-            op = ">=" if inclusive else ">"
-            raise ValueError(f"must be {op} {lo}, got {v}")
-        return v
-
-    return parse
-
-
-def _unit_closed(raw: str) -> float:
-    v = float(raw)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"out of range [0, 1]: {v}")
-    return v
-
-
-def _unit_open(raw: str) -> float:
-    v = float(raw)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"out of range (0, 1): {v}")
-    return v
-
-
-def _beta(raw: str) -> float:
-    v = float(raw)
-    if not 0.0 <= v < 1.0:
-        raise ValueError(f"out of range [0, 1): {v}")
-    return v
+# dataclasses whose fields are config keys
+_CONFIGS = (SynthConfig, TrainConfig)
 
 
 def _bool(raw: str) -> bool:
@@ -117,10 +76,33 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"expected on/off, got {raw!r}")
 
 
-def _precision(raw: str) -> str:
-    if raw not in ("single", "double"):
-        raise ValueError(f"expected single or double, got {raw!r}")
-    return raw
+def _validated(key: str):
+    """Parser of a dataclass setting: the type of its default, then validate().
+
+    The ranges live only in the dataclasses' validate(); a value is
+    accepted exactly when every dataclass holding ``key`` accepts it.
+    """
+    owners = [c for c in _CONFIGS if key in {f.name for f in fields(c)}]
+    kind = type(getattr(owners[0](), key))
+    convert = _bool if kind is bool else kind
+
+    def parse(raw: str):
+        value = convert(raw)
+        try:
+            for config in owners:
+                replace(config(), **{key: value}).validate()
+        except ContractViolation as exc:
+            raise ValueError(str(exc)) from None
+        return value
+
+    return parse
+
+
+def _positive_float(raw: str) -> float:
+    v = float(raw)
+    if not (np.isfinite(v) and v > 0.0):
+        raise ValueError(f"must be finite and > 0, got {v}")
+    return v
 
 
 def _odd_window(raw: str) -> int:
@@ -131,27 +113,10 @@ def _odd_window(raw: str) -> int:
 
 
 KEY_PARSERS = {
-    "videos": _int_min(1),
-    "frames_per_video": _int_min(3),
-    "seed": int,
-    "image_size": _int_min(8),
-    "stay_probability": _unit_closed,
-    "label_flip_noise": _unit_closed,
-    "landmark_jitter_sigma": _float_min(0.0),
-    "pixel_noise_sigma": _float_min(0.0),
-    "learning_rate": _float_min(0.0, inclusive=False),
-    "adam_beta1": _beta,
-    "adam_beta2": _beta,
-    "adam_epsilon": _float_min(0.0, inclusive=False),
-    "batch_size": _int_min(1),
-    "epochs": _int_min(1),
-    "grad_clip_global_norm": _float_min(0.0, inclusive=False),
-    "class_weighting": _bool,
-    "precision": _precision,
-    "val_fraction": _unit_open,
+    **{f.name: _validated(f.name) for config in _CONFIGS for f in fields(config)},
     "window": _odd_window,
-    "step": _float_min(0.0, inclusive=False),
-    "threshold": _float_min(0.0, inclusive=False),
+    "step": _positive_float,
+    "threshold": _positive_float,
     "corpus": str,
     "checkpoint": str,
     "out": str,
@@ -161,20 +126,8 @@ KEY_PARSERS = {
 FLAG_ALIASES = {"frames_per_video": "frames"}
 
 SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
-TRAIN_KEYS = (
-    "seed",
-    "image_size",
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "adam_beta1",
-    "adam_beta2",
-    "adam_epsilon",
-    "grad_clip_global_norm",
-    "class_weighting",
-    "precision",
-    "val_fraction",
-)
+# image_size is the model's, the rest TrainConfig's
+TRAIN_KEYS = ("image_size",) + tuple(f.name for f in fields(TrainConfig))
 EVAL_KEYS = ("window",)
 GRADCHECK_KEYS = ("seed", "step", "threshold")
 
@@ -276,8 +229,12 @@ def _cmd_train(ns) -> int:
     corpus_path = _need(cfg, "corpus")
     out = Path(_need(cfg, "out"))
     _echo(cfg, TRAIN_KEYS + ("corpus", "out"))
-    corpus = load_corpus(corpus_path)
     mconf = ModelConfig(image_size=cfg["image_size"])
+    try:
+        mconf.validate()
+    except ContractViolation as exc:
+        raise ConfigError(f"image_size = {mconf.image_size} is too small: {exc}") from None
+    corpus = load_corpus(corpus_path)
     tconf = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
     def progress(stats, _params):

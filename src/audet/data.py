@@ -14,8 +14,9 @@ corpus.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,7 @@ class SynthConfig:
     pixel_noise_sigma: float = 0.02
 
     def validate(self):
+        reject_non_finite(self)
         if self.videos < 1:
             raise ContractViolation(f"videos must be >= 1, got {self.videos}")
         if self.frames_per_video < 3:
@@ -302,8 +304,21 @@ class SynthConfig:
             raise ContractViolation(
                 f"label_flip_noise must be in [0, 1], got {self.label_flip_noise}"
             )
-        if self.landmark_jitter_sigma < 0 or self.pixel_noise_sigma < 0:
-            raise ContractViolation("noise sigmas must be >= 0")
+        for name in ("landmark_jitter_sigma", "pixel_noise_sigma"):
+            if getattr(self, name) < 0:
+                raise ContractViolation(f"{name} must be >= 0, got {getattr(self, name)}")
+
+
+def reject_non_finite(config):
+    """Raise ContractViolation naming the first float setting that is NaN or inf.
+
+    Range checks compare with < and >, which NaN passes, so a config's
+    validate() runs this first.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise ContractViolation(f"{f.name} must be finite, got {value}")
 
 
 _DRAWN_GROUPS = (
@@ -510,7 +525,9 @@ def load_corpus(path) -> list[VideoSequence]:
     """Read a corpus from a .auc file or from every .auc file in a directory.
 
     Video ids must be unique across everything read: scores and track
-    files are keyed by id, so a repeat raises FormatError naming both files.
+    files are keyed by id, so a repeat raises FormatError naming both
+    files.  So does a file whose frame size differs from the first file's,
+    since a model takes one image size.
     """
     p = Path(path)
     if not p.exists():
@@ -524,7 +541,12 @@ def load_corpus(path) -> list[VideoSequence]:
     videos = []
     source = {}
     for f in files:
-        for video in _load_file(f):
+        loaded = _load_file(f)
+        if videos and loaded[0].planes.shape[2:] != videos[0].planes.shape[2:]:
+            (h, w), (h0, w0) = loaded[0].planes.shape[2:], videos[0].planes.shape[2:]
+            raise FormatError(f"{f}: frames are {h} x {w} px, but {files[0]} holds "
+                              f"{h0} x {w0} px frames; a corpus has one image size")
+        for video in loaded:
             if video.video_id in source:
                 raise FormatError(
                     f"{f}: video id {video.video_id!r} repeats one in {source[video.video_id]}"

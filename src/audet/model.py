@@ -12,6 +12,10 @@ the fused state and consumes one learned AU embedding per step; each
 step's output state feeds a shared 2-way affine classifier whose
 softmax gives the activation probability for that AU.  Step i therefore
 sees only embeddings 0..i, never later ones.
+
+The forward functions take batches only, B x 2 x S x S images and
+B x 146 motion vectors, and run a batch as one graph; one frame is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -270,31 +274,27 @@ class ModelParams:
 
 
 def static_forward(params: ModelParams, image: np.ndarray) -> Tensor:
-    """Conv stack over the 2-plane frame, then a raster scan of the map.
+    """Conv stack over B two-plane frames, then a raster scan of each map.
 
-    ``image`` is 2 x S x S, or B x 2 x S x S for a batch of frames.
+    ``image`` is B x 2 x S x S; the result is the B x h last scan states.
     """
     cfg = params.config
     expect = (2, cfg.image_size, cfg.image_size)
-    if image.shape[-3:] != expect or image.ndim not in (3, 4):
-        raise ContractViolation(
-            f"static_forward: image {image.shape}, expected {expect} or B x {expect}"
-        )
+    if image.ndim != 4 or image.shape[1:] != expect:
+        raise ContractViolation(f"static_forward: image {image.shape}, expected B x {expect}")
     x = Tensor(np.ascontiguousarray(image, dtype=params.dtype))
     for (kern, bias), (_, _, _, stride) in zip(params.conv_layers, cfg.conv_spec):
         x = T.relu(T.conv2d(x, kern, bias, stride))
     seq = T.spatial_sequence(x)
-    h0 = Tensor(np.zeros(image.shape[:-3] + (cfg.static_gru_hidden,), dtype=params.dtype))
+    h0 = Tensor(np.zeros((len(image), cfg.static_gru_hidden), dtype=params.dtype))
     states = T.gru_scan(seq, h0, params.static_gru)
-    return T.row(states, states.shape[-2] - 1)
+    return T.row(states, states.shape[1] - 1)
 
 
 def dynamic_forward(params: ModelParams, diff: np.ndarray) -> Tensor:
-    """MLP over the landmark motion vector (146, or B x 146 for a batch)."""
-    if diff.shape[-1:] != (DIFF_DIM,) or diff.ndim not in (1, 2):
-        raise ContractViolation(
-            f"dynamic_forward: diff {diff.shape}, expected ({DIFF_DIM},) or B x {DIFF_DIM}"
-        )
+    """MLP over B landmark motion vectors, a B x 146 array."""
+    if diff.ndim != 2 or diff.shape[1] != DIFF_DIM:
+        raise ContractViolation(f"dynamic_forward: diff {diff.shape}, expected B x {DIFF_DIM}")
     x = Tensor(np.asarray(diff, dtype=params.dtype))
     for (w, b), (_, act) in zip(params.dynamic_layers, params.config.dynamic_hidden):
         x = _ACTIVATIONS[act](T.linear(w, b, x))
@@ -309,45 +309,38 @@ def fuse(params: ModelParams, dynamic: Tensor, static: Tensor) -> Tensor:
 
 @dataclass
 class ForwardResult:
-    """Outputs of one frame, or of a batch of B frames.
+    """Outputs of a batch of B frames.
 
-    For one frame ``probs`` holds 8 activation probabilities and
-    ``logits`` is a list of 8 nodes of shape (2,).  For a batch
-    ``probs`` is B x 8 and ``logits`` one B x 8 x 2 node.  Index 1 of
-    the last logit axis is "active"; probabilities are float64.
+    ``probs`` is B x 8 float64 activation probabilities and ``logits``
+    one B x 8 x 2 node; index 1 of the last logit axis is "active".
     """
 
     probs: np.ndarray
-    logits: list[Tensor] | Tensor
+    logits: Tensor
 
 
 def classify_aus(params: ModelParams, fused: Tensor) -> ForwardResult:
     """Recurrent decoding over the AU list.
 
-    The query cell starts from the fused state and consumes embedding i
-    at step i; that step's state goes through the shared 2-way
-    classifier.  Every frame of a batch reads the same embeddings, so
-    their input projection is computed once.  Probability of activation
-    is the softmax weight of class 1, computed here directly from the
-    logit gap.
+    The query cell starts from the B x f fused states and consumes
+    embedding i at step i; that step's state goes through the shared
+    2-way classifier.  Every frame reads the same embeddings, so their
+    input projection is computed once.  Probability of activation is the
+    softmax weight of class 1, computed here directly from the logit gap.
     """
     states = T.gru_scan(params.au_table, fused, params.query_gru)
     logits = T.linear(params.classifier_weights, params.classifier_bias, states)
     gap = logits.value[..., 1].astype(np.float64) - logits.value[..., 0].astype(np.float64)
-    probs = T.logistic(gap)
-    if fused.value.ndim == 1:
-        return ForwardResult(probs, [T.row(logits, i) for i in range(len(AU_ORDER))])
-    return ForwardResult(probs, logits)
+    return ForwardResult(T.logistic(gap), logits)
 
 
 def model_forward(params: ModelParams, image: np.ndarray, diff: np.ndarray) -> ForwardResult:
-    """Full pass: probabilities and logit nodes for all 8 AUs.
+    """Full pass over a batch: probabilities and logits for all 8 AUs.
 
-    One frame: image is a 2 x H x W array (gray plus edge planes, see
-    data.decode_planes), diff has 146 values.  A batch: B x 2 x H x W
-    images and B x 146 diffs, run as one graph.
+    ``image`` is B x 2 x H x W (gray plus edge planes, see
+    data.decode_planes) and ``diff`` B x 146; the batch runs as one graph.
     """
-    if image.shape[:-3] != diff.shape[:-1]:
+    if image.shape[:1] != diff.shape[:1]:
         raise ContractViolation(
             f"model_forward: images {image.shape} and diffs {diff.shape} differ in batch extent"
         )

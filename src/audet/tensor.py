@@ -15,10 +15,12 @@ and float64 gradient checking.
 The layer primitives (:func:`linear`, :func:`conv2d`,
 :func:`spatial_sequence`, :func:`gru_scan`) take an optional leading
 batch axis: a B x ... input runs B independent examples through one
-node, and the unbatched call is the same code on a batch of one.  A
-training step therefore builds one graph for its whole batch.  The
-recurrent scan is one node for all S steps of a gated cell: it projects
-every step's input with a single matmul, then steps the B x h states.
+node, and the unbatched call is the same code on a batch of one.  The
+model always passes a batch, so a training step builds one graph for
+its whole batch; the unbatched forms serve the per-primitive gradient
+checks.  The recurrent scan is one node for all S steps of a gated
+cell: it projects every step's input with a single matmul, then steps
+the B x h states.
 
 Build one graph per step and call :func:`backward` on it once.  As
 the walk passes each interior node it releases the node's backward
@@ -281,27 +283,6 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Same elements in a new shape of equal size."""
-    shape = tuple(shape)
-    _require(
-        int(np.prod(shape, dtype=np.int64)) == a.value.size,
-        f"reshape: cannot view {a.value.shape} as {shape}",
-    )
-    source = a.value.shape
-    out = Tensor(a.value.reshape(shape), (a,))
-
-    def push(g):
-        _accum(a, g.reshape(source))
-
-    out._push = push
-    return out
-
-
-def flatten(a: Tensor) -> Tensor:
-    return reshape(a, (a.value.size,))
-
-
 def row(a: Tensor, index: int) -> Tensor:
     """Select one row of a matrix, or of every matrix in a batch."""
     _require(a.value.ndim >= 2, f"row: expected matrix, got shape {a.value.shape}")
@@ -313,28 +294,6 @@ def row(a: Tensor, index: int) -> Tensor:
         full = np.zeros_like(a.value)
         full[..., index, :] = g
         _accum(a, full)
-
-    out._push = push
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix @ matrix or matrix @ vector."""
-    _require(a.value.ndim == 2, f"matmul: left operand must be a matrix, got {a.value.shape}")
-    _require(b.value.ndim in (1, 2), f"matmul: right operand must be 1-d or 2-d, got {b.value.shape}")
-    _require(
-        a.value.shape[1] == b.value.shape[0],
-        f"matmul: inner dims differ, {a.value.shape} @ {b.value.shape}",
-    )
-    out = Tensor(a.value @ b.value, (a, b))
-
-    def push(g):
-        if b.value.ndim == 1:
-            _accum(a, np.outer(g, b.value))
-            _accum(b, a.value.T @ g)
-        else:
-            _accum(a, g @ b.value.T)
-            _accum(b, a.value.T @ g)
 
     out._push = push
     return out

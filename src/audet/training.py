@@ -24,7 +24,7 @@ import numpy as np
 
 from . import evaluation, tensor as T
 from .binio import write_atomic
-from .data import AU_ORDER, VideoSequence, decode_planes, landmark_diffs
+from .data import AU_ORDER, VideoSequence, decode_planes, landmark_diffs, reject_non_finite
 from .errors import ContractViolation, EmptyBatchError, NumericError
 from .model import ModelConfig, ModelParams, model_forward, score_frames
 from .tensor import Tensor
@@ -47,6 +47,7 @@ class TrainConfig:
     seed: int = 7
 
     def validate(self):
+        reject_non_finite(self)
         if self.learning_rate <= 0:
             raise ContractViolation(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in ("adam_beta1", "adam_beta2"):
@@ -86,24 +87,6 @@ def compute_class_weights(videos: list[VideoSequence]) -> np.ndarray:
     neg = (labels == 0).sum(axis=0).astype(np.float64)
     ratio = np.where(pos > 0, neg / np.maximum(pos, 1.0), WEIGHT_CAP)
     return np.clip(ratio, 1.0, WEIGHT_CAP)
-
-
-def frame_loss(logits: list[Tensor], labels: np.ndarray, weights: np.ndarray):
-    """Weighted 2-way cross entropy, averaged over this frame's known labels.
-
-    Weight applies only where the label is 1.  Labels of -1 are
-    skipped; if every label is unknown the frame carries no signal and
-    None is returned.  This is :func:`tensor.masked_cross_entropy` on a
-    batch of one frame.
-    """
-    if len(logits) != len(AU_ORDER) or labels.shape != (len(AU_ORDER),):
-        raise ContractViolation(
-            f"frame_loss: got {len(logits)} logit nodes and labels {labels.shape}"
-        )
-    if (labels == -1).all():
-        return None
-    joint = T.reshape(T.concat(logits), (1, len(AU_ORDER), 2))
-    return T.masked_cross_entropy(joint, labels[None], weights)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +230,12 @@ def train(
     model_config.validate()
     train_config.validate()
 
+    size = model_config.image_size
+    for video in corpus:
+        h, w = video.planes.shape[2:]
+        if (h, w) != (size, size):
+            raise ContractViolation(f"video {video.video_id!r} has {h} x {w} px frames, "
+                                    f"but the model's image_size is {size}")
     train_ids, val_ids = split_videos(corpus, train_config.seed, train_config.val_fraction)
     by_id = {v.video_id: v for v in corpus}
     dtype = train_config.dtype

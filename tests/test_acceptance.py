@@ -266,12 +266,12 @@ def test_causality_property(capsys):
         params = ModelParams.init(TINY_MODEL, seed=int(rng.integers(1 << 31)), dtype=np.float64)
         image = rng.uniform(0.0, 1.0, (2, size, size))
         diff = rng.uniform(-1.0, 1.0, 146)
-        base = model_forward(params, image, diff).probs
+        base = model_forward(params, image[None], diff[None]).probs
         j = int(rng.integers(1, 8))
         params.au_table.value[j] += rng.normal(size=params.au_table.value[j].shape)
-        bumped = model_forward(params, image, diff).probs
+        bumped = model_forward(params, image[None], diff[None]).probs
         trials += 1
-        if not np.array_equal(base[:j], bumped[:j]):
+        if not np.array_equal(base[0, :j], bumped[0, :j]):
             violations.append((trial, j))
     with capsys.disabled():
         _verdict(

@@ -2,16 +2,19 @@
 
 import hashlib
 import json
+import math
 import re
 import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from audet import cli
-from audet.data import frame_record
-from audet.errors import ConfigError
+from audet.data import SynthConfig, frame_record, generate_synthetic, store_corpus
+from audet.errors import ConfigError, ContractViolation
 from audet.model import CHECKPOINT_VERSION
+from audet.training import TrainConfig
 
 
 def run(capsys, *argv):
@@ -278,10 +281,70 @@ class TestConfigErrors:
         code, _, err = run(capsys, "synth", "--nonsense", "3")
         assert code == 1
 
+    def test_train_image_size_too_small_for_the_model(self, capsys, tmp_path):
+        # checked before the corpus is read, so the absent corpus is never reached
+        code, _, err = run(
+            capsys,
+            "train",
+            "--corpus", str(tmp_path / "absent.auc"),
+            "--out", str(tmp_path),
+            "--image-size", "12",
+        )
+        assert code == 1
+        assert "image_size = 12" in err and "smaller than kernel" in err
+
     def test_gradcheck_bad_step(self, capsys):
         code, _, err = run(capsys, "gradcheck", "--step", "0")
         assert code == 1
         assert "--step" in err
+
+
+# ---------------------------------------------------------------------------
+# one source of truth: the dataclasses' validate()
+
+CONFIGS = (SynthConfig, TrainConfig)
+FLOAT_FIELDS = [(c, f.name) for c in CONFIGS for f in fields(c)
+                if isinstance(getattr(c(), f.name), float)]
+# raw values per setting type, each inside and outside some range of validate()
+CANDIDATES = {
+    int: ["-1", "0", "1", "2", "3", "7", "8", "9", "64"],
+    float: ["-1", "-0.5", "0", "1e-9", "0.5", "0.999", "1", "1.5", "1e150",
+            "nan", "inf", "-inf"],
+    bool: ["on", "off"],
+    str: ["single", "double", "half", "Single"],
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("config,name", FLOAT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_validate_rejects_non_finite_floats(config, name, value):
+    with pytest.raises(ContractViolation, match=f"{name} must be finite"):
+        replace(config(), **{name: value}).validate()
+
+
+@pytest.mark.parametrize("key", sorted({f.name for c in CONFIGS for f in fields(c)}))
+def test_config_file_rejects_exactly_what_validate_rejects(key, tmp_path):
+    owners = [c for c in CONFIGS if key in {f.name for f in fields(c)}]
+    kind = type(getattr(owners[0](), key))
+    cfg = tmp_path / "settings.cfg"
+    verdicts = set()
+    for raw in CANDIDATES[kind]:
+        value = raw == "on" if kind is bool else kind(raw)
+        try:
+            for config in owners:
+                replace(config(), **{key: value}).validate()
+            valid = True
+        except ContractViolation:
+            valid = False
+        verdicts.add(valid)
+        cfg.write_text(f"# settings\n{key} = {raw}\n")
+        if valid:
+            assert cli.parse_config_file(cfg) == {key: value}, raw
+        else:
+            with pytest.raises(ConfigError, match=f"line 2: {key}: "):
+                cli.parse_config_file(cfg)
+    assert True in verdicts  # every key has an accepted candidate
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +445,41 @@ class TestRuntimeErrors:
         assert code == 2
         assert "seed2.auc: video id 'synth0000' repeats one in" in err and "seed1.auc" in err
         assert not list(out.glob("*.csv"))  # no report.csv, no track CSVs
+
+    @pytest.fixture(scope="class")
+    def mixed_sizes(self, tmp_path_factory):
+        """A 24-px a.auc and a 32-px b.auc whose video ids differ."""
+        root = tmp_path_factory.mktemp("mixed")
+        for name, size in (("a", 24), ("b", 32)):
+            videos = generate_synthetic(SynthConfig(videos=3, frames_per_video=4, seed=1,
+                                                    image_size=size))
+            for i, video in enumerate(videos):
+                video.video_id = f"{name}{i}"
+            store_corpus(videos, root / f"{name}.auc")
+        return root
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mixed_image_sizes_are_a_data_error(self, capsys, cli_env, mixed_sizes,
+                                                tmp_path, command):
+        args = ["--corpus", str(mixed_sizes), "--out", str(tmp_path / "out")]
+        if command == "eval":
+            args += ["--checkpoint", str(cli_env["checkpoint"])]
+        code, _, err = run(capsys, command, *args)
+        assert code == 2
+        assert "b.auc: frames are 32 x 32 px" in err and "a.auc holds 24 x 24 px" in err
+        assert "Traceback" not in err
+
+    def test_train_on_frames_of_another_size_is_a_data_error(self, capsys, cli_env, tmp_path):
+        # the default image_size is 64; the corpus is 24 px
+        code, out, err = run(
+            capsys,
+            "train",
+            "--corpus", str(cli_env["corpus"]),
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "24 x 24 px frames" in err and "image_size is 64" in err
+        assert "epoch 0" not in out
 
     def test_divergent_training_is_a_numeric_error(self, capsys, cli_env, tmp_path):
         np_err = np.seterr(all="ignore")

@@ -405,6 +405,17 @@ def test_load_directory_rejects_repeated_video_ids(small_corpus, tmp_path):
         load_corpus(tmp_path / "d")
 
 
+def test_load_directory_rejects_mixed_image_sizes(tmp_path):
+    for name, size, seed in (("a", 24, 1), ("b", 32, 2)):
+        videos = generate_synthetic(SynthConfig(videos=1, frames_per_video=3, seed=seed,
+                                                image_size=size))
+        videos[0].video_id = f"{name}0"  # distinct ids, so only the sizes clash
+        store_corpus(videos, tmp_path / "d" / f"{name}.auc")
+    with pytest.raises(FormatError, match=r"b\.auc: frames are 32 x 32 px, but .*a\.auc holds "
+                                          r"24 x 24 px frames"):
+        load_corpus(tmp_path / "d")
+
+
 def test_load_file_rejects_repeated_video_ids(small_corpus, tmp_path):
     path = store_corpus([small_corpus[0], small_corpus[0]], tmp_path / "c.auc")
     with pytest.raises(FormatError, match="'synth0000'"):

@@ -28,10 +28,11 @@ from conftest import TINY_MODEL
 
 
 def _inputs(config, seed=0, dtype=np.float64):
+    """A batch of one frame: 1 x 2 x S x S image and 1 x 146 diff."""
     rng = np.random.default_rng(seed)
     image = rng.uniform(0, 1, (2, config.image_size, config.image_size)).astype(dtype)
     diff = rng.uniform(-1, 1, 146).astype(dtype)
-    return image, diff
+    return image[None], diff[None]
 
 
 # ---------------------------------------------------------------------------
@@ -85,32 +86,32 @@ def test_branch_shapes_and_ranges():
     params = ModelParams.init(TINY_MODEL, seed=1, dtype=np.float64)
     image, diff = _inputs(TINY_MODEL)
     h_static = static_forward(params, image)
-    assert h_static.shape == (TINY_MODEL.static_gru_hidden,)
+    assert h_static.shape == (1, TINY_MODEL.static_gru_hidden)
     assert np.all(np.abs(h_static.value) <= 1.0)
     h_dynamic = dynamic_forward(params, diff)
-    assert h_dynamic.shape == (TINY_MODEL.dynamic_hidden[-1][0],)
+    assert h_dynamic.shape == (1, TINY_MODEL.dynamic_hidden[-1][0])
     assert np.all(np.abs(h_dynamic.value) < 1.0)
     fused = fuse(params, h_dynamic, h_static)
-    assert fused.shape == (TINY_MODEL.fusion_out,)
+    assert fused.shape == (1, TINY_MODEL.fusion_out)
     assert np.all(np.abs(fused.value) < 1.0)
 
     result = model_forward(params, image, diff)
-    assert result.probs.shape == (8,)
+    assert result.probs.shape == (1, 8)
     assert result.probs.dtype == np.float64
     assert np.all((result.probs > 0.0) & (result.probs < 1.0))
-    assert len(result.logits) == 8
-    assert all(lg.shape == (2,) for lg in result.logits)
+    assert result.logits.shape == (1, 8, 2)
 
 
 def test_zero_params_give_indifferent_predictions():
     params = ModelParams.zeros(TINY_MODEL, dtype=np.float64)
     image, diff = _inputs(TINY_MODEL)
     h_static = static_forward(params, image)
-    np.testing.assert_array_equal(h_static.value, np.zeros(TINY_MODEL.static_gru_hidden))
+    np.testing.assert_array_equal(h_static.value, np.zeros((1, TINY_MODEL.static_gru_hidden)))
     h_dynamic = dynamic_forward(params, diff)
-    np.testing.assert_array_equal(h_dynamic.value, np.zeros(TINY_MODEL.dynamic_hidden[-1][0]))
+    np.testing.assert_array_equal(h_dynamic.value,
+                                  np.zeros((1, TINY_MODEL.dynamic_hidden[-1][0])))
     result = model_forward(params, image, diff)
-    np.testing.assert_array_equal(result.probs, np.full(8, 0.5))
+    np.testing.assert_array_equal(result.probs, np.full((1, 8), 0.5))
 
 
 def test_fusion_concatenates_dynamic_before_static():
@@ -158,16 +159,22 @@ def test_decoder_causality():
         bumped = params.copy()
         bumped.au_table.value[j] += rng.uniform(0.5, 1.0, TINY_MODEL.au_embedding_dim)
         probs = model_forward(bumped, image, diff).probs
-        np.testing.assert_array_equal(probs[:j], base[:j])
-        assert probs[j] != base[j]
+        np.testing.assert_array_equal(probs[0, :j], base[0, :j])
+        assert probs[0, j] != base[0, j]
 
 
 def test_static_forward_rejects_wrong_image():
     params = ModelParams.zeros(TINY_MODEL)
+    size = TINY_MODEL.image_size
     with pytest.raises(ContractViolation, match="image"):
-        static_forward(params, np.zeros((2, 8, 8), dtype=np.float32))
+        static_forward(params, np.zeros((1, 2, 8, 8), dtype=np.float32))
     with pytest.raises(ContractViolation, match="diff"):
-        dynamic_forward(params, np.zeros(10, dtype=np.float32))
+        dynamic_forward(params, np.zeros((1, 10), dtype=np.float32))
+    # a single frame must come as a batch of one
+    with pytest.raises(ContractViolation, match="image"):
+        static_forward(params, np.zeros((2, size, size), dtype=np.float32))
+    with pytest.raises(ContractViolation, match="diff"):
+        dynamic_forward(params, np.zeros(146, dtype=np.float32))
 
 
 def test_init_is_seeded_and_distinct():
@@ -372,16 +379,6 @@ def test_batched_forward_loss_and_gradients_match_per_frame_graphs(frames):
         np.testing.assert_allclose(float(rest.value), float(loss.value), rtol=1e-12)
         for name, g in _grads(params, rest).items():
             assert np.abs(got[name] - g).max() <= 1e-12 * max(1.0, float(np.abs(g).max()))
-
-
-def test_single_frame_call_is_a_batch_of_one():
-    params = ModelParams.init(TINY_MODEL, seed=33, dtype=np.float64)
-    image, diff = _inputs(TINY_MODEL, seed=34)
-    single = model_forward(params, image, diff)
-    batch = model_forward(params, image[None], diff[None])
-    np.testing.assert_allclose(single.probs, batch.probs[0], rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(np.stack([lg.value for lg in single.logits]),
-                               batch.logits.value[0], rtol=1e-13, atol=1e-14)
 
 
 def test_batch_extents_of_images_and_diffs_must_agree():

@@ -204,15 +204,12 @@ def test_grad_tanh_sigmoid():
     _check(lambda: T.total(T.sigmoid(a)), [a])
 
 
-def test_grad_concat_flatten():
+def test_grad_concat():
     rng = np.random.default_rng(24)
     a = _param(rng, (3,), "a")
     b = _param(rng, (4,), "b")
     weights = Tensor(rng.uniform(-1, 1, 7))
     _check(lambda: T.total(T.mul(T.concat([a, b]), weights)), [a, b])
-    c = _param(rng, (2, 3), "c")
-    wf = Tensor(rng.uniform(-1, 1, 6))
-    _check(lambda: T.total(T.mul(T.flatten(c), wf)), [c])
 
 
 def test_grad_concat_named_axis():
@@ -233,15 +230,9 @@ def test_grad_row_and_spatial_sequence():
     _check(lambda: T.total(T.mul(T.spatial_sequence(cube), wseq)), [cube])
 
 
-def test_grad_matmul_linear():
+def test_grad_linear():
     rng = np.random.default_rng(26)
-    a = _param(rng, (3, 4), "a")
-    b = _param(rng, (4, 2), "b")
-    wmm = Tensor(rng.uniform(-1, 1, (3, 2)))
-    _check(lambda: T.total(T.mul(T.matmul(a, b), wmm)), [a, b])
-    v = _param(rng, (4,), "v")
     wv = Tensor(rng.uniform(-1, 1, 3))
-    _check(lambda: T.total(T.mul(T.matmul(a, v), wv)), [a, v])
     w = _param(rng, (3, 4), "w")
     bias = _param(rng, (3,), "bias")
     x = _param(rng, (4,), "x")
@@ -307,10 +298,7 @@ def test_output_shapes_total_function_of_input_shapes():
         assert T.sigmoid(a).shape == (n,)
         assert T.concat([a, Tensor(rng.uniform(-1, 1, (m,)))]).shape == (n + m,)
         mat = Tensor(rng.uniform(-1, 1, (n, m)))
-        assert T.flatten(mat).shape == (n * m,)
         assert T.row(mat, n - 1).shape == (m,)
-        assert T.matmul(mat, Tensor(rng.uniform(-1, 1, (m, k)))).shape == (n, k)
-        assert T.matmul(mat, Tensor(rng.uniform(-1, 1, (m,)))).shape == (n,)
         assert T.linear(mat, Tensor(rng.uniform(-1, 1, (n,))),
                         Tensor(rng.uniform(-1, 1, (m,)))).shape == (n,)
         cube = Tensor(rng.uniform(-1, 1, (k, n, m)))
@@ -575,9 +563,6 @@ def test_batched_shapes():
     assert T.linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)),
                     Tensor(np.zeros((2, 6, 4)))).shape == (2, 6, 3)
     assert T.row(Tensor(np.zeros((2, 6, 4))), 5).shape == (2, 4)
-    assert T.reshape(Tensor(np.zeros((2, 6))), (3, 4)).shape == (3, 4)
-    with pytest.raises(ContractViolation, match="reshape"):
-        T.reshape(Tensor(np.zeros((2, 6))), (5,))
 
 
 def test_fd_report_names_worst_component():

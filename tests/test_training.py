@@ -18,7 +18,6 @@ from audet.training import (
     adam_step,
     clip_gradients,
     compute_class_weights,
-    frame_loss,
     split_videos,
     train,
     write_history,
@@ -31,7 +30,12 @@ from conftest import TINY_MODEL
 
 def _logit_pair(p_active):
     # logits [0, ln(p/(1-p))] put exactly p_active on the active class
-    return Tensor(np.array([0.0, math.log(p_active / (1.0 - p_active))]))
+    return np.array([0.0, math.log(p_active / (1.0 - p_active))])
+
+
+def _frame_loss(pairs, labels, weights):
+    """The training objective on a batch of one frame with these K logit pairs."""
+    return T.masked_cross_entropy(Tensor(np.stack(pairs)[None]), labels[None], weights)
 
 
 def _labels(*values):
@@ -54,56 +58,53 @@ def _video(video_id, label_rows, size=24):
 
 
 class TestFrameLoss:
+    """masked_cross_entropy on a batch of one frame."""
+
     def test_uniform_logits_give_log_two(self):
-        logits = [Tensor(np.zeros(2)) for _ in AU_ORDER]
         labels = _labels(0, 0, 0, 0, 0, 0, 0, 0)
-        loss = frame_loss(logits, labels, np.ones(8))
+        loss = _frame_loss([np.zeros(2)] * 8, labels, np.ones(8))
         np.testing.assert_allclose(float(loss.value), math.log(2.0), rtol=1e-12)
 
     def test_weighted_two_au_hand_case(self):
         # AU0: label 1, p_active 0.8, weight 2 -> 2 * (-ln 0.8)
         # AU1: label 0, p_active 0.6 -> -ln 0.4; every other AU unknown
-        logits = [_logit_pair(0.8), _logit_pair(0.6)]
-        logits += [Tensor(np.zeros(2)) for _ in range(6)]
+        pairs = [_logit_pair(0.8), _logit_pair(0.6)] + [np.zeros(2)] * 6
         labels = _labels(1, 0, -1, -1, -1, -1, -1, -1)
         weights = np.array([2.0, 1.0, 1, 1, 1, 1, 1, 1])
-        loss = frame_loss(logits, labels, weights)
+        loss = _frame_loss(pairs, labels, weights)
         expected = (2.0 * -math.log(0.8) + -math.log(0.4)) / 2.0
         np.testing.assert_allclose(float(loss.value), expected, rtol=1e-9)
         np.testing.assert_allclose(float(loss.value), 0.68129, atol=5e-6)
 
     def test_confident_correct_prediction_is_tiny(self):
-        logits = [Tensor(np.array([0.0, 20.0]))]
-        logits += [Tensor(np.zeros(2)) for _ in range(7)]
+        pairs = [np.array([0.0, 20.0])] + [np.zeros(2)] * 7
         labels = _labels(1, -1, -1, -1, -1, -1, -1, -1)
-        loss = frame_loss(logits, labels, np.ones(8))
+        loss = _frame_loss(pairs, labels, np.ones(8))
         assert 0.0 <= float(loss.value) <= 1e-6
 
-    def test_all_unknown_returns_none(self):
-        logits = [Tensor(np.zeros(2)) for _ in AU_ORDER]
-        assert frame_loss(logits, _labels(*[-1] * 8), np.ones(8)) is None
+    def test_all_unknown_raises_empty_batch(self):
+        with pytest.raises(EmptyBatchError):
+            _frame_loss([np.zeros(2)] * 8, _labels(*[-1] * 8), np.ones(8))
 
     def test_bad_label_value_rejected(self):
-        logits = [Tensor(np.zeros(2)) for _ in AU_ORDER]
         with pytest.raises(ContractViolation):
-            frame_loss(logits, _labels(2, 0, 0, 0, 0, 0, 0, 0), np.ones(8))
+            _frame_loss([np.zeros(2)] * 8, _labels(2, 0, 0, 0, 0, 0, 0, 0), np.ones(8))
 
     def test_wrong_logit_count_rejected(self):
-        logits = [Tensor(np.zeros(2)) for _ in range(7)]
         with pytest.raises(ContractViolation):
-            frame_loss(logits, _labels(*[0] * 8), np.ones(8))
+            _frame_loss([np.zeros(2)] * 7, _labels(*[0] * 8), np.ones(8))
 
     def test_loss_is_never_negative(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            logits = [Tensor(rng.normal(size=2) * 5.0) for _ in AU_ORDER]
+            pairs = [rng.normal(size=2) * 5.0 for _ in AU_ORDER]
             labels = rng.integers(-1, 2, size=8).astype(np.int8)
             weights = rng.uniform(1.0, 10.0, size=8)
-            loss = frame_loss(logits, labels, weights)
-            if loss is None:
-                assert (labels == -1).all()
+            if (labels == -1).all():
+                with pytest.raises(EmptyBatchError):
+                    _frame_loss(pairs, labels, weights)
             else:
-                assert float(loss.value) >= 0.0
+                assert float(_frame_loss(pairs, labels, weights).value) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +365,14 @@ class TestTrain:
         corpus = [_video(i, [[-1] * 8] * 3 if i in val_ids else rows) for i in ids]
         epochs = []
         with pytest.raises(ContractViolation, match="validation videos hold no known label"):
+            _tiny_train(corpus, epochs=1, on_epoch_end=lambda stats, _: epochs.append(stats))
+        assert epochs == []
+
+    def test_frames_of_another_size_rejected_before_training(self):
+        rows = [[0, 1, 0, 0, 1, 0, 0, 0]] * 3
+        corpus = [_video(f"v{i}", rows, size=32) for i in range(3)]
+        epochs = []
+        with pytest.raises(ContractViolation, match="32 x 32 px frames.*image_size is 24"):
             _tiny_train(corpus, epochs=1, on_epoch_end=lambda stats, _: epochs.append(stats))
         assert epochs == []
 
