@@ -1,9 +1,10 @@
 """Command line interface.
 
-Subcommands: synth, train, eval, predict, gradcheck.  Settings resolve
-in three layers: built-in defaults, then a key=value config file given
-with --config ('#' starts a comment), then explicit flags.  Every run
-echoes the settings it resolved.
+Subcommands: synth, train, eval, predict, gradcheck, each declared once
+in :data:`COMMANDS` with its handler, help line and settings.  Settings
+resolve in three layers: built-in defaults, then a key=value config
+file given with --config ('#' starts a comment), then explicit flags.
+Every run echoes the settings it resolved, in its declared order.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data or
 file-format problem, 3 numeric failure.
@@ -15,8 +16,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -112,14 +114,19 @@ def _odd_window(raw: str) -> int:
     return v
 
 
+# path keys and the help of their flags; a command that takes one requires it
+PATH_HELP = {
+    "corpus": "corpus file (.auc) or directory",
+    "checkpoint": "checkpoint file (.auck)",
+    "out": "output: corpus file or directory for synth, directory otherwise",
+}
+
 KEY_PARSERS = {
     **{f.name: _validated(f.name) for config in _CONFIGS for f in fields(config)},
     "window": _odd_window,
     "step": _positive_float,
     "threshold": _positive_float,
-    "corpus": str,
-    "checkpoint": str,
-    "out": str,
+    **dict.fromkeys(PATH_HELP, str),
 }
 
 # flag spellings that differ from the config key
@@ -128,8 +135,6 @@ FLAG_ALIASES = {"frames_per_video": "frames"}
 SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
 # image_size is the model's, the rest TrainConfig's
 TRAIN_KEYS = ("image_size",) + tuple(f.name for f in fields(TrainConfig))
-EVAL_KEYS = ("window",)
-GRADCHECK_KEYS = ("seed", "step", "threshold")
 
 
 def _defaults() -> dict:
@@ -139,9 +144,7 @@ def _defaults() -> dict:
         "window": 5,
         "step": 1e-3,
         "threshold": 1e-4,
-        "corpus": None,
-        "checkpoint": None,
-        "out": None,
+        **dict.fromkeys(PATH_HELP),
     }
 
 
@@ -174,26 +177,24 @@ def _flag_name(key: str) -> str:
     return "--" + FLAG_ALIASES.get(key, key).replace("_", "-")
 
 
-def _resolve(ns) -> dict:
+def _resolve(ns, command: "Command") -> dict:
+    """Defaults, then config file, then flags; every path key must be set."""
     cfg = _defaults()
-    if getattr(ns, "config", None):
+    if ns.config:
         cfg.update(parse_config_file(ns.config))
-    for key in KEY_PARSERS:
-        raw = getattr(ns, key, None)
-        if raw is None:
-            continue
-        try:
-            cfg[key] = KEY_PARSERS[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"{_flag_name(key)}: {exc}") from None
+    for key in command.keys:  # path keys come last, after every flag that can fail
+        raw = getattr(ns, key)
+        if raw is not None:
+            try:
+                cfg[key] = KEY_PARSERS[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"{_flag_name(key)}: {exc}") from None
+        if key in PATH_HELP and cfg[key] is None:
+            raise ConfigError(
+                f"missing {key!r}: pass {_flag_name(key)} or set it in the config file")
+    for name, _ in command.switches:
+        cfg[name] = getattr(ns, name)
     return cfg
-
-
-def _need(cfg: dict, key: str) -> str:
-    value = cfg[key]
-    if value is None:
-        raise ConfigError(f"missing {key!r}: pass {_flag_name(key)} or set it in the config file")
-    return value
 
 
 def _echo(cfg: dict, keys):
@@ -209,32 +210,25 @@ def _echo(cfg: dict, keys):
 # subcommands
 
 
-def _cmd_synth(ns) -> int:
-    cfg = _resolve(ns)
-    out = _need(cfg, "out")
-    _echo(cfg, SYNTH_KEYS + ("out",))
+def _cmd_synth(cfg: dict) -> int:
     sconf = SynthConfig(**{k: cfg[k] for k in SYNTH_KEYS})
     started = time.perf_counter()
     videos = generate_synthetic(sconf)
     seconds = time.perf_counter() - started
-    path = store_corpus(videos, out)
+    path = store_corpus(videos, cfg["out"])
     total = sum(len(v) for v in videos)
     print(f"wrote {len(videos)} videos, {total} frames: {path}")
     print(f"synthesis: {seconds:.3f} s, {total / seconds:.0f} frames/s")
     return 0
 
 
-def _cmd_train(ns) -> int:
-    cfg = _resolve(ns)
-    corpus_path = _need(cfg, "corpus")
-    out = Path(_need(cfg, "out"))
-    _echo(cfg, TRAIN_KEYS + ("corpus", "out"))
+def _cmd_train(cfg: dict) -> int:
     mconf = ModelConfig(image_size=cfg["image_size"])
     try:
         mconf.validate()
     except ContractViolation as exc:
         raise ConfigError(f"image_size = {mconf.image_size} is too small: {exc}") from None
-    corpus = load_corpus(corpus_path)
+    corpus = load_corpus(cfg["corpus"])
     tconf = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
 
     def progress(stats, _params):
@@ -245,6 +239,7 @@ def _cmd_train(ns) -> int:
 
     result = train(corpus, mconf, tconf, on_epoch_end=progress,
                    on_telemetry=lambda record: print(record.summary()))
+    out = Path(cfg["out"])
     ckpt = save_checkpoint(result.best_params, out / "checkpoint.auck")
     hist = write_history(result.history, out / "history.csv")
     # timings differ run to run, so they stay out of the hashed artifacts
@@ -257,14 +252,13 @@ def _cmd_train(ns) -> int:
     return 0
 
 
-def _cmd_eval(ns) -> int:
-    cfg = _resolve(ns)
-    ckpt_path = _need(cfg, "checkpoint")
-    corpus_path = _need(cfg, "corpus")
-    out = Path(_need(cfg, "out"))
-    _echo(cfg, EVAL_KEYS + ("checkpoint", "corpus", "out"))
-    params = load_checkpoint(ckpt_path)
-    corpus = load_corpus(corpus_path)
+def _scoring_inputs(cfg: dict):
+    """Parameters, corpus and output directory of eval and predict."""
+    return load_checkpoint(cfg["checkpoint"]), load_corpus(cfg["corpus"]), Path(cfg["out"])
+
+
+def _cmd_eval(cfg: dict) -> int:
+    params, corpus, out = _scoring_inputs(cfg)
     report = evaluate(params, corpus, cfg["window"])
     text = render_report(report, len(corpus))
     write_atomic(out / "report.txt", text)
@@ -273,14 +267,8 @@ def _cmd_eval(ns) -> int:
     return 0
 
 
-def _cmd_predict(ns) -> int:
-    cfg = _resolve(ns)
-    ckpt_path = _need(cfg, "checkpoint")
-    corpus_path = _need(cfg, "corpus")
-    out = Path(_need(cfg, "out"))
-    _echo(cfg, EVAL_KEYS + ("checkpoint", "corpus", "out"))
-    params = load_checkpoint(ckpt_path)
-    corpus = load_corpus(corpus_path)
+def _cmd_predict(cfg: dict) -> int:
+    params, corpus, out = _scoring_inputs(cfg)
     tracks = predict_tracks(params, corpus, cfg["window"])
     for track in tracks:
         write_probability_csv(track, out / f"{track.video_id}.probs.csv")
@@ -339,10 +327,8 @@ def clear_relu_margins(params: ModelParams, image: np.ndarray, diff: np.ndarray,
             h = np.tanh(pre)
 
 
-def _cmd_gradcheck(ns) -> int:
-    cfg = _resolve(ns)
-    _echo(cfg, GRADCHECK_KEYS)
-    config = ModelConfig() if ns.full_dims else GRADCHECK_CONFIG
+def _cmd_gradcheck(cfg: dict) -> int:
+    config = ModelConfig() if cfg["full_dims"] else GRADCHECK_CONFIG
     started = time.monotonic()
     video = generate_synthetic(
         SynthConfig(
@@ -378,7 +364,39 @@ def _cmd_gradcheck(ns) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# command table, parser and dispatch
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its handler, help line and settings.
+
+    ``keys`` are config keys, each with its own flag, in echo order; the
+    path keys among them are required.  ``switches`` are (name, help)
+    on/off flags of this command alone, handed to ``run`` beside the keys.
+    """
+
+    run: Callable[[dict], int]
+    help: str
+    keys: tuple[str, ...]
+    switches: tuple[tuple[str, str], ...] = ()
+
+
+_SCORING_KEYS = ("window", "checkpoint", "corpus", "out")
+
+COMMANDS = {
+    "synth": Command(_cmd_synth, "generate a synthetic corpus", SYNTH_KEYS + ("out",)),
+    "train": Command(_cmd_train, "train a detector on a corpus",
+                     TRAIN_KEYS + ("corpus", "out")),
+    "eval": Command(_cmd_eval, "score a checkpoint against labelled videos", _SCORING_KEYS),
+    "predict": Command(_cmd_predict, "write per-video probability and decision CSVs",
+                       _SCORING_KEYS),
+    "gradcheck": Command(
+        _cmd_gradcheck, "finite-difference check of the composed model",
+        ("seed", "step", "threshold"),
+        switches=(("full_dims",
+                   "sweep the default architecture instead of the narrow one (slow)"),)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -386,68 +404,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_key_flags(sub, keys):
-    for key in keys:
-        sub.add_argument(_flag_name(key), dest=key, metavar="V")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="audet", description="Action unit detection pipeline.")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    synth = subs.add_parser("synth", help="generate a synthetic corpus")
-    synth.add_argument("--out", help="corpus file (.auc) or directory")
-    synth.add_argument("--config", help="key=value settings file")
-    _add_key_flags(synth, SYNTH_KEYS)
-    synth.set_defaults(func=_cmd_synth)
-
-    tr = subs.add_parser("train", help="train a detector on a corpus")
-    tr.add_argument("--corpus", help="corpus file or directory")
-    tr.add_argument("--out", help="output directory")
-    tr.add_argument("--config", help="key=value settings file")
-    _add_key_flags(tr, TRAIN_KEYS)
-    tr.set_defaults(func=_cmd_train)
-
-    ev = subs.add_parser("eval", help="score a checkpoint against labelled videos")
-    ev.add_argument("--checkpoint")
-    ev.add_argument("--corpus")
-    ev.add_argument("--out", help="output directory")
-    ev.add_argument("--config", help="key=value settings file")
-    _add_key_flags(ev, EVAL_KEYS)
-    ev.set_defaults(func=_cmd_eval)
-
-    pr = subs.add_parser("predict", help="write per-video probability and decision CSVs")
-    pr.add_argument("--checkpoint")
-    pr.add_argument("--corpus")
-    pr.add_argument("--out", help="output directory")
-    pr.add_argument("--config", help="key=value settings file")
-    _add_key_flags(pr, EVAL_KEYS)
-    pr.set_defaults(func=_cmd_predict)
-
-    gc = subs.add_parser("gradcheck", help="finite-difference check of the composed model")
-    gc.add_argument("--config", help="key=value settings file")
-    gc.add_argument(
-        "--full-dims",
-        action="store_true",
-        help="sweep the default architecture instead of the narrow one (slow)",
-    )
-    _add_key_flags(gc, GRADCHECK_KEYS)
-    gc.set_defaults(func=_cmd_gradcheck)
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        sub.add_argument("--config", help="key=value settings file")
+        for key in command.keys:
+            sub.add_argument(_flag_name(key), dest=key, metavar="V", help=PATH_HELP.get(key))
+        for switch, text in command.switches:
+            sub.add_argument(_flag_name(switch), dest=switch, action="store_true", help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
+        command = COMMANDS[ns.command]
+        cfg = _resolve(ns, command)
+        _echo(cfg, command.keys)
+        return command.run(cfg)
     except SystemExit as exc:  # --help
         code = exc.code
         return code if isinstance(code, int) else 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return ns.func(ns)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,14 +17,12 @@ import numpy as np
 from .binio import write_atomic
 from .data import AU_ORDER, VideoSequence
 from .errors import ContractViolation
-from .model import ModelParams, score_frames
+from .model import ModelParams, check_frame_size, score_frames
 
 
-def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Probabilities to 0/1 decisions; exactly-at-threshold counts as active."""
-    if not 0.0 < threshold < 1.0:
-        raise ContractViolation(f"binarize: threshold must be in (0, 1), got {threshold}")
-    return (np.asarray(probs) >= threshold).astype(np.int8)
+def binarize(probs: np.ndarray) -> np.ndarray:
+    """Probabilities to 0/1 decisions at 0.5; exactly 0.5 counts as active."""
+    return (np.asarray(probs) >= 0.5).astype(np.int8)
 
 
 def smooth_track(binary: np.ndarray, window: int) -> np.ndarray:
@@ -170,6 +168,8 @@ class EvalReport:
 
 
 def predict_tracks(params: ModelParams, corpus: list[VideoSequence], window: int = 5):
+    """One track per video, after checking every video's frame size."""
+    check_frame_size(params.config, corpus)
     tracks = []
     for video in corpus:
         probs = predict_video(params, video)
@@ -202,11 +202,11 @@ def write_probability_csv(track: PredictionTrack, path) -> Path:
     return write_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_binary_csv(track: PredictionTrack, path, smoothed: bool = True) -> Path:
-    decisions = track.smoothed if smoothed else track.binary
+def write_binary_csv(track: PredictionTrack, path) -> Path:
+    """The track's smoothed decisions, one row per frame."""
     lines = [PREDICTION_HEADER]
-    for t in range(decisions.shape[0]):
-        lines.append(f"{t}," + ",".join(str(int(x)) for x in decisions[t]))
+    for t in range(track.smoothed.shape[0]):
+        lines.append(f"{t}," + ",".join(str(int(x)) for x in track.smoothed[t]))
     return write_atomic(path, "\n".join(lines) + "\n")
 
 

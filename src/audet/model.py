@@ -191,12 +191,6 @@ class ModelParams:
             theirs.value[...] = mine.value
         return clone
 
-    def astype(self, dtype) -> "ModelParams":
-        clone = ModelParams.zeros(self.config, dtype=dtype)
-        for mine, theirs in zip(self.all_parameters(), clone.all_parameters()):
-            theirs.value[...] = mine.value.astype(dtype)
-        return clone
-
     @classmethod
     def zeros(cls, config: ModelConfig, dtype=np.float32) -> "ModelParams":
         config.validate()
@@ -242,30 +236,21 @@ class ModelParams:
     def init(cls, config: ModelConfig, seed: int, dtype=np.float32) -> "ModelParams":
         """Glorot-uniform weights, zero biases, small uniform AU table.
 
-        One RNG drawn in a fixed parameter order, so a seed pins every
-        value regardless of platform.
+        One RNG drawn in :meth:`all_parameters` order, so a seed pins
+        every value regardless of platform.
         """
         params = cls.zeros(config, dtype)
         rng = np.random.default_rng([seed, 1])
-
-        def glorot(p: Parameter, fan_in: int, fan_out: int):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
+        for p in params.all_parameters():
+            if p is params.au_table:
+                limit = 0.1
+            elif p.value.ndim >= 2:
+                # (out, in) or (out, in, k, k): fans are out and in times the kernel area
+                fan_out, fan_in = p.value.shape[:2]
+                limit = np.sqrt(6.0 / ((fan_in + fan_out) * math.prod(p.value.shape[2:])))
+            else:
+                continue  # biases stay zero
             p.value[...] = rng.uniform(-limit, limit, p.value.shape).astype(dtype)
-
-        for (kern, _), (cin, cout, k, _) in zip(params.conv_layers, config.conv_spec):
-            glorot(kern, cin * k * k, cout * k * k)
-        for cell in (params.static_gru,):
-            glorot(cell.input_weights, cell.input_dim, 3 * cell.hidden_dim)
-            glorot(cell.hidden_weights, cell.hidden_dim, 3 * cell.hidden_dim)
-        for w, _ in params.dynamic_layers:
-            glorot(w, w.value.shape[1], w.value.shape[0])
-        glorot(params.fusion_weights, params.fusion_weights.value.shape[1], config.fusion_out)
-        params.au_table.value[...] = rng.uniform(-0.1, 0.1, params.au_table.value.shape).astype(
-            dtype
-        )
-        glorot(params.query_gru.input_weights, config.au_embedding_dim, 3 * config.fusion_out)
-        glorot(params.query_gru.hidden_weights, config.fusion_out, 3 * config.fusion_out)
-        glorot(params.classifier_weights, config.fusion_out, 2)
         return params
 
 
@@ -303,7 +288,7 @@ def dynamic_forward(params: ModelParams, diff: np.ndarray) -> Tensor:
 
 def fuse(params: ModelParams, dynamic: Tensor, static: Tensor) -> Tensor:
     """Joint state from both branches: tanh affine over [dynamic, static]."""
-    joint = T.concat([dynamic, static], axis=-1)
+    joint = T.concat([dynamic, static])
     return T.tanh(T.linear(params.fusion_weights, params.fusion_bias, joint))
 
 
@@ -347,6 +332,16 @@ def model_forward(params: ModelParams, image: np.ndarray, diff: np.ndarray) -> F
     h_static = static_forward(params, image)
     h_dynamic = dynamic_forward(params, diff)
     return classify_aus(params, fuse(params, h_dynamic, h_static))
+
+
+def check_frame_size(config: ModelConfig, videos) -> None:
+    """Raise ContractViolation naming the first video whose frames are not image_size square."""
+    size = config.image_size
+    for video in videos:
+        h, w = video.planes.shape[2:]
+        if (h, w) != (size, size):
+            raise ContractViolation(f"video {video.video_id!r} has {h} x {w} px frames, "
+                                    f"but the model's image_size is {size}")
 
 
 # Frames per forward pass when scoring a whole video.  A pass holds its
@@ -426,7 +421,10 @@ def load_checkpoint(path) -> ModelParams:
         if "=" not in line:
             raise FormatError(f"{target}: config line without '=': {line!r}")
         key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key in kv:
+            raise FormatError(f"{target}: config key {key!r} appears twice")
+        kv[key] = value.strip()
     config = ModelConfig.from_kv(kv, str(target))
 
     (count,) = r.unpack("<I")

@@ -12,15 +12,15 @@ raise ``ContractViolation`` otherwise.  Arithmetic runs in whatever
 dtype the inputs carry, so the same graph code serves float32 training
 and float64 gradient checking.
 
-The layer primitives (:func:`linear`, :func:`conv2d`,
-:func:`spatial_sequence`, :func:`gru_scan`) take an optional leading
+The layer primitives :func:`linear`, :func:`conv2d`,
+:func:`spatial_sequence` and :func:`gru_cell` take an optional leading
 batch axis: a B x ... input runs B independent examples through one
 node, and the unbatched call is the same code on a batch of one.  The
 model always passes a batch, so a training step builds one graph for
 its whole batch; the unbatched forms serve the per-primitive gradient
-checks.  The recurrent scan is one node for all S steps of a gated
-cell: it projects every step's input with a single matmul, then steps
-the B x h states.
+checks.  The recurrent scan :func:`gru_scan` takes B x h states only.
+It is one node for all S steps of a gated cell: it projects every
+step's input with a single matmul, then steps the B x h states.
 
 Build one graph per step and call :func:`backward` on it once.  As
 the walk passes each interior node it releases the node's backward
@@ -255,29 +255,20 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
-def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
-    """Join tensors along one axis; other extents must agree."""
+def concat(parts: list[Tensor]) -> Tensor:
+    """Join tensors along their last axis; the other extents must agree."""
     _require(len(parts) > 0, "concat: no parts")
-    ndim = parts[0].value.ndim
-    _require(-ndim <= axis < ndim, f"concat: axis {axis} out of range for ndim {ndim}")
-    axis %= ndim
-    lead = parts[0].value.shape
+    first = parts[0].value.shape
     for p in parts:
         shape = p.value.shape
-        ok = len(shape) == ndim and all(
-            shape[d] == lead[d] for d in range(ndim) if d != axis
-        )
-        _require(ok, f"concat: shape {shape} incompatible with {lead} along axis {axis}")
-    out = Tensor(np.concatenate([p.value for p in parts], axis=axis), tuple(parts))
-    sizes = [p.value.shape[axis] for p in parts]
+        _require(len(shape) >= 1 and shape[:-1] == first[:-1],
+                 f"concat: shape {shape} incompatible with {first} along the last axis")
+    out = Tensor(np.concatenate([p.value for p in parts], axis=-1), tuple(parts))
+    bounds = np.cumsum([p.value.shape[-1] for p in parts])[:-1]
 
     def push(g):
-        ofs = 0
-        index = [slice(None)] * ndim
-        for p, n in zip(parts, sizes):
-            index[axis] = slice(ofs, ofs + n)
-            _accum(p, g[tuple(index)])
-            ofs += n
+        for p, piece in zip(parts, np.split(g, bounds, axis=-1)):
+            _accum(p, piece)
 
     out._push = push
     return out
@@ -487,28 +478,25 @@ def gru_cell(x: Tensor, h: Tensor, cell: GruCellParams) -> Tensor:
 def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
     """Run a gated recurrent cell over S steps, as a single node.
 
-    ``xs`` is S x d and ``h0`` is h: the output is the S x h sequence of
-    states, row t being the state after consuming input t.  With a B x h
-    ``h0`` the B states step together; ``xs`` is then either B x S x d,
-    one input sequence per row, or S x d, one sequence shared by every
-    row (projected once, not B times).  The output is B x S x h.
+    ``h0`` is the B x h batch of initial states, and the output is the
+    B x S x h sequence of states, [b, t] being row b's state after
+    consuming its input t.  ``xs`` is either B x S x d, one input
+    sequence per row, or S x d, one sequence shared by every row
+    (projected once, not B times).
 
     Every step's input projection is computed up front in one matmul;
     the loop over steps does only the recurrent part.
     """
     d, hd = cell.input_dim, cell.hidden_dim
-    _require(h0.value.ndim in (1, 2), f"gru_scan: state must be h or B x h, got {h0.value.shape}")
-    _require(h0.value.shape[-1] == hd, f"gru_scan: state {h0.value.shape} has width != {hd}")
+    _require(h0.value.ndim == 2 and h0.value.shape[1] == hd,
+             f"gru_scan: state must be a B x {hd} batch, got {h0.value.shape}")
     _require(xs.value.ndim in (2, 3) and xs.value.shape[-1] == d,
              f"gru_scan: inputs must be S x {d} or B x S x {d}, got {xs.value.shape}")
-    if xs.value.ndim == 3:
-        _require(h0.value.ndim == 2 and xs.value.shape[0] == h0.value.shape[0],
-                 f"gru_scan: input batch {xs.value.shape} does not match state {h0.value.shape}")
+    _require(xs.value.ndim == 2 or xs.value.shape[0] == h0.value.shape[0],
+             f"gru_scan: input batch {xs.value.shape} does not match state {h0.value.shape}")
     _require(xs.value.shape[-2] >= 1, "gru_scan: no steps")
-    steps = xs.value.shape[-2]
-    states = h0.value.reshape(-1, hd)
-    out_shape = h0.value.shape[:-1] + (steps, hd)
-    return _gru_recurrence(xs, xs.value, h0, states, cell, out_shape)
+    out_shape = (h0.value.shape[0], xs.value.shape[-2], hd)
+    return _gru_recurrence(xs, xs.value, h0, h0.value, cell, out_shape)
 
 
 def _gru_recurrence(xs: Tensor, xv: np.ndarray, h0: Tensor, hv: np.ndarray,

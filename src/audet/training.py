@@ -26,7 +26,7 @@ from . import evaluation, tensor as T
 from .binio import write_atomic
 from .data import AU_ORDER, VideoSequence, decode_planes, landmark_diffs, reject_non_finite
 from .errors import ContractViolation, EmptyBatchError, NumericError
-from .model import ModelConfig, ModelParams, model_forward, score_frames
+from .model import ModelConfig, ModelParams, check_frame_size, model_forward, score_frames
 from .tensor import Tensor
 
 WEIGHT_CAP = 10.0
@@ -230,12 +230,7 @@ def train(
     model_config.validate()
     train_config.validate()
 
-    size = model_config.image_size
-    for video in corpus:
-        h, w = video.planes.shape[2:]
-        if (h, w) != (size, size):
-            raise ContractViolation(f"video {video.video_id!r} has {h} x {w} px frames, "
-                                    f"but the model's image_size is {size}")
+    check_frame_size(model_config, corpus)
     train_ids, val_ids = split_videos(corpus, train_config.seed, train_config.val_fraction)
     by_id = {v.video_id: v for v in corpus}
     dtype = train_config.dtype

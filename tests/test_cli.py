@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in-process via cli.main."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -300,6 +301,65 @@ class TestConfigErrors:
 
 
 # ---------------------------------------------------------------------------
+# the command table
+
+# every subcommand's key flags in echo order, as the CLI has always spelled them
+ECHOED_FLAGS = {
+    "synth": ["--videos", "--frames", "--seed", "--image-size", "--stay-probability",
+              "--label-flip-noise", "--landmark-jitter-sigma", "--pixel-noise-sigma", "--out"],
+    "train": ["--image-size", "--learning-rate", "--adam-beta1", "--adam-beta2",
+              "--adam-epsilon", "--batch-size", "--epochs", "--grad-clip-global-norm",
+              "--class-weighting", "--precision", "--val-fraction", "--seed", "--corpus",
+              "--out"],
+    "eval": ["--window", "--checkpoint", "--corpus", "--out"],
+    "predict": ["--window", "--checkpoint", "--corpus", "--out"],
+    "gradcheck": ["--seed", "--step", "--threshold"],
+}
+SWITCHES = {"gradcheck": {"--full-dims"}}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_flags_are_the_commands_keys_plus_config(name):
+    sub = _subparsers()[name]
+    flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+    keys = cli.COMMANDS[name].keys
+    assert [cli._flag_name(k) for k in keys] == ECHOED_FLAGS[name]
+    assert flags == {"--config", *ECHOED_FLAGS[name], *SWITCHES.get(name, ())}
+
+
+def test_every_config_key_belongs_to_a_command():
+    assert list(cli.COMMANDS) == list(_subparsers()) == list(ECHOED_FLAGS)
+    assert set(cli.KEY_PARSERS) == {k for c in cli.COMMANDS.values() for k in c.keys}
+
+
+def test_echo_follows_the_declared_order(capsys, tmp_path):
+    code, out, _ = run(capsys, "synth", "--videos", "1", "--frames", "3", "--image-size", "8",
+                       "--out", str(tmp_path / "c.auc"))
+    keys = cli.COMMANDS["synth"].keys
+    assert code == 0 and out.splitlines()[0] == "resolved config:"
+    assert [line.split(" = ")[0].strip() for line in out.splitlines()[1:1 + len(keys)]] == list(keys)
+
+
+PATH_CASES = [(name, key) for name, c in cli.COMMANDS.items() for key in c.keys
+              if key in cli.PATH_HELP]
+
+
+@pytest.mark.parametrize("name,key", PATH_CASES, ids=[f"{n}-{k}" for n, k in PATH_CASES])
+def test_each_missing_path_exits_1_naming_its_flag(capsys, tmp_path, name, key):
+    given = [arg for n, k in PATH_CASES if n == name and k != key
+             for arg in (f"--{k}", str(tmp_path / k))]
+    code, out, err = run(capsys, name, *given)
+    assert code == 1
+    assert f"missing '{key}': pass --{key} or set it in the config file" in err
+    assert "resolved config" not in out
+
+
+# ---------------------------------------------------------------------------
 # one source of truth: the dataclasses' validate()
 
 CONFIGS = (SynthConfig, TrainConfig)
@@ -469,6 +529,22 @@ class TestRuntimeErrors:
         assert "b.auc: frames are 32 x 32 px" in err and "a.auc holds 24 x 24 px" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_scoring_frames_of_another_size_is_a_data_error(self, capsys, cli_env, mixed_sizes,
+                                                            tmp_path, command):
+        # the checkpoint is 24 px; b.auc holds 32-px frames
+        out = tmp_path / "scores"
+        code, _, err = run(
+            capsys,
+            command,
+            "--checkpoint", str(cli_env["checkpoint"]),
+            "--corpus", str(mixed_sizes / "b.auc"),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "32 x 32 px frames" in err and "image_size is 24" in err
+        assert not list(out.glob("*"))  # no report.* and no track CSVs
+
     def test_train_on_frames_of_another_size_is_a_data_error(self, capsys, cli_env, tmp_path):
         # the default image_size is 64; the corpus is 24 px
         code, out, err = run(
@@ -505,6 +581,20 @@ class TestRuntimeErrors:
 
 
 class TestGradcheck:
+    def test_error_above_threshold_exits_3(self, capsys, monkeypatch):
+        from conftest import TINY_MODEL
+
+        from audet.tensor import GradientCheckReport
+
+        monkeypatch.setattr(cli, "GRADCHECK_CONFIG", TINY_MODEL)
+        monkeypatch.setattr(cli, "finite_difference_report",
+                            lambda *args: GradientCheckReport(2e-4, "conv0.bias", (1,)))
+        code, out, err = run(capsys, "gradcheck", "--threshold", "1e-4")
+        assert code == 3
+        assert "max_relative_error = 2.000e-04" in out
+        assert "worst_parameter = conv0.bias[1]" in out
+        assert "gradient check FAILED" in err
+
     def test_reports_worst_parameter(self, capsys, monkeypatch):
         from conftest import TINY_MODEL
 

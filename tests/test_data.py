@@ -365,6 +365,17 @@ def test_store_into_directory_and_load_directory(small_corpus, tmp_path):
     assert len(loaded) == len(small_corpus)
 
 
+def test_store_rejects_no_videos_and_mixed_frame_sizes(small_corpus, tmp_path):
+    with pytest.raises(ContractViolation, match="no videos"):
+        store_corpus([], tmp_path / "c.auc")
+    big = generate_synthetic(SynthConfig(videos=1, frames_per_video=3, seed=2, image_size=24))
+    big[0].video_id = "big0"
+    with pytest.raises(ContractViolation,
+                       match=r"'big0' frame size \(24, 24\) != corpus size \(16, 16\)"):
+        store_corpus(small_corpus + big, tmp_path / "c.auc")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_rejects_bad_magic(small_corpus, tmp_path):
     path = store_corpus(small_corpus, tmp_path / "c.auc")
     data = bytearray(path.read_bytes())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from audet.data import AU_ORDER, PROTOTYPE_LABELS
+from audet.data import AU_ORDER, PROTOTYPE_LABELS, SynthConfig, generate_synthetic
 from audet.errors import ContractViolation
 from audet.evaluation import (
     PREDICTION_HEADER,
@@ -45,21 +45,12 @@ class TestBinarize:
 
     def test_exact_threshold_counts_as_active(self):
         assert binarize(np.array([0.5]))[0] == 1
-        assert binarize(np.array([0.9]), threshold=0.9)[0] == 1
-
-    def test_custom_threshold(self):
-        np.testing.assert_array_equal(binarize(np.array([0.85, 0.95]), 0.9), [0, 1])
 
     def test_shape_and_dtype(self):
         probs = np.random.default_rng(0).uniform(size=(6, 8))
         out = binarize(probs)
         assert out.shape == probs.shape and out.dtype == np.int8
         assert np.isin(out, (0, 1)).all()
-
-    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.2, 1.5])
-    def test_threshold_range(self, threshold):
-        with pytest.raises(ContractViolation):
-            binarize(np.array([0.5]), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +346,22 @@ class TestEvaluate:
         with pytest.raises(ContractViolation):
             evaluate(tiny_params, [], window=5)
 
+    def test_frames_of_another_size_rejected_before_any_scoring(self, tiny_params, tiny_corpus,
+                                                                monkeypatch):
+        from audet import evaluation
+
+        big = generate_synthetic(SynthConfig(videos=1, frames_per_video=3, seed=2,
+                                             image_size=32))
+        big[0].video_id = "big0"
+        scored = []
+        monkeypatch.setattr(evaluation, "predict_video",
+                            lambda params, video: scored.append(video.video_id))
+        with pytest.raises(ContractViolation,
+                           match="video 'big0' has 32 x 32 px frames, but the model's "
+                                 "image_size is 24"):
+            evaluate(tiny_params, tiny_corpus + big, window=5)
+        assert scored == []
+
 
 class TestAlwaysInactiveBaseline:
     def test_metric_matches_stationary_rate(self, default_corpus):
@@ -399,15 +406,11 @@ class TestArtifacts:
 
     def test_binary_csv(self, tmp_path):
         track = _track()
-        path = write_binary_csv(track, tmp_path / "b.csv", smoothed=False)
+        path = write_binary_csv(track, tmp_path / "b.csv")
         lines = path.read_text().strip().split("\n")
         assert lines[0] == PREDICTION_HEADER
+        assert [ln.split(",")[0] for ln in lines[1:]] == [str(t) for t in range(len(track.probs))]
         body = np.array([[int(x) for x in ln.split(",")[1:]] for ln in lines[1:]])
-        np.testing.assert_array_equal(body, track.binary)
-        smoothed = write_binary_csv(track, tmp_path / "s.csv", smoothed=True)
-        body = np.array(
-            [[int(x) for x in ln.split(",")[1:]] for ln in smoothed.read_text().strip().split("\n")[1:]]
-        )
         np.testing.assert_array_equal(body, track.smoothed)
 
     def test_report_csv_and_text(self, tiny_params, tiny_corpus, tmp_path):

@@ -2,6 +2,7 @@
 causality, parameter accounting, and the checkpoint container."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -62,6 +63,23 @@ def test_config_validation_errors():
         ModelConfig(dynamic_hidden=((64, "relu"),)).validate()
     with pytest.raises(ContractViolation, match="smaller than kernel"):
         ModelConfig(image_size=8).validate()
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"conv_spec": ()}, "conv_spec is empty"),
+    ({"conv_spec": ((2, 8, 0, 1),)}, r"conv layer 0: bad spec \(2, 8, 0, 1\)"),
+    ({"conv_spec": ((2, 8, 3, 1), (8, 0, 3, 1))}, "conv layer 1: bad spec"),
+    ({"dynamic_hidden": ()}, "dynamic_hidden is empty"),
+    ({"dynamic_hidden": ((0, "relu"), (8, "tanh"))}, "dynamic layer width 0 < 1"),
+    ({"dynamic_hidden": ((8, "gelu"), (8, "tanh"))}, "unknown activation 'gelu'"),
+    ({"static_gru_hidden": 0}, "static_gru_hidden must be >= 1"),
+    ({"fusion_out": 0}, "fusion_out must be >= 1"),
+    ({"au_embedding_dim": 0}, "au_embedding_dim must be >= 1"),
+], ids=["no-conv", "zero-kernel", "zero-filters", "no-dynamic", "zero-width", "activation",
+        "static-hidden", "fusion", "embedding"])
+def test_config_validation_names_each_bad_field(changes, message):
+    with pytest.raises(ContractViolation, match=message):
+        ModelConfig(**changes).validate()
 
 
 def test_config_kv_round_trip():
@@ -265,6 +283,52 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path = save_checkpoint(params, tmp_path / "m.auck")
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(FormatError, match="trailing"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_repeated_config_key(tmp_path):
+    path = save_checkpoint(ModelParams.init(TINY_MODEL, seed=28), tmp_path / "m.auck")
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[6:10])
+    extra = b"image_size=99\n"
+    # the repeated key comes first, so a reader keeping the last value would load 24
+    path.write_bytes(blob[:6] + struct.pack("<I", length + len(extra)) + extra + blob[10:])
+    with pytest.raises(FormatError, match="config key 'image_size' appears twice"):
+        load_checkpoint(path)
+
+
+def _save_with(params, path, named):
+    """Save ``params`` with ``named`` in place of its (name, array) list."""
+    params.named_arrays = lambda: named
+    return save_checkpoint(params, path)
+
+
+def test_checkpoint_rejects_a_duplicate_tensor(tmp_path):
+    params = ModelParams.init(TINY_MODEL, seed=29)
+    named = params.named_arrays()
+    path = _save_with(params, tmp_path / "m.auck", named + named[:1])
+    with pytest.raises(FormatError, match="duplicate tensor 'conv0.kernels'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_wrong_tensor_shape(tmp_path):
+    params = ModelParams.init(TINY_MODEL, seed=30)
+    named = params.named_arrays()
+    name, value = named[1]
+    named[1] = (name, np.zeros(value.size + 1, value.dtype))
+    path = _save_with(params, tmp_path / "m.auck", named)
+    with pytest.raises(FormatError,
+                       match=rf"tensor '{name}' has shape \({value.size + 1},\), expected"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_another_au_order(tmp_path, monkeypatch):
+    from audet import model
+
+    monkeypatch.setattr(model, "AU_ORDER", AU_ORDER[::-1])
+    path = save_checkpoint(ModelParams.init(TINY_MODEL, seed=31), tmp_path / "m.auck")
+    monkeypatch.undo()
+    with pytest.raises(FormatError, match="AU order"):
         load_checkpoint(path)
 
 

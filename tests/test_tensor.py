@@ -217,7 +217,7 @@ def test_grad_concat_named_axis():
     a = _param(rng, (2, 3), "a")
     b = _param(rng, (2, 2), "b")
     weights = Tensor(rng.uniform(-1, 1, (2, 5)))
-    _check(lambda: T.total(T.mul(T.concat([a, b], axis=1), weights)), [a, b])
+    _check(lambda: T.total(T.mul(T.concat([a, b]), weights)), [a, b])
 
 
 def test_grad_row_and_spatial_sequence():
@@ -496,9 +496,9 @@ def test_gru_scan_matches_chain_of_cells():
             np.testing.assert_allclose(states[i, t], ref, atol=1e-12)
     shared = T.gru_scan(Tensor(xs[0]), Tensor(h0), cell).value
     np.testing.assert_allclose(shared[0], states[0], rtol=1e-13, atol=1e-14)
-    single = T.gru_scan(Tensor(xs[1]), Tensor(h0[1]), cell).value
-    assert single.shape == (6, 3)
-    np.testing.assert_allclose(single, states[1], rtol=1e-13, atol=1e-14)
+    single = T.gru_scan(Tensor(xs[1]), Tensor(h0[1:]), cell).value
+    assert single.shape == (1, 6, 3)
+    np.testing.assert_allclose(single[0], states[1], rtol=1e-13, atol=1e-14)
 
 
 def test_grad_masked_cross_entropy():
@@ -536,8 +536,10 @@ def test_batch_extents_must_agree():
     cell = _cell(rng, 4, 3)
     with pytest.raises(ContractViolation, match="batch"):
         T.gru_scan(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((3, 3))), cell)
-    with pytest.raises(ContractViolation, match="batch"):
+    with pytest.raises(ContractViolation, match="state must be a B x 3 batch"):
         T.gru_scan(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros(3)), cell)
+    with pytest.raises(ContractViolation, match="state must be a B x 3 batch"):
+        T.gru_scan(Tensor(np.zeros((5, 4))), Tensor(np.zeros(3)), cell)
     with pytest.raises(ContractViolation, match="gru_cell"):
         T.gru_cell(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 3))), cell)
     with pytest.raises(ContractViolation, match="gru_cell"):
@@ -546,7 +548,7 @@ def test_batch_extents_must_agree():
         T.masked_cross_entropy(Tensor(np.zeros((2, 8, 2))), np.zeros((3, 8), np.int8),
                                np.ones(8))
     with pytest.raises(ContractViolation, match="incompatible"):
-        T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))], axis=-1)
+        T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
     with pytest.raises(ContractViolation, match="conv2d"):
         T.conv2d(Tensor(np.zeros((1, 2, 2, 5, 5))), Tensor(np.zeros((1, 2, 3, 3))),
                  Tensor(np.zeros(1)), 1)
@@ -556,7 +558,7 @@ def test_batched_shapes():
     rng = np.random.default_rng(59)
     cell = _cell(rng, 4, 3)
     for xs, h0, states in (((6, 4), (2, 3), (2, 6, 3)), ((2, 6, 4), (2, 3), (2, 6, 3)),
-                           ((6, 4), (3,), (6, 3))):
+                           ((6, 4), (1, 3), (1, 6, 3))):
         assert T.gru_scan(Tensor(np.zeros(xs)), Tensor(np.zeros(h0)), cell).shape == states
     assert T.gru_cell(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))), cell).shape == (2, 3)
     assert T.spatial_sequence(Tensor(np.zeros((2, 5, 3, 4)))).shape == (2, 12, 5)

@@ -376,6 +376,14 @@ class TestTrain:
             _tiny_train(corpus, epochs=1, on_epoch_end=lambda stats, _: epochs.append(stats))
         assert epochs == []
 
+    def test_class_weighting_off_trains_with_unit_weights(self, tiny_corpus):
+        cfg = TrainConfig(epochs=1, batch_size=8, seed=7, class_weighting=False)
+        result = train(tiny_corpus, TINY_MODEL, cfg)
+        np.testing.assert_array_equal(result.class_weights, np.ones(len(AU_ORDER)))
+        assert len(result.history) == 1 and math.isfinite(result.history[0].train_loss)
+        # the corpus is imbalanced, so the default run weights some AU above 1
+        assert _tiny_train(tiny_corpus, epochs=1).class_weights.max() > 1.0
+
     def test_double_precision_batched_runs_are_bitwise_identical(self, tiny_corpus):
         cfg = TrainConfig(epochs=1, batch_size=16, seed=3, precision="double")
         a = train(tiny_corpus, TINY_MODEL, cfg)
