@@ -33,6 +33,7 @@ from .errors import (
     NumericError,
 )
 from .evaluation import (
+    check_window,
     evaluate,
     predict_tracks,
     render_report,
@@ -90,11 +91,8 @@ def _validated(key: str):
 
     def parse(raw: str):
         value = convert(raw)
-        try:
-            for config in owners:
-                replace(config(), **{key: value}).validate()
-        except ContractViolation as exc:
-            raise ValueError(str(exc)) from None
+        for config in owners:
+            replace(config(), **{key: value}).validate()
         return value
 
     return parse
@@ -107,13 +105,6 @@ def _positive_float(raw: str) -> float:
     return v
 
 
-def _odd_window(raw: str) -> int:
-    v = int(raw)
-    if v < 1 or v % 2 == 0:
-        raise ValueError(f"must be odd and >= 1, got {v}")
-    return v
-
-
 # path keys and the help of their flags; a command that takes one requires it
 PATH_HELP = {
     "corpus": "corpus file (.auc) or directory",
@@ -121,9 +112,10 @@ PATH_HELP = {
     "out": "output: corpus file or directory for synth, directory otherwise",
 }
 
+# a parser raises ValueError or ContractViolation on a bad value
 KEY_PARSERS = {
     **{f.name: _validated(f.name) for config in _CONFIGS for f in fields(config)},
-    "window": _odd_window,
+    "window": lambda raw: check_window(int(raw)),
     "step": _positive_float,
     "threshold": _positive_float,
     **dict.fromkeys(PATH_HELP, str),
@@ -168,7 +160,7 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{p}: line {lineno}: duplicate key {key!r}")
         try:
             out[key] = KEY_PARSERS[key](value)
-        except ValueError as exc:
+        except (ValueError, ContractViolation) as exc:
             raise ConfigError(f"{p}: line {lineno}: {key}: {exc}") from None
     return out
 
@@ -187,7 +179,7 @@ def _resolve(ns, command: "Command") -> dict:
         if raw is not None:
             try:
                 cfg[key] = KEY_PARSERS[key](raw)
-            except ValueError as exc:
+            except (ValueError, ContractViolation) as exc:
                 raise ConfigError(f"{_flag_name(key)}: {exc}") from None
         if key in PATH_HELP and cfg[key] is None:
             raise ConfigError(

@@ -554,41 +554,3 @@ def load_corpus(path) -> list[VideoSequence]:
             source[video.video_id] = f
             videos.append(video)
     return videos
-
-
-# ---------------------------------------------------------------------------
-# label CSV
-
-
-def read_label_csv(path) -> np.ndarray:
-    """Read per-frame labels: one line per frame, 8 comma-separated values.
-
-    Line order gives the frame order; there is no header and no frame
-    column.  Returns a T x 8 int8 array.  Values outside {-1, 0, 1}
-    are rejected with the offending line number.
-    """
-    p = Path(path)
-    rows = []
-    with p.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(AU_ORDER):
-                raise FormatError(
-                    f"{p}: line {lineno}: {len(parts)} fields, expected {len(AU_ORDER)}"
-                )
-            try:
-                values = [int(x) for x in parts]
-            except ValueError as exc:
-                raise FormatError(f"{p}: line {lineno}: {exc}") from None
-            for au, val in zip(AU_ORDER, values):
-                if val not in (-1, 0, 1):
-                    raise FormatError(
-                        f"{p}: line {lineno}: {au} = {val} not in {{-1, 0, 1}}"
-                    )
-            rows.append(values)
-    if not rows:
-        raise FormatError(f"{p}: no label rows")
-    return np.array(rows, dtype=np.int8)

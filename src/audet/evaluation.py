@@ -1,10 +1,13 @@
-"""Scoring: thresholding, temporal majority smoothing, F1, challenge metric.
+"""Scoring: model passes over videos, thresholding, temporal majority
+smoothing, F1, challenge metric.
 
-The challenge metric is 0.5 * pooled accuracy + 0.5 * mean per-AU F1.
-Accuracy pools every valid (label != -1) decision across videos and
-AUs.  The F1 mean runs over AUs that received at least one valid
-decision; an evaluated AU whose F1 denominator is zero scores 0 and is
-flagged as degenerate rather than dropped.
+Every scoring pass, training's validation included, is :func:`score_frames`
+in a :class:`tensor.Workspace`.  The challenge metric is 0.5 * pooled
+accuracy + 0.5 * mean per-AU F1.  Accuracy pools every valid
+(label != -1) decision across videos and AUs.  The F1 mean runs over AUs
+that received at least one valid decision; an evaluated AU whose F1
+denominator is zero scores 0 and is flagged as degenerate rather than
+dropped.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
 from .binio import write_atomic
 from .data import AU_ORDER, VideoSequence
 from .errors import ContractViolation
-from .model import ModelParams, check_frame_size, score_frames
+from .model import ModelParams, check_frame_size, model_forward
 
 
 def binarize(probs: np.ndarray) -> np.ndarray:
@@ -25,13 +29,16 @@ def binarize(probs: np.ndarray) -> np.ndarray:
     return (np.asarray(probs) >= 0.5).astype(np.int8)
 
 
-def smooth_track(binary: np.ndarray, window: int) -> np.ndarray:
-    """Sliding majority vote over one 0/1 track, replicate padding.
-
-    The window must be odd so no vote ties; window 1 is the identity.
-    """
+def check_window(window: int) -> int:
+    """The smoothing window, which must be odd and >= 1 so no vote ties."""
     if window < 1 or window % 2 == 0:
         raise ContractViolation(f"smoothing window must be odd and >= 1, got {window}")
+    return window
+
+
+def smooth_track(binary: np.ndarray, window: int) -> np.ndarray:
+    """Sliding majority vote over one 0/1 track, replicate padding; window 1 is the identity."""
+    check_window(window)
     track = np.asarray(binary)
     if track.ndim != 1:
         raise ContractViolation(f"smooth_track: expected 1-d track, got {track.shape}")
@@ -146,15 +153,39 @@ def challenge_metric(
 # running the model over videos
 
 
+# Frames per forward pass when scoring a whole video.  A pass holds its
+# graph, about 0.6 MB per 64 x 64 frame, so longer videos go in chunks.
+SCORING_BATCH = 64
+
+
+def score_frames(params: ModelParams, images: np.ndarray, diffs: np.ndarray,
+                 workspace: T.Workspace):
+    """Probabilities (T x 8) and float64 logits (T x 8 x 2) of T frames.
+
+    Runs up to SCORING_BATCH frames per pass in ``workspace``'s buffers
+    and keeps no graph; the returned arrays are copies and never alias
+    those buffers.
+    """
+    probs, logits = [], []
+    for start in range(0, len(images), SCORING_BATCH):
+        chunk = slice(start, start + SCORING_BATCH)
+        with T.reusing(workspace):
+            res = model_forward(params, images[chunk], diffs[chunk])
+            probs.append(res.probs)
+            logits.append(res.logits.value.astype(np.float64))
+    return np.concatenate(probs), np.concatenate(logits)
+
+
 def predict_video(params: ModelParams, video: VideoSequence) -> np.ndarray:
-    """Per-frame activation probabilities, T x 8 float64, frames run in batches."""
-    return score_frames(params, *video.model_inputs(params.dtype))[0]
+    """Per-frame activation probabilities, T x 8 float64, scored in a workspace of its own."""
+    return score_frames(params, *video.model_inputs(params.dtype), T.Workspace())[0]
 
 
 @dataclass
 class PredictionTrack:
     video_id: str
     probs: np.ndarray  # T x 8 float64
+    logits: np.ndarray  # T x 8 x 2 float64
     binary: np.ndarray  # T x 8 int8, threshold 0.5
     smoothed: np.ndarray  # T x 8 int8, majority filtered
 
@@ -167,22 +198,28 @@ class EvalReport:
     tracks: list[PredictionTrack]
 
 
-def predict_tracks(params: ModelParams, corpus: list[VideoSequence], window: int = 5):
-    """One track per video, after checking every video's frame size."""
+def predict_tracks(params: ModelParams, corpus: list[VideoSequence], window: int,
+                   workspace: T.Workspace | None = None) -> list[PredictionTrack]:
+    """One track per video, scored in ``workspace`` (a new one if None) after
+    checking every video's frame size."""
     check_frame_size(params.config, corpus)
+    if workspace is None:
+        workspace = T.Workspace()
     tracks = []
     for video in corpus:
-        probs = predict_video(params, video)
+        probs, logits = score_frames(params, *video.model_inputs(params.dtype), workspace)
         binary = binarize(probs)
-        tracks.append(PredictionTrack(video.video_id, probs, binary, smooth(binary, window)))
+        tracks.append(PredictionTrack(video.video_id, probs, logits, binary,
+                                      smooth(binary, window)))
     return tracks
 
 
-def evaluate(params: ModelParams, corpus: list[VideoSequence], window: int = 5) -> EvalReport:
-    """Score a corpus with and without temporal smoothing."""
+def evaluate(params: ModelParams, corpus: list[VideoSequence], window: int,
+             workspace: T.Workspace | None = None) -> EvalReport:
+    """Score a corpus with and without temporal smoothing; window 1 smooths nothing."""
     if not corpus:
         raise ContractViolation("evaluate: empty corpus")
-    tracks = predict_tracks(params, corpus, window)
+    tracks = predict_tracks(params, corpus, window, workspace)
     labels = {v.video_id: v.labels for v in corpus}
     raw = challenge_metric({t.video_id: t.binary for t in tracks}, labels)
     smoothed = challenge_metric({t.video_id: t.smoothed for t in tracks}, labels)

@@ -78,7 +78,7 @@ class ModelConfig:
                 raise ContractViolation(f"unknown activation {act!r}")
         if self.dynamic_hidden[-1][1] != "tanh":
             raise ContractViolation("dynamic branch must end in tanh")
-        for name in ("image_size", "static_gru_hidden", "fusion_out", "au_embedding_dim"):
+        for name in ("static_gru_hidden", "fusion_out", "au_embedding_dim"):
             if getattr(self, name) < 1:
                 raise ContractViolation(f"{name} must be >= 1")
 
@@ -342,29 +342,6 @@ def check_frame_size(config: ModelConfig, videos) -> None:
         if (h, w) != (size, size):
             raise ContractViolation(f"video {video.video_id!r} has {h} x {w} px frames, "
                                     f"but the model's image_size is {size}")
-
-
-# Frames per forward pass when scoring a whole video.  A pass holds its
-# graph, about 0.6 MB per 64 x 64 frame, so longer videos go in chunks.
-SCORING_BATCH = 64
-
-
-def score_frames(params: ModelParams, images: np.ndarray, diffs: np.ndarray,
-                 workspace: T.Workspace | None = None):
-    """Probabilities (T x 8) and float64 logits (T x 8 x 2) of T frames.
-
-    Runs up to SCORING_BATCH frames per pass and keeps no graph.  Each
-    pass reuses ``workspace``'s buffers when one is given; the returned
-    arrays are copies and never alias them.
-    """
-    probs, logits = [], []
-    for start in range(0, len(images), SCORING_BATCH):
-        chunk = slice(start, start + SCORING_BATCH)
-        with T.reusing(workspace):
-            res = model_forward(params, images[chunk], diffs[chunk])
-            probs.append(res.probs)
-            logits.append(res.logits.value.astype(np.float64))
-    return np.concatenate(probs), np.concatenate(logits)
 
 
 # ---------------------------------------------------------------------------

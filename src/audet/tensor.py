@@ -120,15 +120,12 @@ _active: ContextVar[Workspace | None] = ContextVar("active_workspace", default=N
 
 
 @contextmanager
-def reusing(workspace: Workspace | None):
-    """Run one pass with ``workspace`` active; ``None`` runs it on fresh arrays.
+def reusing(workspace: Workspace):
+    """Run one pass with ``workspace`` active.
 
     On exit, normal or not, the workspace is deactivated and keeps only
     the buffers this pass requested.
     """
-    if workspace is None:
-        yield
-        return
     _require(_active.get() is None, "reusing: another workspace pass is already active")
     workspace._taken = 0
     token = _active.set(workspace)
@@ -152,15 +149,16 @@ def _accum(node: Tensor, g: np.ndarray):
         node.grad += g
 
 
-def _require(cond: bool, message: str):
+def _require(cond: bool, message):
+    """Raise ContractViolation unless ``cond``; a callable ``message`` formats it only then."""
     if not cond:
-        raise ContractViolation(message)
+        raise ContractViolation(message if isinstance(message, str) else message())
 
 
 def _same_shape(op: str, a: Tensor, b: Tensor):
     _require(
         a.value.shape == b.value.shape,
-        f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}",
+        lambda: f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}",
     )
 
 
@@ -262,7 +260,7 @@ def concat(parts: list[Tensor]) -> Tensor:
     for p in parts:
         shape = p.value.shape
         _require(len(shape) >= 1 and shape[:-1] == first[:-1],
-                 f"concat: shape {shape} incompatible with {first} along the last axis")
+                 lambda: f"concat: shape {shape} incompatible with {first} along the last axis")
     out = Tensor(np.concatenate([p.value for p in parts], axis=-1), tuple(parts))
     bounds = np.cumsum([p.value.shape[-1] for p in parts])[:-1]
 
@@ -276,9 +274,9 @@ def concat(parts: list[Tensor]) -> Tensor:
 
 def row(a: Tensor, index: int) -> Tensor:
     """Select one row of a matrix, or of every matrix in a batch."""
-    _require(a.value.ndim >= 2, f"row: expected matrix, got shape {a.value.shape}")
+    _require(a.value.ndim >= 2, lambda: f"row: expected matrix, got shape {a.value.shape}")
     _require(0 <= index < a.value.shape[-2],
-             f"row: index {index} out of range for {a.value.shape}")
+             lambda: f"row: index {index} out of range for {a.value.shape}")
     out = Tensor(a.value[..., index, :].copy(), (a,))
 
     def push(g):
@@ -296,16 +294,17 @@ def linear(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
     ``x`` is d or ... x d; the output replaces the last extent with the
     weights' row count.
     """
-    _require(x.value.ndim >= 1, f"linear: input must be a vector, got {x.value.shape}")
-    _require(weights.value.ndim == 2, f"linear: weights must be a matrix, got {weights.value.shape}")
+    _require(x.value.ndim >= 1, lambda: f"linear: input must be a vector, got {x.value.shape}")
+    _require(weights.value.ndim == 2,
+             lambda: f"linear: weights must be a matrix, got {weights.value.shape}")
     n, d = weights.value.shape
     _require(
         x.value.shape[-1] == d,
-        f"linear: weights {weights.value.shape} do not accept input {x.value.shape}",
+        lambda: f"linear: weights {weights.value.shape} do not accept input {x.value.shape}",
     )
     _require(
         bias.value.shape == (n,),
-        f"linear: bias {bias.value.shape} does not match output dim {n}",
+        lambda: f"linear: bias {bias.value.shape} does not match output dim {n}",
     )
     out = Tensor(x.value @ weights.value.T + bias.value, (weights, bias, x))
 
@@ -325,7 +324,8 @@ def spatial_sequence(a: Tensor) -> Tensor:
     A B x C x H x W batch gives B x H*W x C.
     """
     _require(a.value.ndim in (3, 4),
-             f"spatial_sequence: expected C,H,W map or a batch of them, got {a.value.shape}")
+             lambda: f"spatial_sequence: expected C,H,W map or a batch of them, "
+                     f"got {a.value.shape}")
     *lead, c, h, w = a.value.shape
     out = Tensor(a.value.reshape(*lead, c, h * w).swapaxes(-1, -2).copy(), (a,))
 
@@ -342,8 +342,8 @@ def spatial_sequence(a: Tensor) -> Tensor:
 
 def conv_output_size(size: int, kernel: int, stride: int) -> int:
     """Spatial extent after a valid-padding convolution."""
-    _require(kernel >= 1 and stride >= 1, f"conv: bad kernel {kernel} or stride {stride}")
-    _require(size >= kernel, f"conv: input extent {size} smaller than kernel {kernel}")
+    _require(kernel >= 1 and stride >= 1, lambda: f"conv: bad kernel {kernel} or stride {stride}")
+    _require(size >= kernel, lambda: f"conv: input extent {size} smaller than kernel {kernel}")
     return (size - kernel) // stride + 1
 
 
@@ -357,19 +357,20 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
     product.  All three operands share one dtype.
     """
     _require(x.value.ndim in (3, 4),
-             f"conv2d: input must be C,H,W or a batch of them, got {x.value.shape}")
-    _require(kernels.value.ndim == 4, f"conv2d: kernels must be F,C,k,k, got {kernels.value.shape}")
+             lambda: f"conv2d: input must be C,H,W or a batch of them, got {x.value.shape}")
+    _require(kernels.value.ndim == 4,
+             lambda: f"conv2d: kernels must be F,C,k,k, got {kernels.value.shape}")
     f, kc, kh, kw = kernels.value.shape
     xs = x.value if x.value.ndim == 4 else x.value[None]
     b, c, h, w = xs.shape
-    _require(kh == kw, f"conv2d: kernels must be square, got {kh}x{kw}")
-    _require(kc == c, f"conv2d: kernel channels {kc} != input channels {c}")
-    _require(bias.value.shape == (f,), f"conv2d: bias {bias.value.shape} != filter count {f}")
+    _require(kh == kw, lambda: f"conv2d: kernels must be square, got {kh}x{kw}")
+    _require(kc == c, lambda: f"conv2d: kernel channels {kc} != input channels {c}")
+    _require(bias.value.shape == (f,),
+             lambda: f"conv2d: bias {bias.value.shape} != filter count {f}")
     dtype = xs.dtype
-    if kernels.value.dtype != dtype or bias.value.dtype != dtype:
-        # tested before formatting: str() of three dtypes costs ~18 us per call
-        raise ContractViolation(f"conv2d: input {dtype}, kernels {kernels.value.dtype} and "
-                                f"bias {bias.value.dtype} must share a dtype")
+    _require(kernels.value.dtype == dtype and bias.value.dtype == dtype,
+             lambda: f"conv2d: input {dtype}, kernels {kernels.value.dtype} and "
+                     f"bias {bias.value.dtype} must share a dtype")
     ho = conv_output_size(h, kh, stride)
     wo = conv_output_size(w, kh, stride)
 
@@ -428,11 +429,11 @@ class GruCellParams:
     def __post_init__(self):
         wi, wh, b = self.input_weights.value, self.hidden_weights.value, self.biases.value
         _require(wi.ndim == 2 and wi.shape[0] % 3 == 0,
-                 f"gru: input weights must be 3h x d, got {wi.shape}")
+                 lambda: f"gru: input weights must be 3h x d, got {wi.shape}")
         h = wi.shape[0] // 3
         _require(wh.shape == (3 * h, h),
-                 f"gru: hidden weights must be {(3 * h, h)}, got {wh.shape}")
-        _require(b.shape == (3 * h,), f"gru: biases must be ({3 * h},), got {b.shape}")
+                 lambda: f"gru: hidden weights must be {(3 * h, h)}, got {wh.shape}")
+        _require(b.shape == (3 * h,), lambda: f"gru: biases must be ({3 * h},), got {b.shape}")
 
     @property
     def input_dim(self) -> int:
@@ -468,8 +469,10 @@ def gru_cell(x: Tensor, h: Tensor, cell: GruCellParams) -> Tensor:
     d, hd = cell.input_dim, cell.hidden_dim
     batched = h.value.ndim == 2
     lead = h.value.shape[:1] if batched else ()
-    _require(x.value.shape == lead + (d,), f"gru_cell: input {x.value.shape} != {lead + (d,)}")
-    _require(h.value.shape == lead + (hd,), f"gru_cell: state {h.value.shape} != {lead + (hd,)}")
+    _require(x.value.shape == lead + (d,),
+             lambda: f"gru_cell: input {x.value.shape} != {lead + (d,)}")
+    _require(h.value.shape == lead + (hd,),
+             lambda: f"gru_cell: state {h.value.shape} != {lead + (hd,)}")
     rows = h.value.shape[0] if batched else 1
     return _gru_recurrence(x, x.value.reshape(rows, 1, d), h, h.value.reshape(rows, hd), cell,
                            h.value.shape)
@@ -489,11 +492,12 @@ def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
     """
     d, hd = cell.input_dim, cell.hidden_dim
     _require(h0.value.ndim == 2 and h0.value.shape[1] == hd,
-             f"gru_scan: state must be a B x {hd} batch, got {h0.value.shape}")
+             lambda: f"gru_scan: state must be a B x {hd} batch, got {h0.value.shape}")
     _require(xs.value.ndim in (2, 3) and xs.value.shape[-1] == d,
-             f"gru_scan: inputs must be S x {d} or B x S x {d}, got {xs.value.shape}")
+             lambda: f"gru_scan: inputs must be S x {d} or B x S x {d}, got {xs.value.shape}")
     _require(xs.value.ndim == 2 or xs.value.shape[0] == h0.value.shape[0],
-             f"gru_scan: input batch {xs.value.shape} does not match state {h0.value.shape}")
+             lambda: f"gru_scan: input batch {xs.value.shape} does not match "
+                     f"state {h0.value.shape}")
     _require(xs.value.shape[-2] >= 1, "gru_scan: no steps")
     out_shape = (h0.value.shape[0], xs.value.shape[-2], hd)
     return _gru_recurrence(xs, xs.value, h0, h0.value, cell, out_shape)
@@ -574,9 +578,9 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> tuple[Tensor, Tensor]:
     probability vector node and the scalar loss node.
     """
     v = logits.value
-    _require(v.ndim == 1, f"softmax_cross_entropy: logits must be a vector, got {v.shape}")
+    _require(v.ndim == 1, lambda: f"softmax_cross_entropy: logits must be a vector, got {v.shape}")
     _require(isinstance(label, (int, np.integer)) and 0 <= label < v.shape[0],
-             f"softmax_cross_entropy: label {label} out of range for {v.shape[0]} classes")
+             lambda: f"softmax_cross_entropy: label {label} out of range for {v.shape[0]} classes")
     m = v.max()
     e = np.exp(v - m)
     se = e.sum()
@@ -614,13 +618,14 @@ def masked_cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarray
     labels = np.asarray(labels)
     weights = np.asarray(weights)
     _require(v.ndim == 3 and v.shape[2] == 2,
-             f"masked_cross_entropy: logits must be B x K x 2, got {v.shape}")
+             lambda: f"masked_cross_entropy: logits must be B x K x 2, got {v.shape}")
     _require(labels.shape == v.shape[:2],
-             f"masked_cross_entropy: labels {labels.shape} do not match logits {v.shape}")
+             lambda: f"masked_cross_entropy: labels {labels.shape} do not match logits {v.shape}")
     _require(weights.shape == (v.shape[1],),
-             f"masked_cross_entropy: weights {weights.shape} != ({v.shape[1]},)")
+             lambda: f"masked_cross_entropy: weights {weights.shape} != ({v.shape[1]},)")
     _require(bool(np.isin(labels, (-1, 0, 1)).all()),
-             f"masked_cross_entropy: labels outside {{-1, 0, 1}}: {np.unique(labels).tolist()}")
+             lambda: f"masked_cross_entropy: labels outside {{-1, 0, 1}}: "
+                     f"{np.unique(labels).tolist()}")
     known = labels != -1
     per_frame = known.sum(axis=1)
     frames = int((per_frame > 0).sum())
@@ -677,7 +682,8 @@ def backward(root: Tensor):
     Each interior node gives up its backward closure and gradient once
     it has pushed, so the graph can be walked only once.
     """
-    _require(root.value.size == 1, f"backward: root must be scalar, got shape {root.value.shape}")
+    _require(root.value.size == 1,
+             lambda: f"backward: root must be scalar, got shape {root.value.shape}")
     order = _topo_order(root)
     # interior nodes always carry a closure until a backward pass consumes them
     _require(not any(node.parents and node._push is None for node in order),
@@ -740,7 +746,7 @@ def finite_difference_report(loss_fn, params, step: float = 1e-3) -> GradientChe
     for p in params:
         _require(
             p.value.dtype == np.float64,
-            f"finite_difference_check: {p.name} is {p.value.dtype}, needs float64",
+            lambda: f"finite_difference_check: {p.name} is {p.value.dtype}, needs float64",
         )
 
     first = float(loss_fn().value)

@@ -6,7 +6,8 @@ clips by global norm, then applies bias-corrected Adam.  All shuffling
 comes from RNGs seeded by (seed, salt), so two runs with the same
 corpus and config produce bitwise identical parameters.
 
-One :class:`tensor.Workspace` serves every training step and
+Validation is :func:`evaluation.evaluate` with window 1, the unsmoothed
+score.  One :class:`tensor.Workspace` serves every training step and
 validation pass of a run, so a step of the same batch shape as the one
 before it fills the previous step's forward buffers instead of
 allocating new ones; it is dropped when :func:`train` returns.  Timing
@@ -26,7 +27,7 @@ from . import evaluation, tensor as T
 from .binio import write_atomic
 from .data import AU_ORDER, VideoSequence, decode_planes, landmark_diffs, reject_non_finite
 from .errors import ContractViolation, EmptyBatchError, NumericError
-from .model import ModelConfig, ModelParams, check_frame_size, model_forward, score_frames
+from .model import ModelConfig, ModelParams, check_frame_size, model_forward
 from .tensor import Tensor
 
 WEIGHT_CAP = 10.0
@@ -315,12 +316,12 @@ def train(
 
 
 def _train_step(params, adam, batch, weights, cfg: TrainConfig, where: str,
-                workspace: T.Workspace | None) -> tuple[float, float]:
+                workspace: T.Workspace) -> tuple[float, float]:
     """Forward, backward, clip and Adam on one batch.
 
     The batch is (images, diffs, labels).  Its graph lives only inside
     this call, so it is freed before the next batch builds its own; its
-    forward arrays live in ``workspace``'s buffers when one is given.
+    forward arrays live in ``workspace``'s buffers.
     Returns the batch loss and the gradient norm before clipping.
     """
     images, diffs, labels = batch
@@ -343,31 +344,23 @@ def _train_step(params, adam, batch, weights, cfg: TrainConfig, where: str,
 
 def _validate_epoch(epoch, train_loss, params, val_videos, weights,
                     workspace: T.Workspace) -> EpochStats:
-    """Score each validation video in batches of its frames.
+    """Score the validation videos unsmoothed, as ``evaluate`` with window 1.
 
     The validation loss is the training objective over all validation
-    frames at once, computed in float64 from the logits.
+    frames at once, computed in float64 from the tracks' logits.
     """
-    predictions = {}
-    labels = {}
-    logits = []
-    for video in val_videos:
-        probs, video_logits = score_frames(params, *video.model_inputs(params.dtype),
-                                           workspace=workspace)
-        predictions[video.video_id] = evaluation.binarize(probs)
-        labels[video.video_id] = video.labels
-        logits.append(video_logits)
+    report = evaluation.evaluate(params, val_videos, 1, workspace)
     val_loss = T.masked_cross_entropy(
-        Tensor(np.concatenate(logits)), np.concatenate([v.labels for v in val_videos]), weights
+        Tensor(np.concatenate([t.logits for t in report.tracks])),
+        np.concatenate([v.labels for v in val_videos]), weights,
     )
-    report = evaluation.challenge_metric(predictions, labels)
     return EpochStats(
         epoch=epoch,
         train_loss=float(train_loss),
         val_loss=float(val_loss.value),
-        val_accuracy=report.accuracy,
-        val_f1=report.mean_f1,
-        val_metric=report.metric,
+        val_accuracy=report.unsmoothed.accuracy,
+        val_f1=report.unsmoothed.mean_f1,
+        val_metric=report.unsmoothed.metric,
     )
 
 

@@ -22,7 +22,6 @@ from audet.data import (
     generate_synthetic,
     landmark_diffs,
     load_corpus,
-    read_label_csv,
     render_face,
     sobel_edge,
     store_corpus,
@@ -566,37 +565,3 @@ def test_decode_planes_keeps_gray_then_edge():
     np.testing.assert_array_equal(images[:, 1], np.float32(191) / np.float32(255))
     every = np.arange(256, dtype=np.uint8)
     np.testing.assert_array_equal(encode_planes(decode_planes(every, np.float32)), every)
-
-
-# ---------------------------------------------------------------------------
-# label CSV
-
-
-def test_read_label_csv(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("1,0,0,1,1,0,0,1\n0,0,0,0,0,0,0,0\n-1,-1,-1,-1,-1,-1,-1,-1\n")
-    labels = read_label_csv(path)
-    assert labels.shape == (3, 8)
-    np.testing.assert_array_equal(labels[0], [1, 0, 0, 1, 1, 0, 0, 1])
-    np.testing.assert_array_equal(labels[2], -np.ones(8, dtype=np.int8))
-
-
-def test_read_label_csv_field_count_error(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("1,0,0,1\n")
-    with pytest.raises(FormatError, match="line 1"):
-        read_label_csv(path)
-
-
-def test_read_label_csv_bad_value_names_line(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("0,0,0,0,0,0,0,0\n0,0,2,0,0,0,0,0\n")
-    with pytest.raises(FormatError, match="line 2"):
-        read_label_csv(path)
-
-
-def test_read_label_csv_empty_file(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("\n")
-    with pytest.raises(FormatError, match="no label rows"):
-        read_label_csv(path)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from audet import evaluation as E
+from audet import tensor as T
 from audet.data import AU_ORDER, PROTOTYPE_LABELS, SynthConfig, generate_synthetic
 from audet.errors import ContractViolation
 from audet.evaluation import (
@@ -13,6 +15,7 @@ from audet.evaluation import (
     challenge_metric,
     evaluate,
     f1_from_counts,
+    predict_video,
     render_report,
     smooth,
     smooth_track,
@@ -20,7 +23,9 @@ from audet.evaluation import (
     write_probability_csv,
     write_report_csv,
 )
+from audet.model import ModelParams, model_forward
 
+from conftest import TINY_MODEL
 from naive_scorer import naive_score
 
 
@@ -331,6 +336,7 @@ class TestEvaluate:
         for track, video in zip(report.tracks, tiny_corpus):
             assert track.video_id == video.video_id
             assert track.probs.shape == (len(video), 8)
+            assert track.logits.shape == (len(video), 8, 2) and track.logits.dtype == np.float64
             assert (track.probs >= 0).all() and (track.probs <= 1).all()
             assert np.isin(track.binary, (0, 1)).all()
             assert np.isin(track.smoothed, (0, 1)).all()
@@ -348,19 +354,64 @@ class TestEvaluate:
 
     def test_frames_of_another_size_rejected_before_any_scoring(self, tiny_params, tiny_corpus,
                                                                 monkeypatch):
-        from audet import evaluation
-
         big = generate_synthetic(SynthConfig(videos=1, frames_per_video=3, seed=2,
                                              image_size=32))
         big[0].video_id = "big0"
         scored = []
-        monkeypatch.setattr(evaluation, "predict_video",
-                            lambda params, video: scored.append(video.video_id))
+        monkeypatch.setattr(E, "score_frames", lambda *args: scored.append(args))
         with pytest.raises(ContractViolation,
                            match="video 'big0' has 32 x 32 px frames, but the model's "
                                  "image_size is 24"):
             evaluate(tiny_params, tiny_corpus + big, window=5)
         assert scored == []
+
+
+# ---------------------------------------------------------------------------
+# scoring passes
+
+
+def test_score_frames_chunks_match_one_batch(monkeypatch):
+    params = ModelParams.init(TINY_MODEL, seed=35, dtype=np.float64)
+    rng = np.random.default_rng(36)
+    size = TINY_MODEL.image_size
+    images = rng.uniform(0, 1, (10, 2, size, size))
+    diffs = rng.uniform(-1, 1, (10, 146))
+    whole = model_forward(params, images, diffs)
+    monkeypatch.setattr(E, "SCORING_BATCH", 4)  # chunks of 4, 4 and 2 frames
+    probs, logits = E.score_frames(params, images, diffs, T.Workspace())
+    assert probs.shape == (10, 8) and logits.shape == (10, 8, 2)
+    np.testing.assert_allclose(probs, whole.probs, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(logits, whole.logits.value, rtol=1e-12, atol=1e-14)
+
+
+def test_scores_from_a_workspace_outlive_the_next_video(tiny_corpus):
+    params = ModelParams.init(TINY_MODEL, seed=37)
+    first, second = (v.model_inputs(np.float32) for v in tiny_corpus[:2])
+    assert first[0].shape == second[0].shape
+    ws = T.Workspace()
+    probs, logits = E.score_frames(params, *first, ws)
+    kept = probs.copy(), logits.copy()
+    allocated = ws.allocations
+    other, _ = E.score_frames(params, *second, ws)
+    assert ws.allocations == allocated  # the second video reused every buffer
+    assert probs.tobytes() == kept[0].tobytes() and logits.tobytes() == kept[1].tobytes()
+    assert not np.array_equal(other, probs)
+    fresh = E.score_frames(params, *first, T.Workspace())
+    assert fresh[0].tobytes() == probs.tobytes() and fresh[1].tobytes() == logits.tobytes()
+
+
+def test_evaluate_in_a_reused_workspace_equals_a_new_one(tiny_params, tiny_corpus):
+    ws = T.Workspace()
+    evaluate(tiny_params, tiny_corpus[3:], 3, ws)  # an earlier pass leaves its buffers
+    reused = evaluate(tiny_params, tiny_corpus, 3, ws)
+    fresh = evaluate(tiny_params, tiny_corpus, 3)
+    assert [t.video_id for t in reused.tracks] == [t.video_id for t in fresh.tracks]
+    for a, b, video in zip(reused.tracks, fresh.tracks, tiny_corpus):
+        for field in ("probs", "logits", "binary", "smoothed"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        assert predict_video(tiny_params, video).tobytes() == a.probs.tobytes()
+    assert reused.unsmoothed.metric == fresh.unsmoothed.metric
+    assert reused.smoothed.metric == fresh.smoothed.metric
 
 
 class TestAlwaysInactiveBaseline:
@@ -386,7 +437,7 @@ def _track(seed=0, n=4):
     rng = np.random.default_rng(seed)
     probs = rng.uniform(size=(n, 8))
     binary = binarize(probs)
-    return PredictionTrack("clip0", probs, binary, smooth(binary, 3))
+    return PredictionTrack("clip0", probs, np.zeros((n, 8, 2)), binary, smooth(binary, 3))
 
 
 class TestArtifacts:

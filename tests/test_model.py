@@ -75,8 +75,9 @@ def test_config_validation_errors():
     ({"static_gru_hidden": 0}, "static_gru_hidden must be >= 1"),
     ({"fusion_out": 0}, "fusion_out must be >= 1"),
     ({"au_embedding_dim": 0}, "au_embedding_dim must be >= 1"),
+    ({"image_size": 0}, "conv: input extent 0 smaller than kernel 5"),
 ], ids=["no-conv", "zero-kernel", "zero-filters", "no-dynamic", "zero-width", "activation",
-        "static-hidden", "fusion", "embedding"])
+        "static-hidden", "fusion", "embedding", "no-image"])
 def test_config_validation_names_each_bad_field(changes, message):
     with pytest.raises(ContractViolation, match=message):
         ModelConfig(**changes).validate()
@@ -454,40 +455,6 @@ def test_batch_extents_of_images_and_diffs_must_agree():
     with pytest.raises(ContractViolation, match="batch"):
         model_forward(params, np.zeros((2, size, size), np.float32),
                       np.zeros((1, 146), np.float32))
-
-
-def test_score_frames_chunks_match_one_batch(monkeypatch):
-    import audet.model as M
-
-    params = ModelParams.init(TINY_MODEL, seed=35, dtype=np.float64)
-    rng = np.random.default_rng(36)
-    size = TINY_MODEL.image_size
-    images = rng.uniform(0, 1, (10, 2, size, size))
-    diffs = rng.uniform(-1, 1, (10, 146))
-    whole = model_forward(params, images, diffs)
-    monkeypatch.setattr(M, "SCORING_BATCH", 4)  # chunks of 4, 4 and 2 frames
-    probs, logits = M.score_frames(params, images, diffs)
-    assert probs.shape == (10, 8) and logits.shape == (10, 8, 2)
-    np.testing.assert_allclose(probs, whole.probs, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(logits, whole.logits.value, rtol=1e-12, atol=1e-14)
-
-
-def test_scores_from_a_workspace_outlive_the_next_video(tiny_corpus):
-    import audet.model as M
-
-    params = ModelParams.init(TINY_MODEL, seed=37)
-    first, second = (v.model_inputs(np.float32) for v in tiny_corpus[:2])
-    assert first[0].shape == second[0].shape
-    ws = T.Workspace()
-    probs, logits = M.score_frames(params, *first, workspace=ws)
-    kept = probs.copy(), logits.copy()
-    allocated = ws.allocations
-    other, _ = M.score_frames(params, *second, workspace=ws)
-    assert ws.allocations == allocated  # the second video reused every buffer
-    assert probs.tobytes() == kept[0].tobytes() and logits.tobytes() == kept[1].tobytes()
-    assert not np.array_equal(other, probs)
-    fresh = M.score_frames(params, *first)
-    assert fresh[0].tobytes() == probs.tobytes() and fresh[1].tobytes() == logits.tobytes()
 
 
 def _graph_arrays(root):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from audet import evaluation as E
 from audet import tensor as T
 from audet import training as TR
 from audet.data import AU_ORDER, LANDMARK_COUNT, SynthConfig, VideoSequence, generate_synthetic
@@ -436,6 +437,20 @@ def test_final_parameters_are_pinned():
     assert digest == "f451cb0bb4e14d19068b94b1692e22771d037046e18008d35122ce4fadfe5527"
 
 
+def test_validation_is_evaluate_without_smoothing(tiny_corpus):
+    epochs = []
+    result = train(tiny_corpus, TINY_MODEL, TrainConfig(epochs=2, batch_size=8, seed=7),
+                   on_epoch_end=lambda stats, params: epochs.append((stats, params.copy())))
+    by_id = {v.video_id: v for v in tiny_corpus}
+    val_videos = [by_id[i] for i in result.val_ids]
+    assert [stats.epoch for stats, _ in epochs] == [0, 1]
+    for stats, params in epochs:
+        scores = E.evaluate(params, val_videos, 1).unsmoothed
+        assert stats.val_accuracy == scores.accuracy
+        assert stats.val_f1 == scores.mean_f1
+        assert stats.val_metric == scores.metric
+
+
 def _random_batch(rng, frames):
     size = TINY_MODEL.image_size
     return (rng.uniform(0, 1, (frames, 2, size, size)).astype(np.float32),
@@ -473,7 +488,7 @@ class TestWorkspace:
         reused = self.params
         self.params = start
         self.adam = AdamState.for_params(start.all_parameters())
-        fresh = [self.step(b, None) for b in batches]
+        fresh = [self.step(b, T.Workspace()) for b in batches]
         assert with_ws == fresh
         for (name, a), (_, b) in zip(reused.named_arrays(), start.named_arrays()):
             assert a.tobytes() == b.tobytes(), name
@@ -489,7 +504,7 @@ class TestWorkspace:
             return call
 
         monkeypatch.setattr(TR, "_train_step", recording(TR._train_step))
-        monkeypatch.setattr(TR, "score_frames", recording(TR.score_frames))
+        monkeypatch.setattr(E, "score_frames", recording(E.score_frames))
         train(tiny_corpus, TINY_MODEL, TrainConfig(epochs=2, batch_size=8, seed=7))
         assert {name for name, _ in seen} == {"_train_step", "score_frames"}
         assert len({id(ws) for _, ws in seen}) == 1
