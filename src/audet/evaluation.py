@@ -153,8 +153,9 @@ def challenge_metric(
 # running the model over videos
 
 
-# Frames per forward pass when scoring a whole video.  A pass holds its
-# graph, about 0.6 MB per 64 x 64 frame, so longer videos go in chunks.
+# Frames per forward pass when scoring a whole video.  A pass's im2col and
+# conv/relu buffers take about 0.5 MB per 64 x 64 frame, and chunking
+# bounds them; beyond them a 60-frame pass allocates only about 5.7 MB.
 SCORING_BATCH = 64
 
 
@@ -209,8 +210,8 @@ def predict_tracks(params: ModelParams, corpus: list[VideoSequence], window: int
     for video in corpus:
         probs, logits = score_frames(params, *video.model_inputs(params.dtype), workspace)
         binary = binarize(probs)
-        tracks.append(PredictionTrack(video.video_id, probs, logits, binary,
-                                      smooth(binary, window)))
+        smoothed = binary if window == 1 else smooth(binary, window)
+        tracks.append(PredictionTrack(video.video_id, probs, logits, binary, smoothed))
     return tracks
 
 
@@ -222,7 +223,8 @@ def evaluate(params: ModelParams, corpus: list[VideoSequence], window: int,
     tracks = predict_tracks(params, corpus, window, workspace)
     labels = {v.video_id: v.labels for v in corpus}
     raw = challenge_metric({t.video_id: t.binary for t in tracks}, labels)
-    smoothed = challenge_metric({t.video_id: t.smoothed for t in tracks}, labels)
+    smoothed = raw if window == 1 else challenge_metric(
+        {t.video_id: t.smoothed for t in tracks}, labels)
     return EvalReport(window=window, unsmoothed=raw, smoothed=smoothed, tracks=tracks)
 
 

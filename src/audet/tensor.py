@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-Every operation returns a graph node carrying the forward value and a
-closure that routes an incoming gradient to the node's parents.  Calling
+Every operation returns a node built whole, ``Tensor(value, parents, push)``,
+whose closure ``push`` routes an incoming gradient to the parents.  Calling
 :func:`backward` on a scalar node seeds it with 1 and walks the graph
 once in reverse topological order.  :class:`Parameter` leaves keep a
 persistent ``grad`` buffer that accumulates additively; the caller
@@ -52,15 +52,18 @@ from .errors import ContractViolation, EmptyBatchError, NumericError
 
 
 class Tensor:
-    """One node of the computation graph."""
+    """One graph node, given its value, parents and backward rule in one call.
+
+    ``push(g)`` adds the node's gradient ``g`` into its parents'; a leaf has neither.
+    """
 
     __slots__ = ("value", "grad", "parents", "_push")
 
-    def __init__(self, value, parents=()):
+    def __init__(self, value, parents=(), push=None):
         self.value = value if isinstance(value, np.ndarray) else np.asarray(value)
         self.grad = None
         self.parents = parents
-        self._push = None
+        self._push = push
 
     @property
     def shape(self):
@@ -168,70 +171,57 @@ def _same_shape(op: str, a: Tensor, b: Tensor):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("add", a, b)
-    out = Tensor(a.value + b.value, (a, b))
 
     def push(g):
         _accum(a, g)
         _accum(b, g)
 
-    out._push = push
-    return out
+    return Tensor(a.value + b.value, (a, b), push)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("mul", a, b)
-    out = Tensor(a.value * b.value, (a, b))
 
     def push(g):
         _accum(a, g * b.value)
         _accum(b, g * a.value)
 
-    out._push = push
-    return out
+    return Tensor(a.value * b.value, (a, b), push)
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python constant (not a graph node)."""
     f = float(factor)
-    out = Tensor(a.value * f, (a,))
 
     def push(g):
         _accum(a, g * f)
 
-    out._push = push
-    return out
+    return Tensor(a.value * f, (a,), push)
 
 
 def total(a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar node."""
-    out = Tensor(np.asarray(a.value.sum(), dtype=a.value.dtype), (a,))
 
     def push(g):
         _accum(a, np.full_like(a.value, g))
 
-    out._push = push
-    return out
+    return Tensor(np.asarray(a.value.sum(), dtype=a.value.dtype), (a,), push)
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.value, 0, out=_empty(a.value.shape, a.value.dtype)), (a,))
-
     def push(g):
         _accum(a, g * (a.value > 0))
 
-    out._push = push
-    return out
+    return Tensor(np.maximum(a.value, 0, out=_empty(a.value.shape, a.value.dtype)), (a,), push)
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.value)
-    out = Tensor(y, (a,))
 
     def push(g):
         _accum(a, g * (1.0 - y * y))
 
-    out._push = push
-    return out
+    return Tensor(y, (a,), push)
 
 
 def logistic(v: np.ndarray) -> np.ndarray:
@@ -244,13 +234,11 @@ def logistic(v: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     y = logistic(a.value)
-    out = Tensor(y, (a,))
 
     def push(g):
         _accum(a, g * y * (1.0 - y))
 
-    out._push = push
-    return out
+    return Tensor(y, (a,), push)
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -261,15 +249,13 @@ def concat(parts: list[Tensor]) -> Tensor:
         shape = p.value.shape
         _require(len(shape) >= 1 and shape[:-1] == first[:-1],
                  lambda: f"concat: shape {shape} incompatible with {first} along the last axis")
-    out = Tensor(np.concatenate([p.value for p in parts], axis=-1), tuple(parts))
     bounds = np.cumsum([p.value.shape[-1] for p in parts])[:-1]
 
     def push(g):
         for p, piece in zip(parts, np.split(g, bounds, axis=-1)):
             _accum(p, piece)
 
-    out._push = push
-    return out
+    return Tensor(np.concatenate([p.value for p in parts], axis=-1), tuple(parts), push)
 
 
 def row(a: Tensor, index: int) -> Tensor:
@@ -277,15 +263,13 @@ def row(a: Tensor, index: int) -> Tensor:
     _require(a.value.ndim >= 2, lambda: f"row: expected matrix, got shape {a.value.shape}")
     _require(0 <= index < a.value.shape[-2],
              lambda: f"row: index {index} out of range for {a.value.shape}")
-    out = Tensor(a.value[..., index, :].copy(), (a,))
 
     def push(g):
         full = np.zeros_like(a.value)
         full[..., index, :] = g
         _accum(a, full)
 
-    out._push = push
-    return out
+    return Tensor(a.value[..., index, :].copy(), (a,), push)
 
 
 def linear(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
@@ -306,7 +290,6 @@ def linear(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
         bias.value.shape == (n,),
         lambda: f"linear: bias {bias.value.shape} does not match output dim {n}",
     )
-    out = Tensor(x.value @ weights.value.T + bias.value, (weights, bias, x))
 
     def push(g):
         rows = g.reshape(-1, n)
@@ -314,8 +297,7 @@ def linear(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
         _accum(bias, rows.sum(axis=0))
         _accum(x, g @ weights.value)
 
-    out._push = push
-    return out
+    return Tensor(x.value @ weights.value.T + bias.value, (weights, bias, x), push)
 
 
 def spatial_sequence(a: Tensor) -> Tensor:
@@ -327,13 +309,11 @@ def spatial_sequence(a: Tensor) -> Tensor:
              lambda: f"spatial_sequence: expected C,H,W map or a batch of them, "
                      f"got {a.value.shape}")
     *lead, c, h, w = a.value.shape
-    out = Tensor(a.value.reshape(*lead, c, h * w).swapaxes(-1, -2).copy(), (a,))
 
     def push(g):
         _accum(a, g.swapaxes(-1, -2).reshape(a.value.shape))
 
-    out._push = push
-    return out
+    return Tensor(a.value.reshape(*lead, c, h * w).swapaxes(-1, -2).copy(), (a,), push)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +367,6 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
     prod += bias.value[:, None]
     # the next op reads the view in batch-major order; no copy is made
     out_val = prod.reshape(f, b, ho, wo).swapaxes(0, 1)
-    out = Tensor(out_val.reshape(x.value.shape[:-3] + (f, ho, wo)), (x, kernels, bias))
     # an input that is neither a parameter nor computed (the image) needs no gradient
     input_grad = isinstance(x, Parameter) or bool(x.parents)
 
@@ -405,8 +384,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
                          v : v + (wo - 1) * stride + 1 : stride] += dcol[:, u, v]
         _accum(x, dx.reshape(x.value.shape))
 
-    out._push = push
-    return out
+    return Tensor(out_val.reshape(x.value.shape[:-3] + (f, ho, wo)), (x, kernels, bias), push)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +510,6 @@ def _gru_recurrence(xs: Tensor, xv: np.ndarray, h0: Tensor, hv: np.ndarray,
         rh[:, t] = r * h_prev
         cand[:, t] = np.tanh(g_t[..., 2 * hd :] + rh[:, t] @ wh_c.T)
         hs[:, t + 1] = (1.0 - z) * h_prev + z * cand[:, t]
-    out = Tensor(hs[:, 1:].reshape(out_shape), (xs, h0, wi, wh, bias))
 
     def push(g):
         g = g.reshape(rows, steps, hd)
@@ -563,8 +540,7 @@ def _gru_recurrence(xs: Tensor, xv: np.ndarray, h0: Tensor, hv: np.ndarray,
         _accum(xs, (dgi @ wi.value).reshape(xs.value.shape))
         _accum(h0, dh.reshape(h0.value.shape))
 
-    out._push = push
-    return out
+    return Tensor(hs[:, 1:].reshape(out_shape), (xs, h0, wi, wh, bias), push)
 
 
 # ---------------------------------------------------------------------------
@@ -585,23 +561,18 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> tuple[Tensor, Tensor]:
     e = np.exp(v - m)
     se = e.sum()
     p = e / se
-    probs = Tensor(p, (logits,))
 
     def push_probs(g):
         _accum(logits, p * (g - float(g @ p)))
-
-    probs._push = push_probs
-
-    # grouped so an exact common shift of the logits cancels before the log
-    loss = Tensor(np.asarray(np.log(se) - (v[label] - m), dtype=v.dtype), (logits,))
 
     def push_loss(g):
         d = p.copy()
         d[label] -= 1.0
         _accum(logits, d * g)
 
-    loss._push = push_loss
-    return probs, loss
+    # grouped so an exact common shift of the logits cancels before the log
+    ce = np.asarray(np.log(se) - (v[label] - m), dtype=v.dtype)
+    return Tensor(p, (logits,), push_probs), Tensor(ce, (logits,), push_loss)
 
 
 def masked_cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -642,15 +613,13 @@ def masked_cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarray
     p = e / se
     # grouped so an exact common shift of the logits cancels before the log
     ce = (np.log(se) - (np.take_along_axis(v, target, axis=2) - m))[..., 0]
-    loss = Tensor(np.asarray((coef * ce).sum(), dtype=v.dtype), (logits,))
 
     def push(g):
         d = p.copy()
         np.put_along_axis(d, target, np.take_along_axis(d, target, axis=2) - 1.0, axis=2)
         _accum(logits, d * (coef * g)[..., None])
 
-    loss._push = push
-    return loss
+    return Tensor(np.asarray((coef * ce).sum(), dtype=v.dtype), (logits,), push)
 
 
 # ---------------------------------------------------------------------------

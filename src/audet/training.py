@@ -2,9 +2,10 @@
 
 Videos split 80/20 into train and validation by id.  Every batch
 builds one graph for all of its frames, accumulates gradients once,
-clips by global norm, then applies bias-corrected Adam.  All shuffling
-comes from RNGs seeded by (seed, salt), so two runs with the same
-corpus and config produce bitwise identical parameters.
+clips by global norm, then applies bias-corrected Adam; a batch whose
+labels are all -1 is skipped.  All shuffling comes from RNGs seeded
+by (seed, salt), so two runs with the same corpus and config produce
+bitwise identical parameters.
 
 Validation is :func:`evaluation.evaluate` with window 1, the unsmoothed
 score.  One :class:`tensor.Workspace` serves every training step and
@@ -272,8 +273,10 @@ def train(
         started = time.perf_counter()
         for start in range(0, len(order), train_config.batch_size):
             picks = order[start : start + train_config.batch_size]
+            if (labels[picks] == -1).all():
+                continue  # no known label to learn from: no step, no Adam update
             batch = (decode_planes(planes[picks], dtype), diffs[picks], labels[picks])
-            where = f"epoch {epoch}, batch {len(norms)}"
+            where = f"epoch {epoch}, batch {start // train_config.batch_size}"
             loss, norm = _train_step(params, adam, batch, weights, train_config, where,
                                      workspace)
             epoch_loss += loss

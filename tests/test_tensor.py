@@ -574,15 +574,13 @@ def test_fd_report_names_worst_component():
     def loss_fn():
         # correct for a; b's gradient is wrong in component 1 only
         out = T.total(T.mul(a, a))
-        bad = Tensor(np.asarray(float((b.value ** 2).sum())), (b,))
 
         def push(g):
             grad = 2.0 * b.value * g
             grad[1] *= 1.5
             T._accum(b, grad)
 
-        bad._push = push
-        return T.add(out, bad)
+        return T.add(out, Tensor(np.asarray(float((b.value ** 2).sum())), (b,), push))
 
     report = T.finite_difference_report(loss_fn, [a, b], 1e-3)
     assert report.worst_parameter == "b" and report.worst_index == (1,)
@@ -607,6 +605,24 @@ def test_second_backward_on_a_consumed_graph_raises():
     with pytest.raises(ContractViolation, match="consumed"):
         T.backward(T.total(T.scale(hidden, 2.0)))
     np.testing.assert_array_equal(w.grad, first)
+
+
+def test_a_node_built_with_its_rule_pushes_once():
+    w = Parameter(np.array([1.0, -2.0]), "w")
+    calls = []
+
+    def push(g):
+        calls.append(float(g))
+        T._accum(w, np.full_like(w.value, g))
+
+    node = Tensor(np.asarray(float(w.value.sum())), (w,), push)
+    assert node._push is push
+    T.backward(node)
+    assert calls == [1.0]
+    np.testing.assert_array_equal(w.grad, [1.0, 1.0])
+    with pytest.raises(ContractViolation, match="consumed"):
+        T.backward(node)
+    assert calls == [1.0]
 
 
 def test_backward_releases_interior_nodes_but_not_leaves():

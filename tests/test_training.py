@@ -359,6 +359,26 @@ class TestTrain:
         with pytest.raises(EmptyBatchError, match="-1"):
             _tiny_train(corpus, epochs=1)
 
+    def test_unlabelled_batches_are_skipped(self, monkeypatch):
+        # half the videos are unlabelled, so some 2-frame batches hold no known label
+        corpus = generate_synthetic(SynthConfig(videos=10, frames_per_video=6, seed=3,
+                                                image_size=24))
+        for video in corpus[::2]:
+            video.labels[...] = -1
+        stepped, real = [], TR._train_step
+
+        def recording(params, adam, batch, *args):
+            stepped.append(batch[2])
+            return real(params, adam, batch, *args)
+
+        monkeypatch.setattr(TR, "_train_step", recording)
+        result = train(corpus, TINY_MODEL, TrainConfig(epochs=3, batch_size=2, seed=7))
+        frames = sum(len(v) for v in corpus if v.video_id in result.train_ids)
+        assert len(result.history) == 3
+        assert all((labels != -1).any() for labels in stepped)
+        assert sum(r.steps for r in result.telemetry) == len(stepped) < 3 * frames // 2
+        assert all(r.steps >= 1 for r in result.telemetry)
+
     def test_unlabelled_validation_split_rejected_before_training(self):
         rows = [[0, 1, 0, 0, 1, 0, 0, 0]] * 3
         ids = [f"v{i}" for i in range(5)]
@@ -449,6 +469,21 @@ def test_validation_is_evaluate_without_smoothing(tiny_corpus):
         assert stats.val_accuracy == scores.accuracy
         assert stats.val_f1 == scores.mean_f1
         assert stats.val_metric == scores.metric
+
+
+def test_validation_neither_smooths_nor_scores_twice(tiny_corpus, monkeypatch):
+    calls = []
+
+    def counting(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(E, "smooth_track", counting(E.smooth_track))
+    monkeypatch.setattr(E, "challenge_metric", counting(E.challenge_metric))
+    train(tiny_corpus, TINY_MODEL, TrainConfig(epochs=1, batch_size=8, seed=7))
+    assert calls == ["challenge_metric"]
 
 
 def _random_batch(rng, frames):
