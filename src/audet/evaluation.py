@@ -2,12 +2,17 @@
 smoothing, F1, challenge metric.
 
 Every scoring pass, training's validation included, is :func:`score_frames`
-in a :class:`tensor.Workspace`.  The challenge metric is 0.5 * pooled
-accuracy + 0.5 * mean per-AU F1.  Accuracy pools every valid
-(label != -1) decision across videos and AUs.  The F1 mean runs over AUs
-that received at least one valid decision; an evaluated AU whose F1
-denominator is zero scores 0 and is flagged as degenerate rather than
-dropped.
+in a :class:`tensor.Workspace`.  The model scores each frame on its own
+(a video matters only through its landmark differences), so
+``score_frames`` treats a list of videos as one stream of frames and
+fills every forward pass with the next SCORING_BATCH of them, across
+video boundaries, before splitting the scores back per video.
+
+The challenge metric is 0.5 * pooled accuracy + 0.5 * mean per-AU F1.
+Accuracy pools every valid (label != -1) decision across videos and
+AUs.  The F1 mean runs over AUs that received at least one valid
+decision; an evaluated AU whose F1 denominator is zero scores 0 and is
+flagged as degenerate rather than dropped.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .binio import write_atomic
-from .data import AU_ORDER, VideoSequence
+from .data import AU_ORDER, VideoSequence, decode_planes, landmark_diffs
 from .errors import ContractViolation
 from .model import ModelParams, check_frame_size, model_forward
 
@@ -153,33 +158,81 @@ def challenge_metric(
 # running the model over videos
 
 
-# Frames per forward pass when scoring a whole video.  A pass's im2col and
-# conv/relu buffers take about 0.5 MB per 64 x 64 frame, and chunking
-# bounds them; beyond them a 60-frame pass allocates only about 5.7 MB.
-SCORING_BATCH = 64
+# Frames per forward pass.  A pass's im2col and conv/relu buffers take
+# about 0.5 MB per 64 x 64 frame and the pass allocates little beyond
+# them, so the chunk size sets scoring's memory peak.  Pooled passes on
+# perfbench's infer workload (100 videos x 4 frames, one 36 s run each
+# on a 2-vCPU Xeon host with OpenBLAS):
+#   chunk   infer frames/s   peak RSS MB
+#   16      1137             71.0   (per-video passes of 4 frames: 515, 71.0)
+#   32      1258             88.5
+#   64      1213             126.5
+# 16 keeps the peak flat, and it is the default training batch, so
+# validation's passes refill the training steps' buffers.
+SCORING_BATCH = 16
 
 
-def score_frames(params: ModelParams, images: np.ndarray, diffs: np.ndarray,
-                 workspace: T.Workspace):
-    """Probabilities (T x 8) and float64 logits (T x 8 x 2) of T frames.
+def _chunks(videos: list[VideoSequence]):
+    """The frame stream of ``videos``, cut into passes of SCORING_BATCH frames.
 
-    Runs up to SCORING_BATCH frames per pass in ``workspace``'s buffers
-    and keeps no graph; the returned arrays are copies and never alias
-    those buffers.
+    Yields each pass as a list of (video index, first frame, u8 planes,
+    motion features) pieces, in stream order; a pass may span several
+    videos, and only the last one may be short.
     """
-    probs, logits = [], []
-    for start in range(0, len(images), SCORING_BATCH):
-        chunk = slice(start, start + SCORING_BATCH)
-        with T.reusing(workspace):
-            res = model_forward(params, images[chunk], diffs[chunk])
-            probs.append(res.probs)
-            logits.append(res.logits.value.astype(np.float64))
-    return np.concatenate(probs), np.concatenate(logits)
+    chunk, room = [], SCORING_BATCH
+    for i, video in enumerate(videos):
+        diffs = landmark_diffs(video.landmarks)
+        start = 0
+        while start < len(video):
+            stop = min(len(video), start + room)
+            chunk.append((i, start, video.planes[start:stop], diffs[start:stop]))
+            room -= stop - start
+            start = stop
+            if room == 0:
+                yield chunk
+                chunk, room = [], SCORING_BATCH
+    if chunk:
+        yield chunk
+
+
+def _score_pass(params: ModelParams, chunk, workspace: T.Workspace):
+    """Probabilities and float64 logits of one pass's frames, in stream order.
+
+    The pass's graph dies when this returns, before the next pass builds
+    its own.
+    """
+    images = decode_planes(np.concatenate([planes for _, _, planes, _ in chunk]), params.dtype)
+    diffs = np.concatenate([diffs for *_, diffs in chunk]).astype(params.dtype)
+    with T.reusing(workspace):
+        res = model_forward(params, images, diffs)
+        return res.probs, res.logits.value.astype(np.float64)
+
+
+def score_frames(params: ModelParams, videos: list[VideoSequence], workspace: T.Workspace):
+    """Probabilities (T x 8) and float64 logits (T x 8 x 2) of every video.
+
+    The videos' frames form one stream, and every forward pass scores
+    the next SCORING_BATCH of them in ``workspace``'s buffers, across
+    video boundaries.  Only that chunk's planes are decoded, so memory
+    does not grow with the corpus.  Returns one (probs, logits) pair per
+    video; the arrays are copies and never alias the buffers.
+    """
+    scores = [(np.empty((len(v), len(AU_ORDER))), np.empty((len(v), len(AU_ORDER), 2)))
+              for v in videos]
+    for chunk in _chunks(videos):
+        probs, logits = _score_pass(params, chunk, workspace)
+        at = 0
+        for i, start, planes, _ in chunk:
+            n = len(planes)
+            scores[i][0][start:start + n] = probs[at:at + n]
+            scores[i][1][start:start + n] = logits[at:at + n]
+            at += n
+    return scores
 
 
 def predict_video(params: ModelParams, video: VideoSequence) -> np.ndarray:
     """Per-frame activation probabilities, T x 8 float64, scored in a workspace of its own."""
-    return score_frames(params, *video.model_inputs(params.dtype), T.Workspace())[0]
+    return score_frames(params, [video], T.Workspace())[0][0]
 
 
 @dataclass
@@ -207,8 +260,7 @@ def predict_tracks(params: ModelParams, corpus: list[VideoSequence], window: int
     if workspace is None:
         workspace = T.Workspace()
     tracks = []
-    for video in corpus:
-        probs, logits = score_frames(params, *video.model_inputs(params.dtype), workspace)
+    for video, (probs, logits) in zip(corpus, score_frames(params, corpus, workspace)):
         binary = binarize(probs)
         smoothed = binary if window == 1 else smooth(binary, window)
         tracks.append(PredictionTrack(video.video_id, probs, logits, binary, smoothed))

@@ -227,9 +227,10 @@ def tanh(a: Tensor) -> Tensor:
 def logistic(v: np.ndarray) -> np.ndarray:
     """Elementwise 1 / (1 + e^-v) of an array, outside the graph."""
     # piecewise form stays finite for large |v|: 1/(1+e^-v) for v >= 0,
-    # e^v/(1+e^v) below; exp(-|v|) is e^-v on one side and e^v on the other
+    # e^v/(1+e^v) below; exp(-|v|) is e^-v on one side and e^v on the
+    # other, so one division serves both sides
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -594,7 +595,7 @@ def masked_cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarray
              lambda: f"masked_cross_entropy: labels {labels.shape} do not match logits {v.shape}")
     _require(weights.shape == (v.shape[1],),
              lambda: f"masked_cross_entropy: weights {weights.shape} != ({v.shape[1]},)")
-    _require(bool(np.isin(labels, (-1, 0, 1)).all()),
+    _require(bool(((labels == -1) | (labels == 0) | (labels == 1)).all()),
              lambda: f"masked_cross_entropy: labels outside {{-1, 0, 1}}: "
                      f"{np.unique(labels).tolist()}")
     known = labels != -1

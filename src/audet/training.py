@@ -11,7 +11,9 @@ Validation is :func:`evaluation.evaluate` with window 1, the unsmoothed
 score.  One :class:`tensor.Workspace` serves every training step and
 validation pass of a run, so a step of the same batch shape as the one
 before it fills the previous step's forward buffers instead of
-allocating new ones; it is dropped when :func:`train` returns.  Timing
+allocating new ones (at the default batch of 16, validation's passes of
+evaluation.SCORING_BATCH = 16 frames do too); it is dropped when
+:func:`train` returns.  Timing
 and gradient-norm telemetry is kept apart from the history, which must
 stay bitwise reproducible.
 """
@@ -332,10 +334,7 @@ def _train_step(params, adam, batch, weights, cfg: TrainConfig, where: str,
     T.zero_grads(plist)
     with T.reusing(workspace):
         res = model_forward(params, images, diffs)
-        try:
-            loss = T.masked_cross_entropy(res.logits, labels, weights)
-        except EmptyBatchError:
-            raise EmptyBatchError(f"{where}: every label in the batch is -1") from None
+        loss = T.masked_cross_entropy(res.logits, labels, weights)
         value = float(loss.value)
         if not np.isfinite(value):
             raise NumericError(f"training diverged: loss {value} at {where}")

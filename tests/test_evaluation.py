@@ -1,11 +1,14 @@
 """Tests for scoring: binarization, smoothing, F1, challenge metric."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from audet import evaluation as E
 from audet import tensor as T
-from audet.data import AU_ORDER, PROTOTYPE_LABELS, SynthConfig, generate_synthetic
+from audet.data import (AU_ORDER, PROTOTYPE_LABELS, SynthConfig, VideoSequence,
+                        generate_synthetic)
 from audet.errors import ContractViolation
 from audet.evaluation import (
     PREDICTION_HEADER,
@@ -23,7 +26,7 @@ from audet.evaluation import (
     write_probability_csv,
     write_report_csv,
 )
-from audet.model import ModelParams, model_forward
+from audet.model import ModelConfig, ModelParams, model_forward
 
 from conftest import TINY_MODEL
 from naive_scorer import naive_score
@@ -370,33 +373,39 @@ class TestEvaluate:
 # scoring passes
 
 
-def test_score_frames_chunks_match_one_batch(monkeypatch):
+def _cut(videos, lengths):
+    """The videos cut to the given lengths, as a corpus of mixed lengths."""
+    return [VideoSequence(v.video_id, v.planes[:n], v.landmarks[:n], v.labels[:n])
+            for v, n in zip(videos, lengths)]
+
+
+def test_score_frames_chunks_match_one_batch(tiny_corpus, monkeypatch):
     params = ModelParams.init(TINY_MODEL, seed=35, dtype=np.float64)
-    rng = np.random.default_rng(36)
-    size = TINY_MODEL.image_size
-    images = rng.uniform(0, 1, (10, 2, size, size))
-    diffs = rng.uniform(-1, 1, (10, 146))
-    whole = model_forward(params, images, diffs)
-    monkeypatch.setattr(E, "SCORING_BATCH", 4)  # chunks of 4, 4 and 2 frames
-    probs, logits = E.score_frames(params, images, diffs, T.Workspace())
-    assert probs.shape == (10, 8) and logits.shape == (10, 8, 2)
-    np.testing.assert_allclose(probs, whole.probs, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(logits, whole.logits.value, rtol=1e-12, atol=1e-14)
+    videos = _cut(tiny_corpus, (3, 10, 5))
+    inputs = [v.model_inputs(np.float64) for v in videos]
+    whole = model_forward(params, *(np.concatenate(x) for x in zip(*inputs)))
+    monkeypatch.setattr(E, "SCORING_BATCH", 4)  # passes of 3+1, 4, 4, 1+3 and 2 frames
+    scores = E.score_frames(params, videos, T.Workspace())
+    assert [(p.shape, l.shape) for p, l in scores] == [((n, 8), (n, 8, 2)) for n in (3, 10, 5)]
+    np.testing.assert_allclose(np.concatenate([p for p, _ in scores]), whole.probs,
+                               rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(np.concatenate([l for _, l in scores]), whole.logits.value,
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_scores_from_a_workspace_outlive_the_next_video(tiny_corpus):
     params = ModelParams.init(TINY_MODEL, seed=37)
-    first, second = (v.model_inputs(np.float32) for v in tiny_corpus[:2])
-    assert first[0].shape == second[0].shape
+    first, second = ([v] for v in tiny_corpus[:2])
+    assert len(first[0]) == len(second[0])
     ws = T.Workspace()
-    probs, logits = E.score_frames(params, *first, ws)
+    [(probs, logits)] = E.score_frames(params, first, ws)
     kept = probs.copy(), logits.copy()
     allocated = ws.allocations
-    other, _ = E.score_frames(params, *second, ws)
+    [(other, _)] = E.score_frames(params, second, ws)
     assert ws.allocations == allocated  # the second video reused every buffer
     assert probs.tobytes() == kept[0].tobytes() and logits.tobytes() == kept[1].tobytes()
     assert not np.array_equal(other, probs)
-    fresh = E.score_frames(params, *first, T.Workspace())
+    [fresh] = E.score_frames(params, first, T.Workspace())
     assert fresh[0].tobytes() == probs.tobytes() and fresh[1].tobytes() == logits.tobytes()
 
 
@@ -427,6 +436,57 @@ class TestAlwaysInactiveBaseline:
         assert report.mean_f1 == 0.0
         expected = 0.5 * (1.0 - rate)
         assert abs(report.metric - expected) <= 0.02
+
+
+# ---------------------------------------------------------------------------
+# pooled scoring, default model in float32
+
+
+@pytest.fixture(scope="module")
+def default_params():
+    return ModelParams.init(ModelConfig(), seed=4)
+
+
+@pytest.fixture(scope="module")
+def short_videos():
+    """40 held-out-sized videos of 4 frames: ten full passes of 16."""
+    return generate_synthetic(SynthConfig(videos=40, frames_per_video=4, seed=14))
+
+
+def test_pooled_scores_match_scores_video_by_video(default_params):
+    lengths = (5, 21, 3, 9, 14, 4)  # 56 frames: passes of 16, 16, 16 and 8
+    videos = _cut(generate_synthetic(SynthConfig(videos=6, frames_per_video=21, seed=13)),
+                  lengths)
+    assert max(lengths) > E.SCORING_BATCH
+    tracks = E.predict_tracks(default_params, videos, 5)
+    for track, video in zip(tracks, videos):
+        alone = predict_video(default_params, video)
+        assert track.probs.shape == alone.shape == (len(video), 8)
+        np.testing.assert_allclose(track.probs, alone, rtol=0, atol=1e-6)
+        assert track.binary.tobytes() == binarize(alone).tobytes()
+        assert track.smoothed.tobytes() == smooth(binarize(alone), 5).tobytes()
+
+
+def test_a_corpus_holds_the_buffers_of_one_pass(default_params, short_videos):
+    ws = T.Workspace()
+    E.predict_tracks(default_params, short_videos, 1, ws)
+    one = T.Workspace()
+    E.score_frames(default_params, short_videos[:4], one)  # one pass of 16 frames
+    assert sum(b.nbytes for b in ws.buffers) == sum(b.nbytes for b in one.buffers) > 0
+    assert ws.allocations == one.allocations  # later passes refilled the first one's
+
+
+def test_scoring_memory_does_not_grow_with_the_corpus(default_params, short_videos):
+    def peak(videos):
+        tracemalloc.start()
+        try:
+            E.predict_tracks(default_params, videos, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(short_videos[:4]), peak(short_videos)
+    assert many <= 1.1 * few, (few, many)
 
 
 # ---------------------------------------------------------------------------

@@ -531,6 +531,41 @@ def test_masked_cross_entropy_means_frames_then_batch():
         T.masked_cross_entropy(Tensor(raw), np.full((3, 8), 2, np.int8), weights)
 
 
+
+def test_logistic_is_bitwise_the_two_division_form():
+    def two_divisions(v):  # the former formula, one division per side
+        e = np.exp(-np.abs(v))
+        return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    rng = np.random.default_rng(61)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e4, -1e4, 1e-45, -1e-45]
+    for dtype in (np.float32, np.float64):
+        v = np.concatenate([special, rng.uniform(-1e4, 1e4, 40_000),
+                            rng.uniform(-100, 100, 30_000), rng.normal(0, 5, 30_000)]).astype(dtype)
+        got, want = T.logistic(v), two_divisions(v)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_label_check_gives_the_verdict_of_isin_on_every_dtype():
+    logits, weights = Tensor(np.zeros((2, 3, 2))), np.ones(3)
+    cases = [np.array([[1, 0, -1], [0, 1, 1]], dtype) for dtype in (np.int8, np.int64)]
+    cases += [np.array([[1, 0, 2], [0, 1, 1]], np.int8),
+              np.array([[1, 0, -2], [0, 1, 1]], np.int64),
+              np.array([[1, 0.5, 0], [0, 1, 1]]),
+              np.array([[1, np.nan, 0], [0, 1, 1]]),
+              np.array([[True, False, True], [False, False, True]])]
+    verdicts = []
+    for labels in cases:
+        try:
+            T.masked_cross_entropy(logits, labels, weights)
+            verdicts.append(True)
+        except ContractViolation as err:
+            assert "labels outside {-1, 0, 1}" in str(err)
+            verdicts.append(False)
+    assert verdicts == [bool(np.isin(labels, (-1, 0, 1)).all()) for labels in cases]
+    assert verdicts == [True] * 2 + [False] * 4 + [True]
+
 def test_batch_extents_must_agree():
     rng = np.random.default_rng(58)
     cell = _cell(rng, 4, 3)

@@ -545,11 +545,21 @@ class TestWorkspace:
         assert len({id(ws) for _, ws in seen}) == 1
         assert isinstance(seen[0][1], T.Workspace)
 
+    def test_scoring_passes_refill_a_default_batch_steps_buffers(self, tiny_corpus):
+        assert TrainConfig().batch_size == E.SCORING_BATCH
+        ws = T.Workspace()
+        self.step(_random_batch(self.rng, E.SCORING_BATCH), ws)
+        allocated = ws.allocations
+        videos = [VideoSequence(v.video_id, v.planes[:8], v.landmarks[:8], v.labels[:8])
+                  for v in tiny_corpus]  # 32 frames: two passes of 16
+        E.score_frames(self.params, videos, ws)
+        assert ws.allocations == allocated
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_failed_step_leaves_no_workspace_active(self):
         unknown = _random_batch(self.rng, 3)
         unknown[2][...] = -1
-        with pytest.raises(EmptyBatchError, match="test step"):
+        with pytest.raises(EmptyBatchError, match="every label in the batch is -1"):
             self.step(unknown, T.Workspace())
         assert T._active.get() is None
         self.params.classifier_bias.value[...] = np.nan
