@@ -299,7 +299,8 @@ def clear_relu_margins(params: ModelParams, image: np.ndarray, diff: np.ndarray,
     """
     x = image
     for (kern, bias), (_, _, _, stride) in zip(params.conv_layers, params.config.conv_spec):
-        pre = conv2d(Tensor(x), Tensor(kern.value), Tensor(bias.value), stride).value.copy()
+        out = conv2d(Tensor(x[None]), Tensor(kern.value), Tensor(bias.value), stride)
+        pre = out.value[0].copy()
         for f in range(pre.shape[0]):
             delta = _gap_shift(pre[f].ravel(), margin, cap)
             bias.value[f] += delta

@@ -255,7 +255,8 @@ class EvalReport:
 def predict_tracks(params: ModelParams, corpus: list[VideoSequence], window: int,
                    workspace: T.Workspace | None = None) -> list[PredictionTrack]:
     """One track per video, scored in ``workspace`` (a new one if None) after
-    checking every video's frame size."""
+    checking the window and every video's frame size."""
+    check_window(window)
     check_frame_size(params.config, corpus)
     if workspace is None:
         workspace = T.Workspace()

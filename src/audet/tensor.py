@@ -12,15 +12,16 @@ raise ``ContractViolation`` otherwise.  Arithmetic runs in whatever
 dtype the inputs carry, so the same graph code serves float32 training
 and float64 gradient checking.
 
-The layer primitives :func:`linear`, :func:`conv2d`,
-:func:`spatial_sequence` and :func:`gru_cell` take an optional leading
-batch axis: a B x ... input runs B independent examples through one
-node, and the unbatched call is the same code on a batch of one.  The
-model always passes a batch, so a training step builds one graph for
-its whole batch; the unbatched forms serve the per-primitive gradient
-checks.  The recurrent scan :func:`gru_scan` takes B x h states only.
-It is one node for all S steps of a gated cell: it projects every
-step's input with a single matmul, then steps the B x h states.
+The engine holds the ops the model runs and no others: :func:`conv2d`,
+:func:`relu`, :func:`spatial_sequence`, :func:`gru_scan`, :func:`row`,
+:func:`linear`, :func:`tanh`, :func:`concat` and
+:func:`masked_cross_entropy`.  They take a leading batch axis
+(:func:`conv2d`, :func:`spatial_sequence`, :func:`gru_scan` and
+:func:`masked_cross_entropy` demand one), so a training step builds one
+graph for its whole batch; a single example is a batch of one.  The
+recurrent scan :func:`gru_scan` is one node for all S steps of a gated
+cell: it projects every step's input with a single matmul, then steps
+the B x h states.
 
 Build one graph per step and call :func:`backward` on it once.  As
 the walk passes each interior node it releases the node's backward
@@ -158,54 +159,8 @@ def _require(cond: bool, message):
         raise ContractViolation(message if isinstance(message, str) else message())
 
 
-def _same_shape(op: str, a: Tensor, b: Tensor):
-    _require(
-        a.value.shape == b.value.shape,
-        lambda: f"{op}: shape mismatch {a.value.shape} vs {b.value.shape}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # elementwise and shape primitives
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("add", a, b)
-
-    def push(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return Tensor(a.value + b.value, (a, b), push)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("mul", a, b)
-
-    def push(g):
-        _accum(a, g * b.value)
-        _accum(b, g * a.value)
-
-    return Tensor(a.value * b.value, (a, b), push)
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    """Multiply by a python constant (not a graph node)."""
-    f = float(factor)
-
-    def push(g):
-        _accum(a, g * f)
-
-    return Tensor(a.value * f, (a,), push)
-
-
-def total(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar node."""
-
-    def push(g):
-        _accum(a, np.full_like(a.value, g))
-
-    return Tensor(np.asarray(a.value.sum(), dtype=a.value.dtype), (a,), push)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -231,15 +186,6 @@ def logistic(v: np.ndarray) -> np.ndarray:
     # other, so one division serves both sides
     e = np.exp(-np.abs(v))
     return np.where(v >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = logistic(a.value)
-
-    def push(g):
-        _accum(a, g * y * (1.0 - y))
-
-    return Tensor(y, (a,), push)
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -302,19 +248,16 @@ def linear(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
 
 
 def spatial_sequence(a: Tensor) -> Tensor:
-    """Read a C x H x W map as H*W feature vectors in raster order.
-
-    A B x C x H x W batch gives B x H*W x C.
-    """
-    _require(a.value.ndim in (3, 4),
-             lambda: f"spatial_sequence: expected C,H,W map or a batch of them, "
-                     f"got {a.value.shape}")
-    *lead, c, h, w = a.value.shape
+    """Read each C x H x W map of a B x C x H x W batch as H*W feature
+    vectors in raster order: B x H*W x C."""
+    _require(a.value.ndim == 4,
+             lambda: f"spatial_sequence: expected a B,C,H,W batch, got {a.value.shape}")
+    b, c, h, w = a.value.shape
 
     def push(g):
         _accum(a, g.swapaxes(-1, -2).reshape(a.value.shape))
 
-    return Tensor(a.value.reshape(*lead, c, h * w).swapaxes(-1, -2).copy(), (a,), push)
+    return Tensor(a.value.reshape(b, c, h * w).swapaxes(-1, -2).copy(), (a,), push)
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +274,17 @@ def conv_output_size(size: int, kernel: int, stride: int) -> int:
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
     """2-d cross-correlation, valid padding.
 
-    ``x`` is C x H x W or a B x C x H x W batch, ``kernels`` is
-    F x C x k x k, ``bias`` is F.  Output is F x H' x W' (B x F x H' x W'
-    for a batch) with H' = (H - k) // stride + 1.  The whole batch is one
-    im2col matmul, and the output is a strided view of its F x B*H'*W'
-    product.  All three operands share one dtype.
+    ``x`` is a B x C x H x W batch, ``kernels`` is F x C x k x k, ``bias``
+    is F.  Output is B x F x H' x W' with H' = (H - k) // stride + 1.  The
+    whole batch is one im2col matmul, and the output is a strided view of
+    its F x B*H'*W' product.  All three operands share one dtype.
     """
-    _require(x.value.ndim in (3, 4),
-             lambda: f"conv2d: input must be C,H,W or a batch of them, got {x.value.shape}")
+    _require(x.value.ndim == 4,
+             lambda: f"conv2d: input must be a B,C,H,W batch, got {x.value.shape}")
     _require(kernels.value.ndim == 4,
              lambda: f"conv2d: kernels must be F,C,k,k, got {kernels.value.shape}")
     f, kc, kh, kw = kernels.value.shape
-    xs = x.value if x.value.ndim == 4 else x.value[None]
+    xs = x.value
     b, c, h, w = xs.shape
     _require(kh == kw, lambda: f"conv2d: kernels must be square, got {kh}x{kw}")
     _require(kc == c, lambda: f"conv2d: kernel channels {kc} != input channels {c}")
@@ -383,9 +325,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
             for v in range(kh):
                 dx[:, :, u : u + (ho - 1) * stride + 1 : stride,
                          v : v + (wo - 1) * stride + 1 : stride] += dcol[:, u, v]
-        _accum(x, dx.reshape(x.value.shape))
+        _accum(x, dx)
 
-    return Tensor(out_val.reshape(x.value.shape[:-3] + (f, ho, wo)), (x, kernels, bias), push)
+    return Tensor(out_val, (x, kernels, bias), push)
 
 
 # ---------------------------------------------------------------------------
@@ -434,29 +376,6 @@ class GruCellParams:
         )
 
 
-def gru_cell(x: Tensor, h: Tensor, cell: GruCellParams) -> Tensor:
-    """One step of a gated recurrent cell, as a single fused node.
-
-    update   z = sigmoid(Wz x + Uz h + bz)
-    reset    r = sigmoid(Wr x + Ur h + br)
-    cand     c = tanh(Wc x + Uc (r*h) + bc)
-    output   h' = (1 - z) * h + z * c
-
-    ``x`` is d and ``h`` is h, or B x d and B x h for a batch.  This is
-    :func:`gru_scan` over a single step.
-    """
-    d, hd = cell.input_dim, cell.hidden_dim
-    batched = h.value.ndim == 2
-    lead = h.value.shape[:1] if batched else ()
-    _require(x.value.shape == lead + (d,),
-             lambda: f"gru_cell: input {x.value.shape} != {lead + (d,)}")
-    _require(h.value.shape == lead + (hd,),
-             lambda: f"gru_cell: state {h.value.shape} != {lead + (hd,)}")
-    rows = h.value.shape[0] if batched else 1
-    return _gru_recurrence(x, x.value.reshape(rows, 1, d), h, h.value.reshape(rows, hd), cell,
-                           h.value.shape)
-
-
 def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
     """Run a gated recurrent cell over S steps, as a single node.
 
@@ -478,20 +397,8 @@ def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
              lambda: f"gru_scan: input batch {xs.value.shape} does not match "
                      f"state {h0.value.shape}")
     _require(xs.value.shape[-2] >= 1, "gru_scan: no steps")
-    out_shape = (h0.value.shape[0], xs.value.shape[-2], hd)
-    return _gru_recurrence(xs, xs.value, h0, h0.value, cell, out_shape)
-
-
-def _gru_recurrence(xs: Tensor, xv: np.ndarray, h0: Tensor, hv: np.ndarray,
-                    cell: GruCellParams, out_shape) -> Tensor:
-    """Shared node of gru_cell and gru_scan.
-
-    ``xv`` is S x d (shared by all rows) or B x S x d, ``hv`` is B x h;
-    the node's value is the B x S x h state sequence viewed as
-    ``out_shape``, and gradients flow back in the callers' shapes.
-    """
     wi, wh, bias = cell.input_weights, cell.hidden_weights, cell.biases
-    hd = cell.hidden_dim
+    xv, hv = xs.value, h0.value
     rows, steps = hv.shape[0], xv.shape[-2]
     shared = xv.ndim == 2
     wh_zr, wh_c = wh.value[: 2 * hd], wh.value[2 * hd :]
@@ -513,7 +420,6 @@ def _gru_recurrence(xs: Tensor, xv: np.ndarray, h0: Tensor, hv: np.ndarray,
         hs[:, t + 1] = (1.0 - z) * h_prev + z * cand[:, t]
 
     def push(g):
-        g = g.reshape(rows, steps, hd)
         dpre = np.empty((rows, steps, 3 * hd), dtype=gi.dtype)  # gate pre-activations
         dh = np.zeros_like(hv)
         for t in reversed(range(steps)):
@@ -536,44 +442,16 @@ def _gru_recurrence(xs: Tensor, xv: np.ndarray, h0: Tensor, hv: np.ndarray,
         _accum(wh, dwh)
         dgi = dpre.sum(axis=0) if shared else dpre  # shared inputs gather every row
         dgi_flat = dgi.reshape(-1, 3 * hd)
-        _accum(wi, dgi_flat.T @ xv.reshape(-1, xv.shape[-1]))
+        _accum(wi, dgi_flat.T @ xv.reshape(-1, d))
         _accum(bias, dgi_flat.sum(axis=0))
-        _accum(xs, (dgi @ wi.value).reshape(xs.value.shape))
-        _accum(h0, dh.reshape(h0.value.shape))
+        _accum(xs, dgi @ wi.value)
+        _accum(h0, dh)
 
-    return Tensor(hs[:, 1:].reshape(out_shape), (xs, h0, wi, wh, bias), push)
+    return Tensor(hs[:, 1:], (xs, h0, wi, wh, bias), push)
 
 
 # ---------------------------------------------------------------------------
 # classification head
-
-
-def softmax_cross_entropy(logits: Tensor, label: int) -> tuple[Tensor, Tensor]:
-    """Softmax probabilities and cross entropy against an integer label.
-
-    Stable under large logits (max subtraction).  Returns the
-    probability vector node and the scalar loss node.
-    """
-    v = logits.value
-    _require(v.ndim == 1, lambda: f"softmax_cross_entropy: logits must be a vector, got {v.shape}")
-    _require(isinstance(label, (int, np.integer)) and 0 <= label < v.shape[0],
-             lambda: f"softmax_cross_entropy: label {label} out of range for {v.shape[0]} classes")
-    m = v.max()
-    e = np.exp(v - m)
-    se = e.sum()
-    p = e / se
-
-    def push_probs(g):
-        _accum(logits, p * (g - float(g @ p)))
-
-    def push_loss(g):
-        d = p.copy()
-        d[label] -= 1.0
-        _accum(logits, d * g)
-
-    # grouped so an exact common shift of the logits cancels before the log
-    ce = np.asarray(np.log(se) - (v[label] - m), dtype=v.dtype)
-    return Tensor(p, (logits,), push_probs), Tensor(ce, (logits,), push_loss)
 
 
 def masked_cross_entropy(logits: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from audet import tensor as T
 from audet.data import SynthConfig, generate_synthetic
 from audet.model import ModelConfig, ModelParams
 from audet.training import TrainConfig, train
@@ -17,6 +18,20 @@ TINY_MODEL = ModelConfig(
     fusion_out=8,
     au_embedding_dim=8,
 )
+
+
+def weighted_sum(a, weights=1.0):
+    """Scalar node sum(weights * a) for reducing an op's output in a test.
+
+    The engine ships no reduction of its own: the model's one scalar is
+    the loss.  ``weights`` is a number or an array of a's shape.
+    """
+    w = np.broadcast_to(np.asarray(weights, dtype=a.value.dtype), a.value.shape)
+
+    def push(g):
+        T._accum(a, g * w)
+
+    return T.Tensor(np.asarray((a.value * w).sum()), (a,), push)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,9 @@ Each test prints exactly one line of the form
     ACCEPTANCE <name>: PASS|FAIL - <measurements>
 
 before asserting, so a bare ``pytest -s tests/test_acceptance.py`` reads
-as a checklist.  Tolerances and budgets are stated inline.
+as a checklist.  Tolerances and budgets are stated inline.  One more
+test, without a verdict line, holds the gradient gate's per-primitive
+sweep to the ops of a training step.
 """
 
 import re
@@ -16,11 +18,11 @@ import numpy as np
 from audet import cli, tensor as T
 from audet.data import PROTOTYPE_LABELS, SynthConfig, generate_synthetic
 from audet.evaluation import challenge_metric, evaluate, render_report, smooth_track
-from audet.model import ModelParams, model_forward
+from audet.model import ModelConfig, ModelParams, model_forward
 from audet.tensor import GruCellParams, Parameter, Tensor
 from audet.training import TrainConfig
 
-from conftest import TINY_MODEL
+from conftest import TINY_MODEL, weighted_sum
 from naive_scorer import naive_score
 
 # Frozen from the first verified end-to-end run (best validation metric
@@ -37,55 +39,83 @@ def _verdict(name, ok, detail):
 # 1. gradient gate
 
 
-def _fd(loss_fn, params):
-    return T.finite_difference_check(loss_fn, params, 1e-3)
+def _sweep_cases() -> list:
+    """(loss_fn, params) pairs: every op of a training step, in the forms it runs.
 
-
-def _primitive_sweep() -> float:
-    """Worst finite-difference error across isolated primitive checks."""
+    Each loss reduces one op's output with a test-local weighted sum, so
+    the op is checked alone; float64 inputs lie in [-1, 1].
+    """
     rng = np.random.default_rng(41)
-    worst = 0.0
+    cases = []
 
-    def check(loss_fn, params):
-        nonlocal worst
-        worst = max(worst, _fd(loss_fn, params))
+    def param(shape, name):
+        return Parameter(rng.uniform(-1, 1, shape), name)
 
-    a = Parameter(rng.uniform(-1, 1, 12), "a")
-    b = Parameter(rng.uniform(-1, 1, 12), "b")
-    check(lambda: T.total(T.mul(T.add(a, b), b)), [a, b])
-    check(lambda: T.total(T.scale(T.tanh(a), 1.7)), [a])
-    check(lambda: T.total(T.sigmoid(a)), [a])
+    def case(op, *params):
+        weights = rng.uniform(-1, 1, op().shape)
+        cases.append((lambda: weighted_sum(op(), weights), list(params)))
 
-    kinked = rng.uniform(-1, 1, 12)
+    kinked = rng.uniform(-1, 1, (3, 4))
     kinked = np.where(np.abs(kinked) < 0.06, kinked + 0.3 * np.sign(kinked), kinked)
     r = Parameter(kinked, "r")
-    check(lambda: T.total(T.relu(r)), [r])
+    case(lambda: T.relu(r), r)
+    a = param((3, 4), "a")
+    case(lambda: T.tanh(a), a)
 
-    c1 = Parameter(rng.uniform(-1, 1, 5), "c1")
-    c2 = Parameter(rng.uniform(-1, 1, 3), "c2")
-    check(lambda: T.total(T.mul(T.concat([c1, c2]), T.concat([c1, c2]))), [c1, c2])
+    c1, c2 = param((2, 5), "c1"), param((2, 3), "c2")
+    case(lambda: T.concat([c1, c2]), c1, c2)
 
-    m = Parameter(rng.uniform(-1, 1, (4, 6)), "m")
-    v = Parameter(rng.uniform(-1, 1, 6), "v")
-    bias = Parameter(rng.uniform(-1, 1, 4), "bias")
-    check(lambda: T.total(T.linear(m, bias, v)), [m, v, bias])
+    m, bias = param((4, 6), "m"), param(4, "bias")
+    rows, seqs = param((3, 6), "rows"), param((2, 3, 6), "seqs")
+    case(lambda: T.linear(m, bias, rows), m, bias, rows)
+    case(lambda: T.linear(m, bias, seqs), m, bias, seqs)
 
-    kern = Parameter(rng.uniform(-1, 1, (3, 2, 3, 3)), "kern")
-    cb = Parameter(rng.uniform(-1, 1, 3), "cb")
-    img = Parameter(rng.uniform(-1, 1, (2, 6, 6)), "img")
-    check(lambda: T.total(T.conv2d(img, kern, cb, stride=1)), [kern, cb, img])
+    # stride 2 over a batch, with the input gradient of an inner layer
+    img, kern, cb = param((2, 2, 7, 7), "img"), param((3, 2, 3, 3), "kern"), param(3, "cb")
+    case(lambda: T.conv2d(img, kern, cb, stride=2), kern, cb, img)
+    maps = param((2, 3, 2, 3), "maps")
+    case(lambda: T.spatial_sequence(maps), maps)
+    states = param((2, 4, 3), "states")
+    case(lambda: T.row(states, 3), states)
 
     cell = GruCellParams.zeros(5, 4, np.float64, "g")
     for p in cell.parameters():
         p.value[...] = rng.uniform(-0.5, 0.5, p.value.shape)
-    x = Parameter(rng.uniform(-1, 1, 5), "x")
-    h = Parameter(rng.uniform(-1, 1, 4), "h")
-    check(lambda: T.total(T.gru_cell(x, h, cell)), [*cell.parameters(), x, h])
+    per_row, shared, h0 = param((2, 3, 5), "per_row"), param((3, 5), "shared"), param((2, 4), "h0")
+    case(lambda: T.gru_scan(per_row, h0, cell), *cell.parameters(), per_row, h0)
+    case(lambda: T.gru_scan(shared, h0, cell), *cell.parameters(), shared, h0)
 
-    logits = Parameter(rng.uniform(-1, 1, 2), "logits")
-    for label in (0, 1):
-        check(lambda: T.softmax_cross_entropy(logits, label)[1], [logits])
-    return worst
+    logits = param((3, 4, 2), "logits")
+    labels = np.array([[1, 0, -1, 1], [-1, -1, -1, -1], [0, 1, 1, -1]], dtype=np.int8)
+    class_weights = np.array([2.5, 1.0, 4.0, 1.5])
+    cases.append((lambda: T.masked_cross_entropy(logits, labels, class_weights), [logits]))
+    return cases
+
+
+def _primitive_sweep() -> float:
+    """Worst finite-difference error across isolated primitive checks."""
+    return max(T.finite_difference_check(loss_fn, params, 1e-3)
+               for loss_fn, params in _sweep_cases())
+
+
+def _engine_ops(root) -> set:
+    """Backward rules of the engine's ops in the graph under root."""
+    return {node._push.__qualname__ for node in T._topo_order(root)
+            if node._push is not None and node._push.__module__ == T.__name__}
+
+
+def test_sweep_checks_exactly_the_ops_of_a_training_step():
+    params = ModelParams.init(ModelConfig(), seed=0)
+    rng = np.random.default_rng(43)
+    size = params.config.image_size
+    images = rng.uniform(0, 1, (3, 2, size, size)).astype(np.float32)
+    diffs = rng.uniform(-1, 1, (3, 146)).astype(np.float32)
+    labels = rng.integers(-1, 2, (3, 8)).astype(np.int8)
+    labels[0, 0] = 1
+    logits = model_forward(params, images, diffs).logits
+    step = _engine_ops(T.masked_cross_entropy(logits, labels, np.ones(8)))
+    swept = set().union(*(_engine_ops(loss_fn()) for loss_fn, _ in _sweep_cases()))
+    assert swept == step, f"unchecked: {sorted(step - swept)}, unused: {sorted(swept - step)}"
 
 
 def test_gradient_gate(capsys):
@@ -156,17 +186,19 @@ def test_metric_oracle(capsys):
 def test_hand_cases(capsys):
     checks = []
 
-    image = Tensor(np.arange(1.0, 10.0).reshape(1, 3, 3))
+    image = Tensor(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
     kernels = Tensor(np.array([[[[1.0, 0.0], [0.0, 1.0]]]]))
     out = T.conv2d(image, kernels, Tensor(np.zeros(1)), stride=1)
-    checks.append(("conv2d", np.array_equal(out.value[0], [[6.0, 8.0], [12.0, 14.0]])))
+    checks.append(("conv2d", np.array_equal(out.value[0, 0], [[6.0, 8.0], [12.0, 14.0]])))
 
+    # one step of a zero-parameter cell over a batch of one
     cell = GruCellParams.zeros(3, 4, np.float64, "g")
-    h = Tensor(np.array([0.4, -0.6, 1.0, 0.0]))
-    hp = T.gru_cell(Tensor(np.zeros(3)), h, cell)
-    checks.append(("gru-half-state", np.array_equal(hp.value, 0.5 * h.value)))
+    h = Tensor(np.array([[0.4, -0.6, 1.0, 0.0]]))
+    hp = T.gru_scan(Tensor(np.zeros((1, 3))), h, cell)
+    checks.append(("gru-half-state", np.array_equal(hp.value[:, 0], 0.5 * h.value)))
 
-    _, loss = T.softmax_cross_entropy(Tensor(np.zeros(2)), 0)
+    # one frame, one known label
+    loss = T.masked_cross_entropy(Tensor(np.zeros((1, 1, 2))), np.array([[0]]), np.ones(1))
     checks.append(("loss-ln2", abs(float(loss.value) - np.log(2.0)) < 1e-12))
 
     lab = np.full((4, 8), -1, dtype=np.int8)

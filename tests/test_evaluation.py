@@ -347,9 +347,20 @@ class TestEvaluate:
             for arr in (metrics.tp, metrics.fp, metrics.fn, metrics.tn, metrics.per_au_f1):
                 assert arr.shape == (len(AU_ORDER),)
 
-    def test_even_window_rejected(self, tiny_params, tiny_corpus):
-        with pytest.raises(ContractViolation):
-            evaluate(tiny_params, tiny_corpus, window=4)
+    def test_even_window_rejected(self, tiny_params, tiny_corpus, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return model_forward(*args)
+
+        monkeypatch.setattr(E, "model_forward", counted)
+        for window in (4, 2, 0):
+            with pytest.raises(ContractViolation, match="window must be odd"):
+                evaluate(tiny_params, tiny_corpus, window)
+        assert calls == []  # rejected before any scoring pass
+        evaluate(tiny_params, tiny_corpus[:1], 3)
+        assert len(calls) == 1  # the counter sees the passes that do run
 
     def test_empty_corpus_rejected(self, tiny_params):
         with pytest.raises(ContractViolation):

@@ -23,9 +23,9 @@ from audet.model import (
     static_forward,
 )
 from audet import tensor as T
-from audet.tensor import Parameter, Tensor, finite_difference_check, total, mul
+from audet.tensor import Parameter, Tensor, finite_difference_check
 
-from conftest import TINY_MODEL
+from conftest import TINY_MODEL, weighted_sum
 
 
 def _inputs(config, seed=0, dtype=np.float64):
@@ -155,7 +155,7 @@ def test_dynamic_branch_input_gradient():
     params = ModelParams.init(TINY_MODEL, seed=2, dtype=np.float64)
     rng = np.random.default_rng(4)
     diff = Parameter(rng.uniform(-1, 1, 146), "diff_input")
-    weights = Tensor(rng.uniform(-1, 1, TINY_MODEL.dynamic_hidden[-1][0]))
+    weights = rng.uniform(-1, 1, TINY_MODEL.dynamic_hidden[-1][0])
 
     def loss_fn():
         from audet.model import _ACTIVATIONS
@@ -164,7 +164,7 @@ def test_dynamic_branch_input_gradient():
         x = diff
         for (w, b), (_, act) in zip(params.dynamic_layers, TINY_MODEL.dynamic_hidden):
             x = _ACTIVATIONS[act](linear(w, b, x))
-        return total(mul(x, weights))
+        return weighted_sum(x, weights)
 
     assert finite_difference_check(loss_fn, [diff], 1e-3) <= 1e-5
 
@@ -346,61 +346,73 @@ def test_checkpoint_float64_params_stored_as_float32(tmp_path):
 # batch axis: one graph per batch against one graph per frame
 
 
+def _row_matrix(a, i):
+    """Row i of a matrix as a 1 x d matrix: one step's input to a one-step scan."""
+
+    def push(g):
+        full = np.zeros_like(a.value)
+        full[i : i + 1] = g
+        T._accum(a, full)
+
+    return Tensor(a.value[i : i + 1].copy(), (a,), push)
+
+
+def _mean(nodes):
+    """Scalar node: the mean of scalar nodes."""
+
+    def push(g):
+        for node in nodes:
+            T._accum(node, g / len(nodes))
+
+    value = sum(float(node.value) for node in nodes) / len(nodes)
+    return Tensor(np.asarray(value), tuple(nodes), push)
+
+
 def _per_frame_reference(params, image, diff, labels, weights):
     """One frame's probabilities and loss node, built step by step.
 
-    This is the per-frame graph of one gru_cell node per scan step and
-    one softmax_cross_entropy node per known label, without the batched
-    scan or the masked batch loss.  Returns (probs, loss node or None).
+    This is the per-frame graph of a one-step gru_scan node per scan step
+    and a masked_cross_entropy node per known label, without the
+    multi-step scans or the batch loss over several frames and labels.
+    Returns (probs, loss node or None).
     """
-    from audet import tensor as T
-
     cfg = params.config
-    x = Tensor(image)
+    x = Tensor(image[None])
     for (kern, bias), (_, _, _, stride) in zip(params.conv_layers, cfg.conv_spec):
         x = T.relu(T.conv2d(x, kern, bias, stride))
     seq = T.spatial_sequence(x)
-    h = Tensor(np.zeros(cfg.static_gru_hidden))
-    for t in range(seq.shape[0]):
-        h = T.gru_cell(T.row(seq, t), h, params.static_gru)
-    d = Tensor(diff)
+    h = Tensor(np.zeros((1, cfg.static_gru_hidden)))
+    for t in range(seq.shape[1]):
+        h = T.row(T.gru_scan(T.row(seq, t), h, params.static_gru), 0)
+    d = Tensor(diff[None])
     for (w, b), (_, act) in zip(params.dynamic_layers, cfg.dynamic_hidden):
         d = (T.relu if act == "relu" else T.tanh)(T.linear(w, b, d))
     state = T.tanh(T.linear(params.fusion_weights, params.fusion_bias, T.concat([d, h])))
     probs, terms = [], []
     for i in range(len(AU_ORDER)):
-        state = T.gru_cell(T.row(params.au_table, i), state, params.query_gru)
-        lg = T.linear(params.classifier_weights, params.classifier_bias, state)
-        p, ce = T.softmax_cross_entropy(lg, int(max(labels[i], 0)))
-        probs.append(float(p.value[1]))
+        states = T.gru_scan(_row_matrix(params.au_table, i), state, params.query_gru)
+        state = T.row(states, 0)
+        lg = T.linear(params.classifier_weights, params.classifier_bias, states)
+        pair = lg.value[0, 0]
+        probs.append(float(np.exp(pair[1] - np.logaddexp(*pair))))
         if labels[i] != -1:
-            terms.append(T.scale(ce, weights[i]) if labels[i] == 1 else ce)
+            terms.append(T.masked_cross_entropy(lg, np.array([[labels[i]]]), weights[i : i + 1]))
     if not terms:
         return np.array(probs), None
-    node = terms[0]
-    for extra in terms[1:]:
-        node = T.add(node, extra)
-    return np.array(probs), T.scale(node, 1.0 / len(terms))
+    return np.array(probs), _mean(terms)
 
 
 def _reference_batch(params, images, diffs, labels, weights):
-    from audet import tensor as T
-
     probs, losses = [], []
     for image, diff, lab in zip(images, diffs, labels):
         p, loss = _per_frame_reference(params, image, diff, lab, weights)
         probs.append(p)
         if loss is not None:
             losses.append(loss)
-    node = losses[0]
-    for extra in losses[1:]:
-        node = T.add(node, extra)
-    return np.array(probs), T.scale(node, 1.0 / len(losses))
+    return np.array(probs), _mean(losses)
 
 
 def _grads(params, loss):
-    from audet import tensor as T
-
     T.zero_grads(params.all_parameters())
     T.backward(loss)
     return {p.name: p.grad.copy() for p in params.all_parameters()}

@@ -8,6 +8,8 @@ import audet.tensor as T
 from audet.errors import ContractViolation, EmptyBatchError, NumericError
 from audet.tensor import GruCellParams, Parameter, Tensor
 
+from conftest import weighted_sum
+
 
 def _param(rng, shape, name, lo=-1.0, hi=1.0):
     return Parameter(rng.uniform(lo, hi, shape), name)
@@ -23,28 +25,28 @@ def _check(loss_fn, params, bound=1e-5):
 
 
 def test_conv2d_scalar_kernel_scales_input():
-    x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+    x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
     k = Tensor(np.full((1, 1, 1, 1), 2.0))
     b = Tensor(np.zeros(1))
     out = T.conv2d(x, k, b, stride=1)
-    np.testing.assert_array_equal(out.value, [[[2.0, 4.0], [6.0, 8.0]]])
+    np.testing.assert_array_equal(out.value, [[[[2.0, 4.0], [6.0, 8.0]]]])
 
 
 def test_conv2d_zero_kernels_zero_output():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.uniform(-1, 1, (3, 6, 6)))
+    x = Tensor(rng.uniform(-1, 1, (1, 3, 6, 6)))
     k = Tensor(np.zeros((2, 3, 3, 3)))
     b = Tensor(np.zeros(2))
     out = T.conv2d(x, k, b, stride=1)
-    np.testing.assert_array_equal(out.value, np.zeros((2, 4, 4)))
+    np.testing.assert_array_equal(out.value, np.zeros((1, 2, 4, 4)))
 
 
 def test_conv2d_identity_diagonal_kernel():
-    x = Tensor(np.arange(1.0, 10.0).reshape(1, 3, 3))
+    x = Tensor(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
     k = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]).reshape(1, 1, 2, 2))
     b = Tensor(np.zeros(1))
     out = T.conv2d(x, k, b, stride=1)
-    np.testing.assert_array_equal(out.value, [[[6.0, 8.0], [12.0, 14.0]]])
+    np.testing.assert_array_equal(out.value, [[[[6.0, 8.0], [12.0, 14.0]]]])
 
 
 def _conv_reference(x, k, bias, stride):
@@ -72,22 +74,26 @@ def test_conv2d_matches_nested_loop_reference(stride, size, kside):
     x = rng.uniform(-1, 1, (3, size, size))
     k = rng.uniform(-1, 1, (4, 3, kside, kside))
     b = rng.uniform(-1, 1, 4)
-    out = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride)
-    np.testing.assert_allclose(out.value, _conv_reference(x, k, b, stride), atol=1e-12)
+    out = T.conv2d(Tensor(x[None]), Tensor(k), Tensor(b), stride)
+    np.testing.assert_allclose(out.value[0], _conv_reference(x, k, b, stride), atol=1e-12)
+
+
+def _one_step(x, h, cell):
+    """One step of a gated cell for a single example: a one-step scan over a batch of one."""
+    return T.gru_scan(Tensor(x[None]), Tensor(h[None]), cell).value[0, 0]
 
 
 def test_gru_cell_zero_params_halves_state():
     cell = GruCellParams.zeros(4, 3, dtype=np.float64)
-    x = Tensor(np.array([0.3, -0.8, 0.1, 0.9]))
-    h = Tensor(np.array([0.4, -1.0, 0.6]))
-    out = T.gru_cell(x, h, cell)
-    np.testing.assert_allclose(out.value, 0.5 * h.value, atol=1e-15)
+    h = np.array([0.4, -1.0, 0.6])
+    out = _one_step(np.array([0.3, -0.8, 0.1, 0.9]), h, cell)
+    np.testing.assert_allclose(out, 0.5 * h, atol=1e-15)
 
 
 def test_gru_cell_zero_params_zero_state():
     cell = GruCellParams.zeros(2, 3, dtype=np.float64)
-    out = T.gru_cell(Tensor(np.array([1.0, -2.0])), Tensor(np.zeros(3)), cell)
-    np.testing.assert_array_equal(out.value, np.zeros(3))
+    out = _one_step(np.array([1.0, -2.0]), np.zeros(3), cell)
+    np.testing.assert_array_equal(out, np.zeros(3))
 
 
 def _gru_reference(x, h, wi, wh, b):
@@ -118,50 +124,66 @@ def test_gru_cell_matches_scalar_reference():
     )
     x = rng.uniform(-1, 1, 4)
     h = rng.uniform(-1, 1, 3)
-    out = T.gru_cell(Tensor(x), Tensor(h), cell)
+    out = _one_step(x, h, cell)
     ref = _gru_reference(
         x, h, cell.input_weights.value, cell.hidden_weights.value, cell.biases.value
     )
-    np.testing.assert_allclose(out.value, ref, atol=1e-12)
+    np.testing.assert_allclose(out, ref, atol=1e-12)
+
+
+def _single_label_loss(logits, label):
+    """Cross entropy of one 2-way logit pair: a batch of one frame with one known label."""
+    return T.masked_cross_entropy(logits, np.array([[label]]), np.ones(1))
 
 
 def test_softmax_equal_logits_gives_ln2():
-    probs, loss = T.softmax_cross_entropy(Tensor(np.zeros(2)), 0)
-    np.testing.assert_allclose(probs.value, [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(float(loss.value), np.log(2.0), atol=1e-15)
+    for label in (0, 1):
+        loss = _single_label_loss(Tensor(np.zeros((1, 1, 2))), label)
+        np.testing.assert_allclose(float(loss.value), np.log(2.0), atol=1e-15)
 
 
 def test_softmax_shift_invariance():
     # integer-valued inputs keep logits + c exact in floating point
-    logits = np.array([3.0, -1.0])
+    logits = np.array([3.0, -1.0]).reshape(1, 1, 2)
     for c in (0.0, 5.0, -117.0, 4096.0):
-        p0, l0 = T.softmax_cross_entropy(Tensor(logits), 1)
-        p1, l1 = T.softmax_cross_entropy(Tensor(logits + c), 1)
-        np.testing.assert_array_equal(p0.value, p1.value)
+        base, shifted = Parameter(logits, "base"), Parameter(logits + c, "shifted")
+        l0, l1 = _single_label_loss(base, 1), _single_label_loss(shifted, 1)
         np.testing.assert_array_equal(l0.value, l1.value)
+        T.backward(l0)
+        T.backward(l1)
+        np.testing.assert_array_equal(base.grad, shifted.grad)
 
 
 def test_softmax_confident_decision_tiny_loss():
-    _, loss = T.softmax_cross_entropy(Tensor(np.array([10.0, -10.0])), 0)
+    loss = _single_label_loss(Tensor(np.array([10.0, -10.0]).reshape(1, 1, 2)), 0)
     np.testing.assert_allclose(float(loss.value), 2.061153622e-09, rtol=1e-6)
 
 
 def test_backprop_linear_gradient_is_input():
-    w = Parameter(np.array([2.0]), "w")
-    out = T.total(T.mul(w, Tensor(np.array([3.0]))))
+    w = Parameter(np.array([[2.0]]), "w")
+    out = weighted_sum(T.linear(w, Tensor(np.zeros(1)), Tensor(np.array([3.0]))))
     T.backward(out)
-    np.testing.assert_array_equal(w.grad, [3.0])
+    np.testing.assert_array_equal(w.grad, [[3.0]])
 
 
 def test_backprop_tanh_gradient_at_zero():
     w = Parameter(np.array([0.0]), "w")
-    T.backward(T.total(T.tanh(w)))
+    T.backward(weighted_sum(T.tanh(w)))
     np.testing.assert_array_equal(w.grad, [1.0])
+
+
+def _square_sum(w):
+    """Scalar node sum(w ** 2), with its exact gradient 2w."""
+
+    def push(g):
+        T._accum(w, 2.0 * w.value * g)
+
+    return Tensor(np.asarray((w.value ** 2).sum()), (w,), push)
 
 
 def test_fd_quadratic_estimate_matches_analytic():
     w = Parameter(np.array([1.0]), "w")
-    worst = T.finite_difference_check(lambda: T.total(T.mul(w, w)), [w], 1e-3)
+    worst = T.finite_difference_check(lambda: _square_sum(w), [w], 1e-3)
     # estimate (1.001^2 - 0.999^2) / 2e-3 = 2.0 exactly; analytic 2.0
     assert worst < 2.5e-7
     up = (1.0 + 1e-3) ** 2
@@ -171,19 +193,12 @@ def test_fd_quadratic_estimate_matches_analytic():
 
 def test_fd_constant_loss_zero_error():
     w = Parameter(np.array([0.7]), "w")
-    worst = T.finite_difference_check(lambda: T.total(T.scale(w, 0.0)), [w], 1e-3)
+    worst = T.finite_difference_check(lambda: weighted_sum(w, 0.0), [w], 1e-3)
     assert worst == 0.0
 
 
 # ---------------------------------------------------------------------------
 # per-primitive gradient checks (isolated, float64, inputs in [-1, 1])
-
-
-def test_grad_add_mul_scale():
-    rng = np.random.default_rng(21)
-    a = _param(rng, (5,), "a")
-    b = _param(rng, (5,), "b")
-    _check(lambda: T.total(T.scale(T.mul(T.add(a, b), a), 1.7)), [a, b])
 
 
 def test_grad_relu():
@@ -193,59 +208,58 @@ def test_grad_relu():
     # and a finite step straddles two linear pieces
     vals = np.where(np.abs(vals) < 0.05, 0.25 * np.sign(vals) + vals, vals)
     a = Parameter(vals, "a")
-    weights = Tensor(rng.uniform(-1, 1, 40))
-    _check(lambda: T.total(T.mul(T.relu(a), weights)), [a])
+    weights = rng.uniform(-1, 1, 40)
+    _check(lambda: weighted_sum(T.relu(a), weights), [a])
 
 
-def test_grad_tanh_sigmoid():
+def test_grad_tanh():
     rng = np.random.default_rng(23)
     a = _param(rng, (7,), "a")
-    _check(lambda: T.total(T.tanh(a)), [a])
-    _check(lambda: T.total(T.sigmoid(a)), [a])
+    _check(lambda: weighted_sum(T.tanh(a)), [a])
 
 
 def test_grad_concat():
     rng = np.random.default_rng(24)
     a = _param(rng, (3,), "a")
     b = _param(rng, (4,), "b")
-    weights = Tensor(rng.uniform(-1, 1, 7))
-    _check(lambda: T.total(T.mul(T.concat([a, b]), weights)), [a, b])
+    weights = rng.uniform(-1, 1, 7)
+    _check(lambda: weighted_sum(T.concat([a, b]), weights), [a, b])
 
 
 def test_grad_concat_named_axis():
     rng = np.random.default_rng(29)
     a = _param(rng, (2, 3), "a")
     b = _param(rng, (2, 2), "b")
-    weights = Tensor(rng.uniform(-1, 1, (2, 5)))
-    _check(lambda: T.total(T.mul(T.concat([a, b]), weights)), [a, b])
+    weights = rng.uniform(-1, 1, (2, 5))
+    _check(lambda: weighted_sum(T.concat([a, b]), weights), [a, b])
 
 
 def test_grad_row_and_spatial_sequence():
     rng = np.random.default_rng(25)
     m = _param(rng, (4, 3), "m")
-    weights = Tensor(rng.uniform(-1, 1, 3))
-    _check(lambda: T.total(T.mul(T.row(m, 2), weights)), [m])
-    cube = _param(rng, (2, 3, 3), "cube")
-    wseq = Tensor(rng.uniform(-1, 1, (9, 2)))
-    _check(lambda: T.total(T.mul(T.spatial_sequence(cube), wseq)), [cube])
+    weights = rng.uniform(-1, 1, 3)
+    _check(lambda: weighted_sum(T.row(m, 2), weights), [m])
+    cube = _param(rng, (1, 2, 3, 3), "cube")
+    wseq = rng.uniform(-1, 1, (1, 9, 2))
+    _check(lambda: weighted_sum(T.spatial_sequence(cube), wseq), [cube])
 
 
 def test_grad_linear():
     rng = np.random.default_rng(26)
-    wv = Tensor(rng.uniform(-1, 1, 3))
+    wv = rng.uniform(-1, 1, 3)
     w = _param(rng, (3, 4), "w")
     bias = _param(rng, (3,), "bias")
     x = _param(rng, (4,), "x")
-    _check(lambda: T.total(T.mul(T.linear(w, bias, x), wv)), [w, bias, x])
+    _check(lambda: weighted_sum(T.linear(w, bias, x), wv), [w, bias, x])
 
 
 def test_grad_conv2d():
     rng = np.random.default_rng(27)
-    x = _param(rng, (2, 6, 6), "x")
+    x = _param(rng, (1, 2, 6, 6), "x")
     k = _param(rng, (3, 2, 3, 3), "k")
     b = _param(rng, (3,), "b")
-    weights = Tensor(rng.uniform(-1, 1, (3, 2, 2)))
-    _check(lambda: T.total(T.mul(T.conv2d(x, k, b, 2), weights)), [x, k, b])
+    weights = rng.uniform(-1, 1, (1, 3, 4, 4))
+    _check(lambda: weighted_sum(T.conv2d(x, k, b, 1), weights), [x, k, b])
 
 
 def test_grad_gru_cell_and_chain():
@@ -253,31 +267,22 @@ def test_grad_gru_cell_and_chain():
     cell = GruCellParams(
         _param(rng, (9, 4), "wi"), _param(rng, (9, 3), "wh"), _param(rng, (9,), "b")
     )
-    x = _param(rng, (4,), "x")
-    h = _param(rng, (3,), "h")
-    weights = Tensor(rng.uniform(-1, 1, 3))
-    _check(lambda: T.total(T.mul(T.gru_cell(x, h, cell), weights)),
+    # one step for one example: a 1 x d input shared by a batch of one state
+    x = _param(rng, (1, 4), "x")
+    h = _param(rng, (1, 3), "h")
+    weights = rng.uniform(-1, 1, (1, 1, 3))
+    _check(lambda: weighted_sum(T.gru_scan(x, h, cell), weights),
            [x, h] + cell.parameters())
 
-    seq = [_param(rng, (4,), f"s{t}") for t in range(3)]
+    seq = [_param(rng, (1, 4), f"s{t}") for t in range(3)]
 
     def chain():
-        state = Tensor(np.zeros(3))
+        state = Tensor(np.zeros((1, 3)))
         for t in range(3):
-            state = T.gru_cell(seq[t], state, cell)
-        return T.total(T.mul(state, weights))
+            state = T.row(T.gru_scan(seq[t], state, cell), 0)
+        return weighted_sum(state, weights[0])
 
     _check(chain, seq + cell.parameters())
-
-
-def test_grad_softmax_cross_entropy():
-    rng = np.random.default_rng(30)
-    logits = _param(rng, (2,), "logits")
-    for label in (0, 1):
-        _check(lambda: T.softmax_cross_entropy(logits, label)[1], [logits])
-    weights = Tensor(rng.uniform(-1, 1, 2))
-    _check(lambda: T.total(T.mul(T.softmax_cross_entropy(logits, 0)[0], weights)),
-           [logits])
 
 
 # ---------------------------------------------------------------------------
@@ -291,48 +296,47 @@ def test_output_shapes_total_function_of_input_shapes():
         m = int(rng.integers(1, 9))
         k = int(rng.integers(1, 9))
         a = Tensor(rng.uniform(-1, 1, (n,)))
-        assert T.add(a, Tensor(rng.uniform(-1, 1, (n,)))).shape == (n,)
-        assert T.mul(a, Tensor(rng.uniform(-1, 1, (n,)))).shape == (n,)
         assert T.relu(a).shape == (n,)
         assert T.tanh(a).shape == (n,)
-        assert T.sigmoid(a).shape == (n,)
         assert T.concat([a, Tensor(rng.uniform(-1, 1, (m,)))]).shape == (n + m,)
         mat = Tensor(rng.uniform(-1, 1, (n, m)))
         assert T.row(mat, n - 1).shape == (m,)
         assert T.linear(mat, Tensor(rng.uniform(-1, 1, (n,))),
                         Tensor(rng.uniform(-1, 1, (m,)))).shape == (n,)
-        cube = Tensor(rng.uniform(-1, 1, (k, n, m)))
-        assert T.spatial_sequence(cube).shape == (n * m, k)
+        cube = Tensor(rng.uniform(-1, 1, (2, k, n, m)))
+        assert T.spatial_sequence(cube).shape == (2, n * m, k)
         size = int(rng.integers(3, 10))
         kside = int(rng.integers(1, size + 1))
         stride = int(rng.integers(1, 4))
-        x = Tensor(rng.uniform(-1, 1, (2, size, size)))
+        x = Tensor(rng.uniform(-1, 1, (k, 2, size, size)))
         kern = Tensor(rng.uniform(-1, 1, (3, 2, kside, kside)))
         out = T.conv2d(x, kern, Tensor(rng.uniform(-1, 1, 3)), stride)
         expect = (size - kside) // stride + 1
-        assert out.shape == (3, expect, expect)
+        assert out.shape == (k, 3, expect, expect)
 
 
 def test_shape_mismatch_names_offender():
-    a = Tensor(np.zeros(3))
-    with pytest.raises(ContractViolation, match="shape mismatch"):
-        T.add(a, Tensor(np.zeros(4)))
+    with pytest.raises(ContractViolation, match=r"weights \(2, 3\) do not accept input \(4,\)"):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros(4)))
     with pytest.raises(ContractViolation, match="kernel channels"):
-        T.conv2d(Tensor(np.zeros((2, 5, 5))), Tensor(np.zeros((1, 3, 2, 2))),
+        T.conv2d(Tensor(np.zeros((1, 2, 5, 5))), Tensor(np.zeros((1, 3, 2, 2))),
                  Tensor(np.zeros(1)), 1)
     with pytest.raises(ContractViolation, match="smaller than kernel"):
-        T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))),
+        T.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))),
                  Tensor(np.zeros(1)), 1)
 
 
 def test_softmax_sums_to_one_across_precisions():
+    # the loss gradient of one logit pair is p - onehot(label), so its
+    # two entries sum to p0 + p1 - 1
     rng = np.random.default_rng(41)
     for _ in range(50):
-        v = rng.uniform(-50, 50, 2)
-        p64, _ = T.softmax_cross_entropy(Tensor(v), 0)
-        assert abs(float(p64.value.sum()) - 1.0) <= 1e-12
-        p32, _ = T.softmax_cross_entropy(Tensor(v.astype(np.float32)), 0)
-        assert abs(float(p32.value.sum()) - 1.0) <= 1e-6
+        v = rng.uniform(-50, 50, 2).reshape(1, 1, 2)
+        for dtype, bound in ((np.float64, 1e-12), (np.float32, 1e-6)):
+            logits = Parameter(v.astype(dtype), "logits")
+            T.backward(_single_label_loss(logits, 0))
+            assert logits.grad.dtype == dtype
+            assert abs(float(logits.grad.sum())) <= bound
 
 
 def test_gru_output_bounded_by_state_and_candidate():
@@ -343,7 +347,7 @@ def test_gru_output_bounded_by_state_and_candidate():
         )
         x = rng.uniform(-1, 1, 5)
         h = rng.uniform(-1, 1, 4)
-        out = T.gru_cell(Tensor(x), Tensor(h), cell)
+        out = _one_step(x, h, cell)
         # recover the candidate from the same equations
         hd = 4
         gi = cell.input_weights.value @ x + cell.biases.value
@@ -352,13 +356,13 @@ def test_gru_output_bounded_by_state_and_candidate():
         cand = np.tanh(gi[2 * hd :] + wh[2 * hd :] @ (r * h))
         lo = np.minimum(h, cand) - 1e-12
         hi = np.maximum(h, cand) + 1e-12
-        assert np.all(out.value >= lo) and np.all(out.value <= hi)
-        assert np.all(np.abs(out.value) <= 1.0 + 1e-12)
+        assert np.all(out >= lo) and np.all(out <= hi)
+        assert np.all(np.abs(out) <= 1.0 + 1e-12)
 
 
 def test_forward_is_bitwise_deterministic():
     rng = np.random.default_rng(43)
-    x = rng.uniform(-1, 1, (2, 8, 8))
+    x = rng.uniform(-1, 1, (2, 2, 8, 8))
     k = rng.uniform(-1, 1, (3, 2, 3, 3))
     b = rng.uniform(-1, 1, 3)
 
@@ -370,10 +374,8 @@ def test_forward_is_bitwise_deterministic():
             Parameter(np.tile(np.linspace(0.2, -0.2, 9)[:, None], (1, 3)), "wh"),
             Parameter(np.linspace(-0.1, 0.1, 9), "b"),
         )
-        state = Tensor(np.zeros(3))
-        for t in range(seq.value.shape[0]):
-            state = T.gru_cell(T.row(seq, t), state, cell)
-        return state.value
+        states = T.gru_scan(seq, Tensor(np.zeros((2, 3))), cell)
+        return T.row(states, states.shape[1] - 1).value
 
     np.testing.assert_array_equal(run(), run())
 
@@ -385,9 +387,8 @@ def test_backward_rejects_non_scalar_root():
 
 def test_gradients_accumulate_until_reset():
     w = Parameter(np.array([2.0]), "w")
-    x = Tensor(np.array([3.0]))
-    T.backward(T.total(T.mul(w, x)))
-    T.backward(T.total(T.mul(w, x)))
+    T.backward(weighted_sum(w, 3.0))
+    T.backward(weighted_sum(w, 3.0))
     np.testing.assert_array_equal(w.grad, [6.0])
     w.reset_grad()
     np.testing.assert_array_equal(w.grad, [0.0])
@@ -398,7 +399,7 @@ def test_fd_check_rejects_nondeterministic_loss():
     w = Parameter(np.array([1.0]), "w")
 
     def noisy():
-        return T.total(T.mul(w, Tensor(np.array([rng.uniform()]))))
+        return weighted_sum(w, rng.uniform())
 
     with pytest.raises(NumericError, match="not deterministic"):
         T.finite_difference_check(noisy, [w], 1e-3)
@@ -407,7 +408,7 @@ def test_fd_check_rejects_nondeterministic_loss():
 def test_fd_check_requires_float64():
     w = Parameter(np.array([1.0], dtype=np.float32), "w")
     with pytest.raises(ContractViolation, match="float64"):
-        T.finite_difference_check(lambda: T.total(w), [w], 1e-3)
+        T.finite_difference_check(lambda: weighted_sum(w), [w], 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +420,8 @@ def test_grad_batched_linear():
     w = _param(rng, (3, 4), "w")
     bias = _param(rng, (3,), "bias")
     x = _param(rng, (5, 4), "x")
-    weights = Tensor(rng.uniform(-1, 1, (5, 3)))
-    _check(lambda: T.total(T.mul(T.linear(w, bias, x), weights)), [w, bias, x])
+    weights = rng.uniform(-1, 1, (5, 3))
+    _check(lambda: weighted_sum(T.linear(w, bias, x), weights), [w, bias, x])
     # rows are independent: each equals the unbatched call
     out = T.linear(w, bias, x).value
     for i in range(5):
@@ -433,8 +434,8 @@ def test_grad_batched_conv2d_stride_two():
     x = _param(rng, (3, 2, 7, 7), "x")
     k = _param(rng, (4, 2, 3, 3), "k")
     b = _param(rng, (4,), "b")
-    weights = Tensor(rng.uniform(-1, 1, (3, 4, 3, 3)))
-    _check(lambda: T.total(T.mul(T.conv2d(x, k, b, 2), weights)), [x, k, b])
+    weights = rng.uniform(-1, 1, (3, 4, 3, 3))
+    _check(lambda: weighted_sum(T.conv2d(x, k, b, 2), weights), [x, k, b])
     out = T.conv2d(x, k, b, 2).value
     for i in range(3):
         np.testing.assert_allclose(out[i], _conv_reference(x.value[i], k.value, b.value, 2),
@@ -445,7 +446,7 @@ def test_conv2d_skips_gradient_of_constant_input():
     rng = np.random.default_rng(52)
     x = Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)))
     k = _param(rng, (3, 2, 3, 3), "k")
-    T.backward(T.total(T.conv2d(x, k, Tensor(np.zeros(3)), 1)))
+    T.backward(weighted_sum(T.conv2d(x, k, Tensor(np.zeros(3)), 1)))
     assert x.grad is None
     assert np.abs(k.grad).sum() > 0
 
@@ -463,8 +464,8 @@ def test_grad_gru_scan_per_row_inputs():
     cell = _cell(rng, 4, 3)
     xs = _param(rng, (2, 5, 4), "xs")
     h0 = _param(rng, (2, 3), "h0")
-    weights = Tensor(rng.uniform(-1, 1, (2, 5, 3)))
-    _check(lambda: T.total(T.mul(T.gru_scan(xs, h0, cell), weights)),
+    weights = rng.uniform(-1, 1, (2, 5, 3))
+    _check(lambda: weighted_sum(T.gru_scan(xs, h0, cell), weights),
            [xs, h0] + cell.parameters())
 
 
@@ -473,8 +474,8 @@ def test_grad_gru_scan_shared_inputs():
     cell = _cell(rng, 4, 3)
     xs = _param(rng, (5, 4), "xs")
     h0 = _param(rng, (3, 3), "h0")
-    weights = Tensor(rng.uniform(-1, 1, (3, 5, 3)))
-    _check(lambda: T.total(T.mul(T.gru_scan(xs, h0, cell), weights)),
+    weights = rng.uniform(-1, 1, (3, 5, 3))
+    _check(lambda: weighted_sum(T.gru_scan(xs, h0, cell), weights),
            [xs, h0] + cell.parameters())
 
 
@@ -486,13 +487,13 @@ def test_gru_scan_matches_chain_of_cells():
     states = T.gru_scan(Tensor(xs), Tensor(h0), cell).value
     assert states.shape == (2, 6, 3)
     for i in range(2):
-        h = Tensor(h0[i])
+        h = Tensor(h0[i : i + 1])
         for t in range(6):
-            h = T.gru_cell(Tensor(xs[i, t]), h, cell)
+            h = T.row(T.gru_scan(Tensor(xs[i, t : t + 1]), h, cell), 0)
             ref = _gru_reference(xs[i, t], states[i, t - 1] if t else h0[i],
                                  cell.input_weights.value, cell.hidden_weights.value,
                                  cell.biases.value)
-            np.testing.assert_allclose(states[i, t], h.value, rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(states[i, t], h.value[0], rtol=1e-13, atol=1e-14)
             np.testing.assert_allclose(states[i, t], ref, atol=1e-12)
     shared = T.gru_scan(Tensor(xs[0]), Tensor(h0), cell).value
     np.testing.assert_allclose(shared[0], states[0], rtol=1e-13, atol=1e-14)
@@ -520,7 +521,8 @@ def test_masked_cross_entropy_means_frames_then_batch():
     loss = T.masked_cross_entropy(Tensor(raw), labels, weights)
     per_frame = []
     for b in (0, 2):
-        terms = [T.softmax_cross_entropy(Tensor(raw[b, k]), int(labels[b, k]))[1].value
+        # float64 log-sum-exp of the pair minus the labelled logit
+        terms = [(np.logaddexp(*raw[b, k]) - raw[b, k, labels[b, k]])
                  * (weights[k] if labels[b, k] == 1 else 1.0)
                  for k in range(8) if labels[b, k] != -1]
         per_frame.append(sum(terms) / len(terms))
@@ -575,18 +577,17 @@ def test_batch_extents_must_agree():
         T.gru_scan(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros(3)), cell)
     with pytest.raises(ContractViolation, match="state must be a B x 3 batch"):
         T.gru_scan(Tensor(np.zeros((5, 4))), Tensor(np.zeros(3)), cell)
-    with pytest.raises(ContractViolation, match="gru_cell"):
-        T.gru_cell(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 3))), cell)
-    with pytest.raises(ContractViolation, match="gru_cell"):
-        T.gru_cell(Tensor(np.zeros(4)), Tensor(np.zeros((1, 3))), cell)
     with pytest.raises(ContractViolation, match="labels"):
         T.masked_cross_entropy(Tensor(np.zeros((2, 8, 2))), np.zeros((3, 8), np.int8),
                                np.ones(8))
     with pytest.raises(ContractViolation, match="incompatible"):
         T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
-    with pytest.raises(ContractViolation, match="conv2d"):
-        T.conv2d(Tensor(np.zeros((1, 2, 2, 5, 5))), Tensor(np.zeros((1, 2, 3, 3))),
-                 Tensor(np.zeros(1)), 1)
+    for shape in ((2, 5, 5), (1, 2, 2, 5, 5)):
+        with pytest.raises(ContractViolation, match="conv2d: input must be a B,C,H,W batch"):
+            T.conv2d(Tensor(np.zeros(shape)), Tensor(np.zeros((1, 2, 3, 3))),
+                     Tensor(np.zeros(1)), 1)
+        with pytest.raises(ContractViolation, match="spatial_sequence"):
+            T.spatial_sequence(Tensor(np.zeros(shape)))
 
 
 def test_batched_shapes():
@@ -595,7 +596,6 @@ def test_batched_shapes():
     for xs, h0, states in (((6, 4), (2, 3), (2, 6, 3)), ((2, 6, 4), (2, 3), (2, 6, 3)),
                            ((6, 4), (1, 3), (1, 6, 3))):
         assert T.gru_scan(Tensor(np.zeros(xs)), Tensor(np.zeros(h0)), cell).shape == states
-    assert T.gru_cell(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))), cell).shape == (2, 3)
     assert T.spatial_sequence(Tensor(np.zeros((2, 5, 3, 4)))).shape == (2, 12, 5)
     assert T.linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)),
                     Tensor(np.zeros((2, 6, 4)))).shape == (2, 6, 3)
@@ -607,15 +607,15 @@ def test_fd_report_names_worst_component():
     b = Parameter(np.array([0.5, 0.7, -0.1]), "b")
 
     def loss_fn():
-        # correct for a; b's gradient is wrong in component 1 only
-        out = T.total(T.mul(a, a))
-
+        # sum of squares, correct for a; b's gradient is wrong in component 1 only
         def push(g):
+            T._accum(a, 2.0 * a.value * g)
             grad = 2.0 * b.value * g
             grad[1] *= 1.5
             T._accum(b, grad)
 
-        return T.add(out, Tensor(np.asarray(float((b.value ** 2).sum())), (b,), push))
+        value = float((a.value ** 2).sum() + (b.value ** 2).sum())
+        return Tensor(np.asarray(value), (a, b), push)
 
     report = T.finite_difference_report(loss_fn, [a, b], 1e-3)
     assert report.worst_parameter == "b" and report.worst_index == (1,)
@@ -629,16 +629,16 @@ def test_fd_report_names_worst_component():
 
 
 def test_second_backward_on_a_consumed_graph_raises():
-    w = Parameter(np.array([2.0]), "w")
-    hidden = T.tanh(T.mul(w, Tensor(np.array([3.0]))))
-    loss = T.total(hidden)
+    w = Parameter(np.array([[2.0]]), "w")
+    hidden = T.tanh(T.linear(w, Tensor(np.zeros(1)), Tensor(np.array([3.0]))))
+    loss = weighted_sum(hidden)
     T.backward(loss)
     first = w.grad.copy()
     with pytest.raises(ContractViolation, match="consumed"):
         T.backward(loss)
     # a new root over consumed interior nodes is refused as well
     with pytest.raises(ContractViolation, match="consumed"):
-        T.backward(T.total(T.scale(hidden, 2.0)))
+        T.backward(weighted_sum(hidden, 2.0))
     np.testing.assert_array_equal(w.grad, first)
 
 
@@ -663,13 +663,13 @@ def test_a_node_built_with_its_rule_pushes_once():
 def test_backward_releases_interior_nodes_but_not_leaves():
     w = Parameter(np.array([0.5, -1.0]), "w")
     x = Tensor(np.array([2.0, 3.0]))
-    prod = T.mul(w, x)
-    loss = T.total(T.relu(prod))
+    joined = T.concat([w, x])
+    loss = weighted_sum(T.relu(joined), [3.0, 5.0, 7.0, -1.0])
     T.backward(loss)
-    for node in (prod, loss):
+    for node in (joined, loss):
         assert node.grad is None and node._push is None
-    np.testing.assert_array_equal(w.grad, [2.0, 0.0])
-    np.testing.assert_array_equal(x.grad, [0.5, 0.0])
+    np.testing.assert_array_equal(w.grad, [3.0, 0.0])
+    np.testing.assert_array_equal(x.grad, [7.0, -1.0])
 
 
 def test_conv_and_relu_in_a_workspace_match_fresh_arrays():
@@ -677,12 +677,12 @@ def test_conv_and_relu_in_a_workspace_match_fresh_arrays():
     x = Tensor(rng.uniform(-1, 1, (3, 2, 9, 9)))
     k = Parameter(rng.uniform(-1, 1, (4, 2, 3, 3)), "k")
     b = Parameter(rng.uniform(-1, 1, 4), "b")
-    weights = Tensor(rng.uniform(-1, 1, (3, 4, 4, 4)))
+    weights = rng.uniform(-1, 1, (3, 4, 4, 4))
 
     def step():
         T.zero_grads([k, b])
         out = T.relu(T.conv2d(x, k, b, 2))
-        T.backward(T.total(T.mul(out, weights)))
+        T.backward(weighted_sum(out, weights))
         return out.value, k.grad.copy(), b.grad.copy()
 
     fresh = step()
@@ -731,5 +731,5 @@ def test_an_exception_inside_a_pass_leaves_no_workspace_active():
 
 def test_conv2d_rejects_mixed_dtypes():
     with pytest.raises(ContractViolation, match="dtype"):
-        T.conv2d(Tensor(np.zeros((1, 3, 3), np.float32)), Tensor(np.zeros((1, 1, 2, 2))),
+        T.conv2d(Tensor(np.zeros((1, 1, 3, 3), np.float32)), Tensor(np.zeros((1, 1, 2, 2))),
                  Tensor(np.zeros(1)), 1)

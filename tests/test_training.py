@@ -228,11 +228,13 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=1e-2)
         w = Parameter(np.zeros(()), name="w")
         state = AdamState.for_params([w])
+
+        def push(g):  # gradient of (w - 3)^2
+            T._accum(w, 2.0 * (w.value - 3.0) * g)
+
         for _ in range(2000):
             T.zero_grads([w])
-            a = T.add(w, Tensor(np.asarray(-3.0)))
-            loss = T.mul(a, a)
-            T.backward(loss)
+            T.backward(Tensor((w.value - 3.0) ** 2, (w,), push))
             adam_step([w], state, cfg)
             if abs(float(w.value) - 3.0) < 0.01:
                 break
