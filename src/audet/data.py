@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+import unicodedata
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -161,6 +162,11 @@ class VideoSequence:
 
     def __post_init__(self):
         where = f"video {self.video_id!r}"
+        # the id names the video's output files, so it must stay one plain file name
+        if (self.video_id in ("", ".", "..")
+                or any(ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in self.video_id)):
+            raise ContractViolation(f"{where}: a video id must not be empty, '.' or '..', "
+                                    "or hold '/', '\\' or a control character")
         for name, dtype, tail in (("planes", np.uint8, None),
                                   ("landmarks", np.float32, (LANDMARK_COUNT, 2)),
                                   ("labels", np.int8, (len(AU_ORDER),))):

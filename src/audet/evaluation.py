@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .binio import write_atomic
 from .data import AU_ORDER, VideoSequence, decode_planes, landmark_diffs
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericError
 from .model import ModelParams, check_frame_size, model_forward
 
 
@@ -199,13 +199,18 @@ def _score_pass(params: ModelParams, chunk, workspace: T.Workspace):
     """Probabilities and float64 logits of one pass's frames, in stream order.
 
     The pass's graph dies when this returns, before the next pass builds
-    its own.
+    its own.  Raises NumericError on a non-finite probability, which a
+    0.5 threshold would read as "inactive".
     """
     images = decode_planes(np.concatenate([planes for _, _, planes, _ in chunk]), params.dtype)
     diffs = np.concatenate([diffs for *_, diffs in chunk]).astype(params.dtype)
     with T.reusing(workspace):
         res = model_forward(params, images, diffs)
-        return res.probs, res.logits.value.astype(np.float64)
+        probs, logits = res.probs, res.logits.value.astype(np.float64)
+    if not np.isfinite(probs).all():
+        raise NumericError("scoring gave a non-finite activation probability; "
+                           "the model's parameters may hold NaN or Inf")
+    return probs, logits
 
 
 def score_frames(params: ModelParams, videos: list[VideoSequence], workspace: T.Workspace):

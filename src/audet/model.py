@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .binio import ByteReader, pack_str, write_atomic
 from .data import AU_ORDER, LANDMARK_COUNT
-from .errors import ContractViolation, FormatError
+from .errors import ContractViolation, FormatError, NumericError
 from .tensor import GruCellParams, Parameter, Tensor
 
 DIFF_DIM = 2 * LANDMARK_COUNT
@@ -358,7 +358,11 @@ MAX_TENSOR_RANK = 4  # conv kernels, the highest-rank parameters
 
 
 def save_checkpoint(params: ModelParams, path) -> Path:
-    """Write parameters as float32 named tensors; returns the file path."""
+    """Write parameters as float32 named tensors; returns the file path.
+
+    Raises NumericError, writing nothing, if a tensor holds NaN or Inf
+    (in float32, so a float64 value beyond its range counts).
+    """
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<H", CHECKPOINT_VERSION)
@@ -371,7 +375,11 @@ def save_checkpoint(params: ModelParams, path) -> Path:
         buf += struct.pack("<B", value.ndim)
         for extent in value.shape:
             buf += struct.pack("<I", extent)
-        buf += np.ascontiguousarray(value, dtype="<f4").tobytes()
+        stored = np.ascontiguousarray(value, dtype="<f4")
+        if not np.isfinite(stored).all():
+            raise NumericError(f"save_checkpoint: tensor {name!r} holds NaN or Inf; "
+                               f"{path} not written")
+        buf += stored.tobytes()
     buf += struct.pack("<B", len(AU_ORDER))
     for au in AU_ORDER:
         buf += pack_str(au)
@@ -420,6 +428,8 @@ def load_checkpoint(path) -> ModelParams:
         payload = np.frombuffer(r.take(4 * n), "<f4").reshape(shape)
         if name in arrays:
             raise FormatError(f"{target}: duplicate tensor {name!r}")
+        if not np.isfinite(payload).all():
+            raise FormatError(f"{target}: tensor {name!r} holds NaN or Inf")
         arrays[name] = payload.astype(np.float32)
 
     (au_count,) = r.unpack("<B")

@@ -351,7 +351,10 @@ def _validate_epoch(epoch, train_loss, params, val_videos, weights,
     The validation loss is the training objective over all validation
     frames at once, computed in float64 from the tracks' logits.
     """
-    report = evaluation.evaluate(params, val_videos, 1, workspace)
+    try:
+        report = evaluation.evaluate(params, val_videos, 1, workspace)
+    except NumericError as exc:
+        raise NumericError(f"epoch {epoch} validation: {exc}") from None
     val_loss = T.masked_cross_entropy(
         Tensor(np.concatenate([t.logits for t in report.tracks])),
         np.concatenate([v.labels for v in val_videos]), weights,

@@ -14,7 +14,7 @@ import pytest
 from audet import cli
 from audet.data import SynthConfig, frame_record, generate_synthetic, store_corpus
 from audet.errors import ConfigError, ContractViolation
-from audet.model import CHECKPOINT_VERSION
+from audet.model import CHECKPOINT_VERSION, load_checkpoint
 from audet.training import TrainConfig
 
 
@@ -556,6 +556,87 @@ class TestRuntimeErrors:
         assert code == 2
         assert "24 x 24 px frames" in err and "image_size is 64" in err
         assert "epoch 0" not in out
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_nan_checkpoint_is_a_data_error(self, capsys, cli_env, tmp_path, command):
+        poisoned = tmp_path / "nan.auck"
+        blob = bytearray(cli_env["checkpoint"].read_bytes())
+        # first value of the classifier bias: after its name, rank byte and one extent
+        at = blob.index(b"classifier.bias") + len("classifier.bias") + 1 + 4
+        blob[at : at + 4] = struct.pack("<f", np.nan)
+        poisoned.write_bytes(bytes(blob))
+        out = tmp_path / "scores"
+        code, _, err = run(
+            capsys,
+            command,
+            "--checkpoint", str(poisoned),
+            "--corpus", str(cli_env["corpus"]),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "tensor 'classifier.bias' holds NaN or Inf" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_nan_scores_are_a_numeric_error(self, capsys, cli_env, tmp_path, monkeypatch,
+                                            command):
+        # parameters that hold NaN without passing through the reader's check
+        def poisoned(path):
+            params = load_checkpoint(path)
+            params.classifier_bias.value[1] = np.nan
+            return params
+
+        monkeypatch.setattr(cli, "load_checkpoint", poisoned)
+        out = tmp_path / "scores"
+        code, _, err = run(
+            capsys,
+            command,
+            "--checkpoint", str(cli_env["checkpoint"]),
+            "--corpus", str(cli_env["corpus"]),
+            "--out", str(out),
+        )
+        assert code == 3
+        assert "non-finite activation probability" in err
+        assert not out.exists()  # no report, no track CSVs
+
+    def test_train_refuses_to_save_nan_weights(self, capsys, cli_env, tmp_path, monkeypatch):
+        real_train = cli.train
+
+        def poisoned(*args, **kwargs):
+            result = real_train(*args, **kwargs)
+            result.best_params.fusion_weights.value[0, 0] = np.nan
+            return result
+
+        monkeypatch.setattr(cli, "train", poisoned)
+        out = tmp_path / "run"
+        code, _, err = run(
+            capsys,
+            "train",
+            "--corpus", str(cli_env["corpus"]),
+            "--out", str(out),
+            "--image-size", "24",
+            "--epochs", "1",
+        )
+        assert code == 3
+        assert "tensor 'fusion.weights' holds NaN or Inf" in err
+        assert not out.exists()  # no checkpoint, history or telemetry
+
+    def test_video_id_outside_out_is_a_data_error(self, capsys, cli_env, tmp_path):
+        videos = generate_synthetic(SynthConfig(videos=2, frames_per_video=4, seed=1,
+                                                image_size=24))
+        videos[1].video_id = "../escaped/x"  # set after the constructor's check
+        corpus = store_corpus(videos, tmp_path / "escape.auc")
+        out = tmp_path / "run" / "out"
+        code, _, err = run(
+            capsys,
+            "predict",
+            "--checkpoint", str(cli_env["checkpoint"]),
+            "--corpus", str(corpus),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "video '../escaped/x'" in err and "a video id must not be empty" in err
+        assert not (tmp_path / "run").exists()  # neither out/ nor run/escaped/
 
     def test_divergent_training_is_a_numeric_error(self, capsys, cli_env, tmp_path):
         np_err = np.seterr(all="ignore")

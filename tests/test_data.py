@@ -555,6 +555,20 @@ def test_video_sequence_validation():
         _video(planes=np.zeros((2, 2, 8, 8), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("video_id", ["", ".", "..", "../escaped/x", "a/b", "a\\b", "/abs",
+                                      "tab\there", "nul\x00", "c1\x85"])
+def test_video_id_must_be_a_plain_file_name(video_id):
+    # the id names the video's prediction files, so it must not reach
+    # outside the output directory or hide a control character
+    with pytest.raises(ContractViolation, match="a video id must not be empty"):
+        _video(video_id=video_id)
+
+
+@pytest.mark.parametrize("video_id", ["synth0000", "..a", "a.b", "clip 1", "é"])
+def test_plain_video_ids_are_accepted(video_id):
+    assert _video(video_id=video_id).video_id == video_id
+
+
 def test_decode_planes_keeps_gray_then_edge():
     planes = np.zeros((3, 2, 4, 4), dtype=np.uint8)
     planes[:, 0], planes[:, 1] = 64, 191

@@ -9,7 +9,7 @@ from audet import evaluation as E
 from audet import tensor as T
 from audet.data import (AU_ORDER, PROTOTYPE_LABELS, SynthConfig, VideoSequence,
                         generate_synthetic)
-from audet.errors import ContractViolation
+from audet.errors import ContractViolation, NumericError
 from audet.evaluation import (
     PREDICTION_HEADER,
     REPORT_CSV_HEADER,
@@ -382,6 +382,14 @@ class TestEvaluate:
 
 # ---------------------------------------------------------------------------
 # scoring passes
+
+
+def test_a_nan_probability_is_a_numeric_error(tiny_params, tiny_corpus):
+    # a 0.5 threshold reads NaN as "inactive", so scoring must not return one
+    params = tiny_params.copy()
+    params.classifier_bias.value[1] = np.nan
+    with pytest.raises(NumericError, match="non-finite activation probability"):
+        evaluate(params, tiny_corpus, window=1)
 
 
 def _cut(videos, lengths):

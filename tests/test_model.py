@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from audet.data import AU_ORDER
-from audet.errors import ContractViolation, FormatError
+from audet.errors import ContractViolation, FormatError, NumericError
 from audet.model import (
     CHECKPOINT_VERSION,
     ModelConfig,
@@ -330,6 +330,30 @@ def test_checkpoint_rejects_another_au_order(tmp_path, monkeypatch):
     path = save_checkpoint(ModelParams.init(TINY_MODEL, seed=31), tmp_path / "m.auck")
     monkeypatch.undo()
     with pytest.raises(FormatError, match="AU order"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+def test_checkpoint_save_refuses_a_non_finite_tensor(tmp_path, value):
+    # 1e39 is finite in float64 but overflows the stored float32
+    params = ModelParams.init(TINY_MODEL, seed=32, dtype=np.float64)
+    params.fusion_bias.value[2] = value
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="tensor 'fusion.bias' holds NaN or Inf"):
+            save_checkpoint(params, tmp_path / "m.auck")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_rejects_a_non_finite_tensor(tmp_path, value):
+    params = ModelParams.init(TINY_MODEL, seed=33)
+    path = save_checkpoint(params, tmp_path / "m.auck")
+    blob = bytearray(path.read_bytes())
+    # the payload follows the name, the rank byte and the four u32 extents
+    start = blob.index(b"conv1.kernels") + len("conv1.kernels") + 1 + 4 * 4
+    blob[start + 4 : start + 8] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="tensor 'conv1.kernels' holds NaN or Inf"):
         load_checkpoint(path)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -423,6 +424,14 @@ class TestTrain:
             train(tiny_corpus, TINY_MODEL, cfg)
         assert "epoch" in str(err.value) and "batch" in str(err.value)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_diverged_last_step_fails_at_validation(self, tiny_corpus):
+        # one batch per epoch: the step that breaks the weights is the
+        # epoch's last, so validation is the first pass to run them
+        cfg = TrainConfig(epochs=1, batch_size=64, seed=7, learning_rate=1e150)
+        with pytest.raises(NumericError, match="epoch 0 validation: scoring gave a non-finite"):
+            train(tiny_corpus, TINY_MODEL, cfg)
+
 
 class TestWriteHistory:
     def test_csv_format(self, tiny_corpus, tmp_path):
@@ -444,19 +453,85 @@ class TestWriteHistory:
 # forward workspace and telemetry
 
 
+def _pin_training(precision):
+    """The pinned run: final parameters of a 2-epoch TINY_MODEL training.
+
+    Batch 7 leaves a 1-frame last batch of the 36 training frames.
+    """
+    corpus = generate_synthetic(SynthConfig(videos=5, frames_per_video=9, seed=11,
+                                            image_size=24))
+    cfg = TrainConfig(epochs=2, batch_size=7, seed=3, precision=precision)
+    return train(corpus, TINY_MODEL, cfg).final_params
+
+
+# where the float32 digest was taken; another numpy or BLAS kernel rounds
+# its matmuls differently and gives another digest
+PIN_HOST = "numpy 2.4.6, OpenBLAS 0.3.31 with its SkylakeX kernels"
+
+
 def test_final_parameters_are_pinned():
     # sha256 of the final float32 parameters, computed before training
     # stored its forward arrays in a reused workspace: the workspace may
-    # change where values live, never the values.  Batch 7 leaves a
-    # 1-frame last batch of the 36 training frames.  At these sizes the
-    # digest is the same with one or two BLAS threads.
-    corpus = generate_synthetic(SynthConfig(videos=5, frames_per_video=9, seed=11,
-                                            image_size=24))
-    result = train(corpus, TINY_MODEL, TrainConfig(epochs=2, batch_size=7, seed=3))
-    arrays = [p.value for p in result.final_params.all_parameters()]
+    # change where values live, never the values.  At these sizes the
+    # digest is the same with one or two BLAS threads.  This is a
+    # same-host check; test_double_precision_training_matches_the_reference
+    # is the check that holds on every host.
+    arrays = [p.value for p in _pin_training("single").all_parameters()]
     assert all(a.dtype == np.float32 for a in arrays)
     digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-    assert digest == "f451cb0bb4e14d19068b94b1692e22771d037046e18008d35122ce4fadfe5527"
+    pin = "7fc80b53a10dfb36f93c99476dba382ae01e7c827f9b889adc14513d8affba22"
+    assert digest == pin, (
+        f"float32 parameter digest {digest} differs from the pin, which was taken with "
+        f"{PIN_HOST}; this run has numpy {np.__version__} and OPENBLAS_CORETYPE="
+        f"{os.environ.get('OPENBLAS_CORETYPE', '(unset)')}.  On another host that is "
+        "expected: the float64 reference test is the portable check.")
+
+
+# float64 (sum, sum of squares) of each final parameter of the pinned
+# run, recorded with the logistic-form gates and the h' = (1 - z) h + z c
+# update that gru_scan computed before its tanh-form rewrite
+DOUBLE_REFERENCE = {
+    "conv0.kernels": (-2.556397256082093, 2.454047157259051),
+    "conv0.bias": (-0.0008677580711598811, 1.4575120727832383e-05),
+    "conv1.kernels": (-0.741585227615786, 3.1128572248064903),
+    "conv1.bias": (0.0031819199056120273, 0.00021559050856904795),
+    "conv2.kernels": (1.1472393261839202, 4.01552748881465),
+    "conv2.bias": (0.011608261576179578, 6.30492845286174e-05),
+    "static_gru.input_weights": (2.218063223733269, 6.082919900955432),
+    "static_gru.hidden_weights": (-0.7761065916168204, 12.258603043542958),
+    "static_gru.biases": (-0.004302088286425483, 0.000869878215126849),
+    "dynamic0.weights": (7.362598671312878, 18.589549767428675),
+    "dynamic0.bias": (0.02328636087804768, 0.0002266461423272335),
+    "dynamic1.weights": (2.5705458411020876, 9.329843771602784),
+    "dynamic1.bias": (-0.03355666143498346, 0.00023292806765603377),
+    "fusion.weights": (0.9799911615589512, 9.370059560253468),
+    "fusion.bias": (0.0011235654762522182, 0.00022318851772756853),
+    "au_table": (-0.028524912214648812, 0.25237280432051395),
+    "query_gru.input_weights": (-1.3790924558306035, 12.504648209963287),
+    "query_gru.hidden_weights": (-3.566023348644339, 12.974134509782878),
+    "query_gru.biases": (0.06345248212543605, 0.0014964160097147377),
+    "classifier.weights": (1.430609734013283, 4.085407613988),
+    "classifier.bias": (0.0, 0.0001561726056123044),
+}
+DOUBLE_RTOL = 1e-10
+
+
+def test_double_precision_training_matches_the_reference():
+    # The float64 run of the pinned training, within DOUBLE_RTOL of the
+    # recorded reference on any BLAS kernel (the two agreed to 3.1e-15 on
+    # SkylakeX and Haswell kernels), each number relative to itself.  The
+    # one reference of 0, the sum of classifier.bias = [x, -x], is
+    # compared relative to sqrt(n * sum of squares) instead, the largest
+    # |sum| that n values with that sum of squares can have.
+    named = _pin_training("double").named_arrays()
+    assert [name for name, _ in named] == list(DOUBLE_REFERENCE)
+    for name, arr in named:
+        assert arr.dtype == np.float64
+        ref_sum, ref_sq = DOUBLE_REFERENCE[name]
+        total, sq = float(arr.sum()), float((arr * arr).sum())
+        assert abs(sq - ref_sq) <= DOUBLE_RTOL * ref_sq, (name, sq, ref_sq)
+        scale = abs(ref_sum) if ref_sum else math.sqrt(arr.size * ref_sq)
+        assert abs(total - ref_sum) <= DOUBLE_RTOL * scale, (name, total, ref_sum)
 
 
 def test_validation_is_evaluate_without_smoothing(tiny_corpus):
