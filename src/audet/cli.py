@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import tensor as T
 from .binio import write_atomic
 from .data import SynthConfig, generate_synthetic, load_corpus, store_corpus
 from .errors import (
@@ -49,7 +50,7 @@ from .model import (
     parameter_count,
     save_checkpoint,
 )
-from .tensor import Tensor, conv2d, finite_difference_report, masked_cross_entropy
+from .tensor import Parameter, Tensor, finite_difference_report, masked_cross_entropy
 from .training import TrainConfig, train, write_history
 
 # Narrow variant of the default architecture: same layer types and wiring,
@@ -145,8 +146,16 @@ def parse_config_file(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
+    try:
+        data = p.read_bytes()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {p}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{p}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
     out = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -284,40 +293,33 @@ def _gap_shift(values: np.ndarray, margin: float, cap: float) -> float:
     return best_delta
 
 
-def clear_relu_margins(params: ModelParams, image: np.ndarray, diff: np.ndarray,
-                       margin: float, cap: float = 0.25):
-    """Nudge relu-layer biases away from pre-activation sign changes.
+def _relu_cleared(op: Callable[[], Tensor], bias: Parameter, margin: float, cap: float) -> Tensor:
+    """relu of ``op()`` once each unit on axis 1 has its bias moved by its batch's _gap_shift."""
+    for unit, values in enumerate(op().value.swapaxes(0, 1)):
+        bias.value[unit] += _gap_shift(values.ravel(), margin, cap)
+    return T.relu(op())
 
-    The finite-difference sweep probes every parameter by +-step.  A relu
-    input within the probe's reach of zero switches branch mid-probe, so
-    the difference quotient measures a point where the analytic gradient
-    is not differentiable and the comparison fails spuriously.  A shared
-    bias shift per filter (or per hidden row) moves that layer's
-    pre-activation values together into the widest gap away from zero; the
-    wiring under test is unchanged and both gradients are then compared at
-    the same, shifted point.
+
+def clear_relu_margins(params: ModelParams, images: np.ndarray, diffs: np.ndarray,
+                       margin: float, cap: float = 0.25):
+    """Shift relu-layer biases away from pre-activation sign changes.
+
+    The finite-difference sweep probes every parameter by +-step; a relu
+    input within the probe's reach of zero would switch branch mid-probe,
+    where the analytic gradient is not defined, and fail spuriously.  One
+    bias shift per conv filter or dynamic unit moves that unit's values
+    over the whole batch into the widest gap away from zero, and both
+    gradients are compared at the same, shifted point.
     """
-    x = image
+    x = Tensor(images)
     for (kern, bias), (_, _, _, stride) in zip(params.conv_layers, params.config.conv_spec):
-        out = conv2d(Tensor(x[None]), Tensor(kern.value), Tensor(bias.value), stride)
-        pre = out.value[0].copy()
-        for f in range(pre.shape[0]):
-            delta = _gap_shift(pre[f].ravel(), margin, cap)
-            bias.value[f] += delta
-            pre[f] += delta
-        x = np.maximum(pre, 0.0)
-    h = np.asarray(diff, dtype=params.dtype)
+        x = _relu_cleared(lambda: T.conv2d(x, kern, bias, stride), bias, margin, cap)
+    h = Tensor(diffs)
     for (w, b), (_, act) in zip(params.dynamic_layers, params.config.dynamic_hidden):
-        pre = w.value @ h + b.value
         if act == "relu":
-            for i, v in enumerate(pre):
-                if abs(v) < margin:
-                    target = margin if v >= 0 else -margin
-                    b.value[i] += target - v
-                    pre[i] = target
-            h = np.maximum(pre, 0.0)
+            h = _relu_cleared(lambda: T.linear(w, b, h), b, margin, cap)
         else:
-            h = np.tanh(pre)
+            h = T.tanh(T.linear(w, b, h))
 
 
 def _cmd_gradcheck(cfg: dict) -> int:
@@ -328,18 +330,15 @@ def _cmd_gradcheck(cfg: dict) -> int:
             videos=1, frames_per_video=3, seed=cfg["seed"], image_size=config.image_size
         )
     )[0]
-    frame_t = 1
     images, diffs = video.model_inputs(np.float64)
-    image, diff = images[frame_t], diffs[frame_t]
-    labels = video.labels[frame_t]
-    weights = np.ones(labels.shape[0])
+    weights = np.ones(video.labels.shape[1])
     params = ModelParams.init(config, cfg["seed"], np.float64)
-    clear_relu_margins(params, image, diff, margin=max(0.05, 50.0 * cfg["step"]))
+    clear_relu_margins(params, images, diffs, margin=max(0.05, 50.0 * cfg["step"]))
 
     def loss_fn():
-        # the training graph on a batch of this one frame
-        logits = model_forward(params, image[None], diff[None]).logits
-        return masked_cross_entropy(logits, labels[None], weights)
+        # the graph of a training step, with the whole video as its batch
+        logits = model_forward(params, images, diffs).logits
+        return masked_cross_entropy(logits, video.labels, weights)
 
     report = finite_difference_report(loss_fn, params.all_parameters(), cfg["step"])
     worst = report.max_relative_error

@@ -146,6 +146,14 @@ def displaced_landmarks(intensities: np.ndarray) -> np.ndarray:
 # videos
 
 
+def check_video_id(video_id: str) -> None:
+    """The id names the video's output files, so it must stay one plain file name."""
+    if (video_id in ("", ".", "..")
+            or any(ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in video_id)):
+        raise ContractViolation(f"video {video_id!r}: a video id must not be empty, '.' or "
+                                "'..', or hold '/', '\\' or a control character")
+
+
 @dataclass
 class VideoSequence:
     """One video as T-leading arrays, T >= 3.
@@ -161,12 +169,8 @@ class VideoSequence:
     labels: np.ndarray
 
     def __post_init__(self):
+        check_video_id(self.video_id)
         where = f"video {self.video_id!r}"
-        # the id names the video's output files, so it must stay one plain file name
-        if (self.video_id in ("", ".", "..")
-                or any(ch in "/\\" or unicodedata.category(ch) == "Cc" for ch in self.video_id)):
-            raise ContractViolation(f"{where}: a video id must not be empty, '.' or '..', "
-                                    "or hold '/', '\\' or a control character")
         for name, dtype, tail in (("planes", np.uint8, None),
                                   ("landmarks", np.float32, (LANDMARK_COUNT, 2)),
                                   ("labels", np.int8, (len(AU_ORDER),))):
@@ -486,6 +490,7 @@ def store_corpus(videos: list[VideoSequence], path) -> Path:
     record = frame_record(h, w)
     chunks = [CORPUS_MAGIC, struct.pack("<HHHI", CORPUS_VERSION, h, w, len(videos))]
     for video in videos:
+        check_video_id(video.video_id)
         if video.planes.shape[2:] != (h, w):
             raise ContractViolation(
                 f"store_corpus: video {video.video_id!r} frame size "

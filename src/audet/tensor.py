@@ -603,11 +603,6 @@ class GradientCheckReport:
         return f"{self.worst_parameter}[{','.join(map(str, self.worst_index))}]"
 
 
-def finite_difference_check(loss_fn, params, step: float = 1e-3) -> float:
-    """Worst relative error of :func:`finite_difference_report`."""
-    return finite_difference_report(loss_fn, params, step).max_relative_error
-
-
 def finite_difference_report(loss_fn, params, step: float = 1e-3) -> GradientCheckReport:
     """Compare analytic gradients against central differences.
 
@@ -619,11 +614,11 @@ def finite_difference_report(loss_fn, params, step: float = 1e-3) -> GradientChe
     loss.
     """
     params = list(params)
-    _require(len(params) > 0, "finite_difference_check: no parameters")
+    _require(len(params) > 0, "finite_difference_report: no parameters")
     for p in params:
         _require(
             p.value.dtype == np.float64,
-            lambda: f"finite_difference_check: {p.name} is {p.value.dtype}, needs float64",
+            lambda: f"finite_difference_report: {p.name} is {p.value.dtype}, needs float64",
         )
 
     first = float(loss_fn().value)

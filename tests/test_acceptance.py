@@ -94,7 +94,7 @@ def _sweep_cases() -> list:
 
 def _primitive_sweep() -> float:
     """Worst finite-difference error across isolated primitive checks."""
-    return max(T.finite_difference_check(loss_fn, params, 1e-3)
+    return max(T.finite_difference_report(loss_fn, params, 1e-3).max_relative_error
                for loss_fn, params in _sweep_cases())
 
 

@@ -11,11 +11,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from audet import cli
+from audet import cli, tensor as T
 from audet.data import SynthConfig, frame_record, generate_synthetic, store_corpus
 from audet.errors import ConfigError, ContractViolation
-from audet.model import CHECKPOINT_VERSION, load_checkpoint
+from audet.model import CHECKPOINT_VERSION, ModelParams, load_checkpoint, model_forward
+from audet.tensor import Parameter
 from audet.training import TrainConfig
+
+from conftest import TINY_MODEL
 
 
 def run(capsys, *argv):
@@ -255,6 +258,18 @@ class TestConfigErrors:
         code, _, err = run(capsys, "synth", "--config", "/no/such/file.cfg", "--out", "x")
         assert code == 1
         assert "not found" in err
+
+    def test_config_that_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "synth", "--config", str(tmp_path), "--out", "x")
+        assert code == 1
+        assert f"cannot read config file {tmp_path}: Is a directory" in err
+
+    def test_config_with_a_non_utf8_byte_names_file_and_line(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\nvideos = 2 # caf\xe9\n")
+        code, _, err = run(capsys, "synth", "--config", str(cfg), "--out", "x")
+        assert code == 1
+        assert f"{cfg}: line 2: byte 0xe9 is not UTF-8" in err
 
     def test_bad_flag_value_names_flag(self, capsys):
         code, _, err = run(capsys, "synth", "--videos", "0", "--out", "x")
@@ -624,8 +639,13 @@ class TestRuntimeErrors:
     def test_video_id_outside_out_is_a_data_error(self, capsys, cli_env, tmp_path):
         videos = generate_synthetic(SynthConfig(videos=2, frames_per_video=4, seed=1,
                                                 image_size=24))
-        videos[1].video_id = "../escaped/x"  # set after the constructor's check
+        # store_corpus refuses the id too, so a same-length safe id is
+        # swapped for it in the stored bytes: this tests the loader
+        videos[1].video_id = "placeholder1"
         corpus = store_corpus(videos, tmp_path / "escape.auc")
+        data = corpus.read_bytes()
+        assert data.count(b"placeholder1") == 1
+        corpus.write_bytes(data.replace(b"placeholder1", b"../escaped/x"))
         out = tmp_path / "run" / "out"
         code, _, err = run(
             capsys,
@@ -663,8 +683,6 @@ class TestRuntimeErrors:
 
 class TestGradcheck:
     def test_error_above_threshold_exits_3(self, capsys, monkeypatch):
-        from conftest import TINY_MODEL
-
         from audet.tensor import GradientCheckReport
 
         monkeypatch.setattr(cli, "GRADCHECK_CONFIG", TINY_MODEL)
@@ -676,11 +694,27 @@ class TestGradcheck:
         assert "worst_parameter = conv0.bias[1]" in out
         assert "gradient check FAILED" in err
 
+    def test_differentiates_the_whole_video_as_one_batch(self, capsys, monkeypatch):
+        from audet.tensor import GradientCheckReport
+
+        batches = []
+
+        def spy_forward(params, images, diffs):
+            batches.append((len(images), len(diffs)))
+            return model_forward(params, images, diffs)
+
+        def one_loss(loss_fn, params, step):
+            assert loss_fn().value.shape == ()
+            return GradientCheckReport(0.0, "conv0.bias", (0,))
+
+        monkeypatch.setattr(cli, "GRADCHECK_CONFIG", TINY_MODEL)
+        monkeypatch.setattr(cli, "model_forward", spy_forward)
+        monkeypatch.setattr(cli, "finite_difference_report", one_loss)
+        code, _, _ = run(capsys, "gradcheck")
+        assert code == 0
+        assert batches == [(3, 3)]  # the 3-frame video, one forward pass
+
     def test_reports_worst_parameter(self, capsys, monkeypatch):
-        from conftest import TINY_MODEL
-
-        from audet.model import ModelParams
-
         monkeypatch.setattr(cli, "GRADCHECK_CONFIG", TINY_MODEL)
         code, out, _ = run(capsys, "gradcheck", "--seed", "7")
         assert code == 0
@@ -688,6 +722,64 @@ class TestGradcheck:
         name, _, index = line.split(" = ")[1].partition("[")
         assert name in {p.name for p in ModelParams.zeros(TINY_MODEL).all_parameters()}
         assert index.endswith("]") and all(i.isdigit() for i in index[:-1].split(","))
+
+
+def _relu_inputs(params, images, diffs):
+    """(bias, unit-major pre-activations) of every relu in the model's own graph."""
+    found = []
+    for node in T._topo_order(model_forward(params, images, diffs).logits):
+        if node._push is not None and node._push.__qualname__ == "relu.<locals>.push":
+            pre = node.parents[0]  # a conv2d or linear node, its units on axis 1
+            bias = next(p for p in pre.parents
+                        if isinstance(p, Parameter) and p.name.endswith("bias"))
+            found.append((bias, pre.value.swapaxes(0, 1)))
+    return found
+
+
+class TestReluClearing:
+    MARGIN, CAP = 0.05, 0.25
+
+    def test_every_relu_unit_is_cleared_and_nothing_else_moves(self):
+        video = generate_synthetic(SynthConfig(videos=1, frames_per_video=3, seed=7,
+                                               image_size=TINY_MODEL.image_size))[0]
+        images, diffs = video.model_inputs(np.float64)
+        params = ModelParams.init(TINY_MODEL, 7, np.float64)
+        before = {name: value.copy() for name, value in params.named_arrays()}
+        cli.clear_relu_margins(params, images, diffs, self.MARGIN, self.CAP)
+
+        relus = _relu_inputs(params, images, diffs)
+        relu_layers = len(TINY_MODEL.conv_spec) + sum(
+            act == "relu" for _, act in TINY_MODEL.dynamic_hidden)
+        assert len(relus) == relu_layers
+        grid = np.linspace(-self.CAP, self.CAP, 2001)
+        moved = 0
+        for bias, units in relus:
+            shift = bias.value - before[bias.name]
+            for unit, values in enumerate(units):
+                assert abs(shift[unit]) <= self.CAP
+                # margin reached, or no shift within cap gets further from zero
+                flat = values.ravel() - shift[unit]
+                reachable = np.abs(flat[None] + grid[:, None]).min(axis=1).max()
+                assert np.abs(values).min() >= min(self.MARGIN, reachable), (bias.name, unit)
+            moved += int(np.count_nonzero(shift))
+        assert moved > 0  # the batch had relu inputs near zero to clear
+
+        biases = {bias.name for bias, _ in relus}
+        for name, value in params.named_arrays():
+            if name not in biases:
+                assert value.tobytes() == before[name].tobytes(), name
+
+    def test_gap_shift_leaves_clear_values_and_stays_within_cap(self):
+        assert cli._gap_shift(np.array([-0.3, 0.2, 0.5]), self.MARGIN, self.CAP) == 0.0
+        near = np.array([-0.02, 0.03, 0.4])
+        delta = cli._gap_shift(near, self.MARGIN, self.CAP)
+        assert np.abs(near + delta).min() >= self.MARGIN
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            values = rng.normal(0.0, rng.uniform(0.01, 2.0), rng.integers(1, 40))
+            delta = cli._gap_shift(values, self.MARGIN, self.CAP)
+            assert abs(delta) <= self.CAP
+            assert np.abs(values + delta).min() >= min(np.abs(values).min(), self.MARGIN)
 
 
 class TestArtifactDeterminism:

@@ -375,6 +375,13 @@ def test_store_rejects_no_videos_and_mixed_frame_sizes(small_corpus, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_store_refuses_an_id_renamed_after_construction(small_corpus, tmp_path):
+    small_corpus[1].video_id = "../x"  # the constructor checked the old id
+    with pytest.raises(ContractViolation, match="'../x': a video id must not be empty"):
+        store_corpus(small_corpus, tmp_path / "c.auc")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_rejects_bad_magic(small_corpus, tmp_path):
     path = store_corpus(small_corpus, tmp_path / "c.auc")
     data = bytearray(path.read_bytes())

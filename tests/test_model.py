@@ -23,7 +23,7 @@ from audet.model import (
     static_forward,
 )
 from audet import tensor as T
-from audet.tensor import Parameter, Tensor, finite_difference_check
+from audet.tensor import Parameter, Tensor, finite_difference_report
 
 from conftest import TINY_MODEL, weighted_sum
 
@@ -166,7 +166,7 @@ def test_dynamic_branch_input_gradient():
             x = _ACTIVATIONS[act](linear(w, b, x))
         return weighted_sum(x, weights)
 
-    assert finite_difference_check(loss_fn, [diff], 1e-3) <= 1e-5
+    assert finite_difference_report(loss_fn, [diff], 1e-3).max_relative_error <= 1e-5
 
 
 def test_decoder_causality():

@@ -16,7 +16,7 @@ def _param(rng, shape, name, lo=-1.0, hi=1.0):
 
 
 def _check(loss_fn, params, bound=1e-5):
-    worst = T.finite_difference_check(loss_fn, params, 1e-3)
+    worst = T.finite_difference_report(loss_fn, params, 1e-3).max_relative_error
     assert worst <= bound, f"max relative error {worst:.3e} > {bound:.0e}"
 
 
@@ -183,7 +183,7 @@ def _square_sum(w):
 
 def test_fd_quadratic_estimate_matches_analytic():
     w = Parameter(np.array([1.0]), "w")
-    worst = T.finite_difference_check(lambda: _square_sum(w), [w], 1e-3)
+    worst = T.finite_difference_report(lambda: _square_sum(w), [w], 1e-3).max_relative_error
     # estimate (1.001^2 - 0.999^2) / 2e-3 = 2.0 exactly; analytic 2.0
     assert worst < 2.5e-7
     up = (1.0 + 1e-3) ** 2
@@ -193,7 +193,7 @@ def test_fd_quadratic_estimate_matches_analytic():
 
 def test_fd_constant_loss_zero_error():
     w = Parameter(np.array([0.7]), "w")
-    worst = T.finite_difference_check(lambda: weighted_sum(w, 0.0), [w], 1e-3)
+    worst = T.finite_difference_report(lambda: weighted_sum(w, 0.0), [w], 1e-3).max_relative_error
     assert worst == 0.0
 
 
@@ -402,13 +402,13 @@ def test_fd_check_rejects_nondeterministic_loss():
         return weighted_sum(w, rng.uniform())
 
     with pytest.raises(NumericError, match="not deterministic"):
-        T.finite_difference_check(noisy, [w], 1e-3)
+        T.finite_difference_report(noisy, [w], 1e-3)
 
 
 def test_fd_check_requires_float64():
     w = Parameter(np.array([1.0], dtype=np.float32), "w")
     with pytest.raises(ContractViolation, match="float64"):
-        T.finite_difference_check(lambda: weighted_sum(w), [w], 1e-3)
+        T.finite_difference_report(lambda: weighted_sum(w), [w], 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +621,6 @@ def test_fd_report_names_worst_component():
     assert report.worst_parameter == "b" and report.worst_index == (1,)
     assert report.location() == "b[1]"
     assert report.max_relative_error > 0.1
-    assert T.finite_difference_check(loss_fn, [a, b], 1e-3) == report.max_relative_error
 
 
 # ---------------------------------------------------------------------------
