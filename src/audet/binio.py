@@ -13,12 +13,12 @@ from .errors import CorruptionError, FormatError
 class ByteReader:
     """Sequential reader that reports truncation with a byte offset."""
 
-    def __init__(self, data: bytes, origin: str):
+    def __init__(self, data: bytes | memoryview, origin: str):
         self.data = data
         self.origin = origin
         self.ofs = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> bytes | memoryview:
         if self.ofs + n > len(self.data):
             raise CorruptionError(
                 f"{self.origin}: truncated at byte {self.ofs}, "
@@ -40,7 +40,7 @@ class ByteReader:
         start = self.ofs
         raw = self.take(n)
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(
                 f"{self.origin}: invalid UTF-8 at byte {start + exc.start}: {exc.reason}"
@@ -70,6 +70,7 @@ def write_atomic(path, data: bytes | str) -> Path:
     try:
         tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, target)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
     return target

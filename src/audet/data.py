@@ -195,7 +195,7 @@ class VideoSequence:
         # motion features need a neighbour on at least one side of every frame
         if len(self) < 3:
             raise ContractViolation(f"{where} has {len(self)} frames, need >= 3")
-        bad = ~np.isin(self.labels, (-1, 0, 1)).all(axis=1)
+        bad = ~((self.labels == -1) | (self.labels == 0) | (self.labels == 1)).all(axis=1)
         if bad.any():
             t = int(np.argmax(bad))
             raise ContractViolation(
@@ -504,8 +504,8 @@ def store_corpus(videos: list[VideoSequence], path) -> Path:
 
 
 def _load_file(target: Path) -> list[VideoSequence]:
-    r = ByteReader(target.read_bytes(), str(target))
-    magic = r.take(4)
+    r = ByteReader(memoryview(target.read_bytes()), str(target))
+    magic = bytes(r.take(4))
     if magic != CORPUS_MAGIC:
         raise FormatError(f"{target}: bad magic {magic!r}, expected {CORPUS_MAGIC!r}")
     version, h, w, count = r.unpack("<HHHI")

@@ -41,28 +41,31 @@ def check_window(window: int) -> int:
     return window
 
 
-def smooth_track(binary: np.ndarray, window: int) -> np.ndarray:
-    """Sliding majority vote over one 0/1 track, replicate padding; window 1 is the identity."""
-    check_window(window)
-    track = np.asarray(binary)
-    if track.ndim != 1:
-        raise ContractViolation(f"smooth_track: expected 1-d track, got {track.shape}")
-    if not np.isin(track, (0, 1)).all():
-        raise ContractViolation("smooth_track: track must be 0/1")
-    if window == 1:
-        return track.astype(np.int8)
-    half = window // 2
-    padded = np.pad(track.astype(np.int64), half, mode="edge")
-    sums = np.lib.stride_tricks.sliding_window_view(padded, window).sum(axis=1)
-    return (2 * sums > window).astype(np.int8)
-
-
 def smooth(binary: np.ndarray, window: int) -> np.ndarray:
-    """Column-wise majority smoothing of a T x 8 decision array."""
+    """Sliding majority vote down each column of a T x AU 0/1 array, as int8:
+    columns are edge-padded by window // 2 rows, and each window's sum is the
+    difference of two entries of one running sum.  Window 1 is the identity."""
+    check_window(window)
     arr = np.asarray(binary)
     if arr.ndim != 2:
         raise ContractViolation(f"smooth: expected T x AU array, got {arr.shape}")
-    return np.stack([smooth_track(arr[:, j], window) for j in range(arr.shape[1])], axis=1)
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ContractViolation("smooth: decisions must be 0/1")
+    votes = arr.astype(np.int8)
+    if window == 1 or not len(votes):
+        return votes
+    half, n = window // 2, len(votes)
+    running = np.zeros((n + window, votes.shape[1]), np.int64)
+    np.cumsum(votes[np.clip(np.arange(-half, n + half), 0, n - 1)], axis=0, out=running[1:])
+    return (2 * (running[window:] - running[:-window]) > window).astype(np.int8)
+
+
+def smooth_track(binary: np.ndarray, window: int) -> np.ndarray:
+    """Majority vote over one 0/1 track: the one-column case of :func:`smooth`."""
+    track = np.asarray(binary)
+    if track.ndim != 1:
+        raise ContractViolation(f"smooth_track: expected 1-d track, got {track.shape}")
+    return smooth(track[:, None], window)[:, 0]
 
 
 def f1_from_counts(tp: int, fp: int, fn: int) -> tuple[float, bool]:
@@ -103,11 +106,8 @@ def challenge_metric(
     if not predictions:
         raise ContractViolation("no videos to score")
     n_aus = len(AU_ORDER)
-    tp = np.zeros(n_aus, dtype=np.int64)
-    fp = np.zeros(n_aus, dtype=np.int64)
-    fn = np.zeros(n_aus, dtype=np.int64)
-    tn = np.zeros(n_aus, dtype=np.int64)
-    for vid in sorted(predictions):
+    ids = sorted(predictions)
+    for vid in ids:
         pred = np.asarray(predictions[vid])
         lab = np.asarray(labels[vid])
         if pred.shape != lab.shape or pred.ndim != 2 or pred.shape[1] != n_aus:
@@ -115,27 +115,27 @@ def challenge_metric(
                 f"video {vid!r}: predictions {pred.shape} vs labels {lab.shape}, "
                 f"expected matching T x {n_aus}"
             )
-        if not np.isin(pred, (0, 1)).all():
+        if not ((pred == 0) | (pred == 1)).all():
             raise ContractViolation(f"video {vid!r}: predictions must be 0/1")
-        if not np.isin(lab, (-1, 0, 1)).all():
+        if not ((lab == -1) | (lab == 0) | (lab == 1)).all():
             raise ContractViolation(f"video {vid!r}: labels must be in {{-1, 0, 1}}")
-        valid = lab != -1
-        tp += ((pred == 1) & (lab == 1) & valid).sum(axis=0)
-        fp += ((pred == 1) & (lab == 0) & valid).sum(axis=0)
-        fn += ((pred == 0) & (lab == 1) & valid).sum(axis=0)
-        tn += ((pred == 0) & (lab == 0) & valid).sum(axis=0)
-
+    # integer counts do not depend on the order of summation, so one pass over
+    # all rows is exact; a -1 label is neither 0 nor 1 and falls out of every count
+    active = np.concatenate([predictions[vid] for vid in ids]) == 1
+    lab = np.concatenate([labels[vid] for vid in ids])
+    positive, negative = lab == 1, lab == 0
+    tp = (active & positive).sum(axis=0, dtype=np.int64)
+    fp = (active & negative).sum(axis=0, dtype=np.int64)
+    fn = (~active & positive).sum(axis=0, dtype=np.int64)
+    tn = (~active & negative).sum(axis=0, dtype=np.int64)
     decisions = tp + fp + fn + tn
     if decisions.sum() == 0:
         raise ContractViolation("no valid decisions: every label is -1")
     evaluated = decisions > 0
     per_au_f1 = np.zeros(n_aus)
-    degenerate = np.zeros(n_aus, dtype=bool)
-    for i in range(n_aus):
-        if evaluated[i]:
-            per_au_f1[i], degenerate[i] = f1_from_counts(int(tp[i]), int(fp[i]), int(fn[i]))
-        else:
-            degenerate[i] = True
+    degenerate = ~evaluated
+    for i in np.flatnonzero(evaluated):
+        per_au_f1[i], degenerate[i] = f1_from_counts(int(tp[i]), int(fp[i]), int(fn[i]))
     accuracy = float((tp + tn).sum() / decisions.sum())
     # sequential sum: keeps the mean reproducible decision-for-decision
     scored = [float(per_au_f1[i]) for i in range(n_aus) if evaluated[i]]

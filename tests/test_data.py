@@ -7,6 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
+from audet import binio
+from audet.binio import write_atomic
 from audet.data import (
     _DRAWN_GROUPS,
     AU_ORDER,
@@ -389,6 +391,55 @@ def test_load_rejects_bad_magic(small_corpus, tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="magic"):
         load_corpus(path)
+
+
+def test_load_errors_quote_the_bytes_read(small_corpus, tmp_path):
+    # the reader slices a memoryview of the file; messages still show bytes
+    path = store_corpus(small_corpus, tmp_path / "c.auc")
+    data = bytearray(path.read_bytes())
+    path.write_bytes(b"XXXX" + bytes(data[4:]))
+    with pytest.raises(FormatError, match=r"c\.auc: bad magic b'XXXX', expected b'AUC1'$"):
+        load_corpus(path)
+    data[14 + 2 + 3] = 0xFF  # inside the first video's id
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError,
+                       match=r"c\.auc: invalid UTF-8 at byte 19: invalid start byte$"):
+        load_corpus(path)
+
+
+def test_loaded_videos_own_their_arrays(small_corpus, tmp_path):
+    loaded = load_corpus(store_corpus(small_corpus, tmp_path / "c.auc"))
+    for video in loaded:
+        for arr in (video.planes, video.landmarks, video.labels):
+            assert arr.flags.owndata and arr.flags.writeable
+
+
+def test_write_atomic_replaces_the_target_and_leaves_no_temporary(tmp_path):
+    target = write_atomic(tmp_path / "sub" / "a.txt", "new")
+    assert target.read_text() == "new"
+    assert sorted(p.name for p in target.parent.iterdir()) == ["a.txt"]
+
+
+def test_failed_write_atomic_keeps_the_old_file_and_removes_its_temporary(tmp_path,
+                                                                         monkeypatch):
+    target = tmp_path / "a.txt"
+    target.write_bytes(b"old")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(binio.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_atomic(target, b"new")
+    assert target.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+    # a directory in the target's place makes the real os.replace fail
+    (tmp_path / "d").mkdir()
+    with pytest.raises(OSError):
+        write_atomic(tmp_path / "d", b"new")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "d"]
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 def test_load_rejects_unknown_version(small_corpus, tmp_path):

@@ -131,6 +131,42 @@ class TestSmoothing:
         with pytest.raises(ContractViolation):
             smooth(np.array([0, 1, 0]), 3)
 
+    def test_every_column_matches_reference_vote(self):
+        rng = np.random.default_rng(19)
+        for _ in range(60):
+            n = int(rng.integers(1, 81))
+            arr = rng.integers(0, 2, size=(n, 8)).astype(np.int8)
+            for window in range(1, 14, 2):  # past the track's length for short n
+                out = smooth(arr, window)
+                assert out.dtype == np.int8 and out.shape == arr.shape
+                for j in range(arr.shape[1]):
+                    np.testing.assert_array_equal(
+                        out[:, j], _majority_reference(arr[:, j].tolist(), window))
+                np.testing.assert_array_equal(smooth_track(arr[:, 0], window), out[:, 0])
+        assert smooth(np.zeros((0, 8), np.int8), 5).shape == (0, 8)
+
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_value_check_gives_the_verdict_of_isin_on_every_dtype(self, window):
+        cases = [np.array([[1, 0], [0, 1], [1, 1]], dtype) for dtype in (np.int8, np.int64)]
+        cases += [np.array([[True, False], [False, False], [True, True]]),
+                  np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                  np.array([[1, 0], [2, 1], [1, 1]], np.int8),
+                  np.array([[1, 0], [0, -1], [1, 1]], np.int64),
+                  np.array([[1.0, 0.5], [0.0, 1.0], [1.0, 1.0]]),
+                  np.array([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]])]
+        for smoother, prepare in ((smooth, lambda a: a), (smooth_track, lambda a: a[:, 1])):
+            verdicts = []
+            for arr in cases:
+                try:
+                    out = smoother(prepare(arr), window)
+                    verdicts.append(True)
+                    assert out.dtype == np.int8
+                except ContractViolation as err:
+                    assert "must be 0/1" in str(err)
+                    verdicts.append(False)
+            assert verdicts == [bool(np.isin(prepare(arr), (0, 1)).all()) for arr in cases]
+        assert [bool(np.isin(arr, (0, 1)).all()) for arr in cases] == [True] * 4 + [False] * 4
+
 
 # ---------------------------------------------------------------------------
 # F1
@@ -216,6 +252,34 @@ class TestChallengeMetric:
         lab = np.full((3, 8), -1, dtype=np.int8)
         with pytest.raises(ContractViolation, match="-1"):
             challenge_metric({"v": pred}, {"v": lab})
+
+    def test_a_bad_video_is_named_in_sorted_id_order(self):
+        lab = np.zeros((3, 8), dtype=np.int8)
+        bad = np.full((3, 8), 2, dtype=np.int8)
+        with pytest.raises(ContractViolation, match="^video 'b': predictions must be 0/1$"):
+            challenge_metric({"c": bad, "a": lab.copy(), "b": bad}, {"a": lab, "b": lab, "c": lab})
+        with pytest.raises(ContractViolation,
+                           match="^video 'b': labels must be in {-1, 0, 1}$"):
+            challenge_metric({"a": lab, "b": lab, "c": lab}, {"c": bad, "a": lab, "b": bad})
+        with pytest.raises(ContractViolation, match=r"^video 'a': predictions \(2, 8\)"):
+            challenge_metric({"b": bad, "a": lab[:2]}, {"a": lab, "b": lab})
+
+    def test_counts_are_exact_over_mixed_dtypes(self):
+        # the videos' decisions are counted as one concatenated array
+        rng = np.random.default_rng(8)
+        dtypes = (np.int8, np.int64, bool, np.float64)
+        labels, predictions = {}, {}
+        for v in range(40):
+            n = int(rng.integers(1, 30))
+            labels[f"m{v:02d}"] = rng.integers(-1, 2, size=(n, 8)).astype(dtypes[v % 2])
+            predictions[f"m{v:02d}"] = rng.integers(0, 2, size=(n, 8)).astype(dtypes[v % 4])
+        report = challenge_metric(predictions, labels)
+        oracle = naive_score({k: v.tolist() for k, v in predictions.items()},
+                             {k: v.tolist() for k, v in labels.items()})
+        for field in ("tp", "fp", "fn", "tn"):
+            assert getattr(report, field).dtype == np.int64
+            assert getattr(report, field).tolist() == oracle[field]
+        assert report.metric == oracle["metric"]
 
     def test_bad_values_rejected(self):
         lab = np.zeros((3, 8), dtype=np.int8)
