@@ -45,6 +45,7 @@ from .evaluation import (
 from .model import (
     ModelConfig,
     ModelParams,
+    channel_last,
     load_checkpoint,
     model_forward,
     parameter_count,
@@ -294,9 +295,11 @@ def _gap_shift(values: np.ndarray, margin: float, cap: float) -> float:
 
 
 def _relu_cleared(op: Callable[[], Tensor], bias: Parameter, margin: float, cap: float) -> Tensor:
-    """relu of ``op()`` once each unit on axis 1 has its bias moved by its batch's _gap_shift."""
-    for unit, values in enumerate(op().value.swapaxes(0, 1)):
-        bias.value[unit] += _gap_shift(values.ravel(), margin, cap)
+    """relu of ``op()`` once each unit, on the last axis of a conv filter's
+    map and of a dense layer alike, has its bias moved by its batch's _gap_shift."""
+    pre = op().value
+    for unit in range(pre.shape[-1]):
+        bias.value[unit] += _gap_shift(pre[..., unit].ravel(), margin, cap)
     return T.relu(op())
 
 
@@ -311,7 +314,7 @@ def clear_relu_margins(params: ModelParams, images: np.ndarray, diffs: np.ndarra
     over the whole batch into the widest gap away from zero, and both
     gradients are compared at the same, shifted point.
     """
-    x = Tensor(images)
+    x = Tensor(channel_last(images, images.dtype))
     for (kern, bias), (_, _, _, stride) in zip(params.conv_layers, params.config.conv_spec):
         x = _relu_cleared(lambda: T.conv2d(x, kern, bias, stride), bias, margin, cap)
     h = Tensor(diffs)

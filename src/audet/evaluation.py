@@ -161,12 +161,12 @@ def challenge_metric(
 # Frames per forward pass.  A pass's im2col and conv/relu buffers take
 # about 0.5 MB per 64 x 64 frame and the pass allocates little beyond
 # them, so the chunk size sets scoring's memory peak.  Pooled passes on
-# perfbench's infer workload (100 videos x 4 frames, one 36 s run each
-# on a 2-vCPU Xeon host with OpenBLAS):
+# perfbench's infer workload (100 videos x 4 frames, seed 2050, one 36 s
+# run each on a 2-vCPU Xeon host with OpenBLAS, channel-last conv stack):
 #   chunk   infer frames/s   peak RSS MB
-#   16      1137             71.0   (per-video passes of 4 frames: 515, 71.0)
-#   32      1258             88.5
-#   64      1213             126.5
+#   16      2156             69.2
+#   32      2274             78.1
+#   64      2121             98.4
 # 16 keeps the peak flat, and it is the default training batch, so
 # validation's passes refill the training steps' buffers.
 SCORING_BATCH = 16
@@ -292,19 +292,22 @@ def evaluate(params: ModelParams, corpus: list[VideoSequence], window: int,
 PREDICTION_HEADER = "frame," + ",".join(AU_ORDER)
 
 
-def write_probability_csv(track: PredictionTrack, path) -> Path:
-    lines = [PREDICTION_HEADER]
-    for t in range(track.probs.shape[0]):
-        lines.append(f"{t}," + ",".join(f"{p:.6f}" for p in track.probs[t]))
+def _write_track_csv(rows: np.ndarray, cell: str, path) -> Path:
+    """Header, then one line per frame: its index and the row's values, each
+    formatted by ``cell`` through one ``%`` template per line."""
+    template = "%d" + ("," + cell) * rows.shape[1]
+    lines = [PREDICTION_HEADER] + [template % (t, *row) for t, row in enumerate(rows.tolist())]
     return write_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_probability_csv(track: PredictionTrack, path) -> Path:
+    """The track's probabilities, six decimals, one row per frame."""
+    return _write_track_csv(track.probs, "%.6f", path)
 
 
 def write_binary_csv(track: PredictionTrack, path) -> Path:
     """The track's smoothed decisions, one row per frame."""
-    lines = [PREDICTION_HEADER]
-    for t in range(track.smoothed.shape[0]):
-        lines.append(f"{t}," + ",".join(str(int(x)) for x in track.smoothed[t]))
-    return write_atomic(path, "\n".join(lines) + "\n")
+    return _write_track_csv(track.smoothed, "%d", path)
 
 
 def render_report(report: EvalReport, videos: int) -> str:

@@ -18,10 +18,31 @@ The engine holds the ops the model runs and no others: :func:`conv2d`,
 :func:`masked_cross_entropy`.  They take a leading batch axis
 (:func:`conv2d`, :func:`spatial_sequence`, :func:`gru_scan` and
 :func:`masked_cross_entropy` demand one), so a training step builds one
-graph for its whole batch; a single example is a batch of one.  The
-recurrent scan :func:`gru_scan` is one node for all S steps of a gated
-cell: it projects every step's input with a single matmul, then steps
-the B x h states.
+graph for its whole batch; a single example is a batch of one.  Feature
+maps are channel-last, B x H x W x C: :func:`conv2d` gathers each output
+pixel's patch as k runs of k*C adjacent values, scatters its input
+gradient along whole C-wide rows, and :func:`spatial_sequence` is a
+reshape.  The recurrent scan :func:`gru_scan` is one node for all S
+steps of a gated cell: it projects every step's input with a single
+matmul, then steps the B x h states.
+
+Right operands.  Every matmul in a forward pass multiplies by a
+C-contiguous right operand, copying a transposed or permuted weight
+matrix once per call: with a transposed view, OpenBLAS runs the model's
+small products up to 2.7x slower (a scan step's 16 x 64 by 64 x 128
+product 7.4 -> 2.7 us, the first dynamic layer 15.1 -> 6.3 us).
+
+Row counts.  With a contiguous right operand, OpenBLAS gives a row of a
+product the same bits whatever the product's row count, as long as that
+count is a multiple of 4; rows past the last multiple of 4 go through
+other kernels.  :func:`linear`, whose row count is the batch size, pads
+its rows to a multiple of 4; :func:`conv2d` runs one product per frame,
+and the static scan's input projection has S*B rows, a multiple of 4 at
+the model's map size.  That a frame's scores then do not depend on
+which frames share its scoring pass is measured (float32 on SkylakeX
+kernels, float64 on SkylakeX and Haswell kernels), not promised: the
+scans' per-step products (B rows) are not padded, and Haswell's float32
+kernels need other row multiples.
 
 Build one graph per step and call :func:`backward` on it once.  As
 the walk passes each interior node it releases the node's backward
@@ -147,10 +168,18 @@ def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
 
 
 def _accum(node: Tensor, g: np.ndarray):
-    if node.grad is None:
-        node.grad = np.array(g)
-    else:
+    """Add ``g`` to ``node``'s gradient.
+
+    A parameter adds into its own buffer.  Any other node keeps its first
+    gradient as pushed, uncopied, and adds a later one out of place, so
+    no array a rule pushed is ever written through.
+    """
+    if isinstance(node, Parameter):
         node.grad += g
+    elif node.grad is None:
+        node.grad = g
+    else:
+        node.grad = node.grad + g
 
 
 def _require(cond: bool, message):
@@ -244,20 +273,26 @@ def linear(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
         _accum(bias, rows.sum(axis=0))
         _accum(x, g @ weights.value)
 
-    return Tensor(x.value @ weights.value.T + bias.value, (weights, bias, x), push)
+    xr = x.value.reshape(-1, d)
+    count = len(xr)
+    if count % 4:  # see "Row counts" above
+        xr = np.concatenate([xr, np.zeros((-count % 4, d), xr.dtype)])
+    out = (xr @ np.ascontiguousarray(weights.value.T))[:count]
+    out += bias.value
+    return Tensor(out.reshape(*x.value.shape[:-1], n), (weights, bias, x), push)
 
 
 def spatial_sequence(a: Tensor) -> Tensor:
-    """Read each C x H x W map of a B x C x H x W batch as H*W feature
-    vectors in raster order: B x H*W x C."""
+    """Read each H x W x C map of a B x H x W x C batch as H*W feature
+    vectors in raster order: B x H*W x C, a view of a contiguous input."""
     _require(a.value.ndim == 4,
-             lambda: f"spatial_sequence: expected a B,C,H,W batch, got {a.value.shape}")
-    b, c, h, w = a.value.shape
+             lambda: f"spatial_sequence: expected a B,H,W,C batch, got {a.value.shape}")
+    b, h, w, c = a.value.shape
 
     def push(g):
-        _accum(a, g.swapaxes(-1, -2).reshape(a.value.shape))
+        _accum(a, g.reshape(a.value.shape))
 
-    return Tensor(a.value.reshape(b, c, h * w).swapaxes(-1, -2).copy(), (a,), push)
+    return Tensor(a.value.reshape(b, h * w, c), (a,), push)
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +307,25 @@ def conv_output_size(size: int, kernel: int, stride: int) -> int:
 
 
 def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
-    """2-d cross-correlation, valid padding.
+    """2-d cross-correlation, valid padding, channel-last.
 
-    ``x`` is a B x C x H x W batch, ``kernels`` is F x C x k x k, ``bias``
-    is F.  Output is B x F x H' x W' with H' = (H - k) // stride + 1.  The
-    whole batch is one im2col matmul, and the output is a strided view of
-    its F x B*H'*W' product.  All three operands share one dtype.
+    ``x`` is a B x H x W x C batch, ``kernels`` is F x C x k x k, ``bias``
+    is F.  Output is B x H' x W' x F with H' = (H - k) // stride + 1, a
+    view of the N x F im2col product (N = B*H'*W'): row n of the N x k*k*C
+    im2col matrix holds output pixel n's k x k patch as k runs of k*C
+    values, each a contiguous piece of one input row, and the kernels are
+    copied once per call into the matching k*k*C x F matrix.  The input
+    gradient is added back along whole rows of C channels; at stride s,
+    s neighbouring taps of a patch row land in adjacent input columns and
+    are added as one s*C-wide row.  All three operands share one dtype.
     """
     _require(x.value.ndim == 4,
-             lambda: f"conv2d: input must be a B,C,H,W batch, got {x.value.shape}")
+             lambda: f"conv2d: input must be a B,H,W,C batch, got {x.value.shape}")
     _require(kernels.value.ndim == 4,
              lambda: f"conv2d: kernels must be F,C,k,k, got {kernels.value.shape}")
     f, kc, kh, kw = kernels.value.shape
-    xs = x.value
-    b, c, h, w = xs.shape
+    xs = np.ascontiguousarray(x.value)
+    b, h, w, c = xs.shape
     _require(kh == kw, lambda: f"conv2d: kernels must be square, got {kh}x{kw}")
     _require(kc == c, lambda: f"conv2d: kernel channels {kc} != input channels {c}")
     _require(bias.value.shape == (f,),
@@ -296,40 +336,50 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
                      f"bias {bias.value.dtype} must share a dtype")
     ho = conv_output_size(h, kh, stride)
     wo = conv_output_size(w, kh, stride)
+    n, kkc = b * ho * wo, kh * kh * c
 
-    sb, sc, sh, sw = xs.strides
+    # C-order strides, computed: numpy calls an array contiguous whatever
+    # the stride of a length-1 axis.  Taps v = 0..k-1 of all C channels of
+    # one patch row are then k*C adjacent values.
+    sc = xs.itemsize
+    sw, sh, sb = c * sc, w * c * sc, h * w * c * sc
     patches = np.lib.stride_tricks.as_strided(
-        xs,
-        shape=(c, kh, kh, b, ho, wo),
-        strides=(sc, sh, sw, sb, sh * stride, sw * stride),
-    )
-    col = _empty((c * kh * kh, b * ho * wo), dtype)
-    np.copyto(col.reshape(c, kh, kh, b, ho, wo), patches)
-    km = kernels.value.reshape(f, c * kh * kh)
-    prod = np.matmul(km, col, out=_empty((f, b * ho * wo), dtype))
-    prod += bias.value[:, None]
-    # the next op reads the view in batch-major order; no copy is made
-    out_val = prod.reshape(f, b, ho, wo).swapaxes(0, 1)
+        xs, shape=(b, ho, wo, kh, kh * c), strides=(sb, sh * stride, sw * stride, sh, sc))
+    col = _empty((n, kkc), dtype)
+    np.copyto(col.reshape(b, ho, wo, kh, kh * c), patches)
+    km = kernels.value.transpose(2, 3, 1, 0).reshape(kkc, f)  # rows in (u, v, c) order
+    # one product per frame: a frame's map does not depend on its batch, and
+    # OpenBLAS threads one B*H'*W'-row product over work buffers that stay
+    # resident once touched (3.7 MB more RSS after the model's three conv
+    # products at B = 16 than after the same work as per-frame products)
+    prod = _empty((n, f), dtype)
+    np.matmul(col.reshape(b, ho * wo, kkc), km, out=prod.reshape(b, ho * wo, f))
+    prod += bias.value
     # an input that is neither a parameter nor computed (the image) needs no gradient
     input_grad = isinstance(x, Parameter) or bool(x.parents)
 
     def push(g):
-        gm = g.reshape(b, f, ho * wo).swapaxes(0, 1).reshape(f, b * ho * wo)
-        # the same product as gm @ col.T, but with col, the long operand, in
-        # BLAS's natural layout: 1.6-1.9x faster at the model's shapes
-        _accum(kernels, (col @ gm.T).T.reshape(f, c, kh, kh))
-        _accum(bias, gm.sum(axis=1))
+        gm = g.reshape(n, f)
+        # col.T @ gm, not gm.T @ col: with the long operand col as BLAS's
+        # first, it runs 1.3-2x faster at the model's shapes
+        _accum(kernels, (col.T @ gm).reshape(kh, kh, c, f).transpose(3, 2, 0, 1))
+        _accum(bias, np.ones(n, dtype) @ gm)
         if not input_grad:
             return
-        dcol = (km.T @ gm).reshape(c, kh, kh, b, ho, wo).swapaxes(0, 3)  # b,kh,kh,c,ho,wo
-        dx = np.zeros_like(xs)
+        dcol = (gm @ km.T).reshape(b, ho, wo, kh, kh * c)
+        dx = np.zeros((b, h, w, c), dtype)
+        # taps v0..v0+m-1 (m <= stride) of output pixel j land in adjacent
+        # input columns stride*j + v0..: one add of m*C-wide rows
         for u in range(kh):
-            for v in range(kh):
-                dx[:, :, u : u + (ho - 1) * stride + 1 : stride,
-                         v : v + (wo - 1) * stride + 1 : stride] += dcol[:, u, v]
+            for v0 in range(0, kh, stride):
+                m = min(stride, kh - v0)
+                dst = np.lib.stride_tricks.as_strided(
+                    dx[:, u:, v0:], shape=(b, ho, wo, m * c),
+                    strides=(sb, sh * stride, sw * stride, sc))
+                dst += dcol[:, :, :, u, v0 * c : (v0 + m) * c]
         _accum(x, dx)
 
-    return Tensor(out_val, (x, kernels, bias), push)
+    return Tensor(prod.reshape(b, ho, wo, f), (x, kernels, bias), push)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +447,9 @@ def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
     weights are halved once per call, and since halving is exact in
     binary floating point, tanh sees exactly v/2; a saturated gate is
     exactly 0 or 1 and nothing can overflow.  The new state is
-    h + z * (c - h).
+    h + z * (c - h).  The backward pass computes the gate derivatives of
+    all steps before its loop, which then writes into preallocated
+    buffers.
     """
     d, hd = cell.input_dim, cell.hidden_dim
     _require(h0.value.ndim == 2 and h0.value.shape[1] == hd,
@@ -417,11 +469,12 @@ def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
     wh_zr, wh_c = wh.value[zr_cols], wh.value[c_cols]
     # step-major inputs, S x d or S x B x d, and every step's projection at once
     xv = xs.value if shared else np.ascontiguousarray(xs.value.swapaxes(0, 1))
-    gi = (xv.reshape(-1, d) @ wi.value.T).reshape(*xv.shape[:-1], 3 * hd)
+    gi = (xv.reshape(-1, d) @ np.ascontiguousarray(wi.value.T)).reshape(*xv.shape[:-1], 3 * hd)
     gi += bias.value
     gi[..., zr_cols] *= half
     gi_zr, gi_c = gi[..., zr_cols], gi[..., c_cols]
-    half_wh_zr_t = (wh_zr * half).T
+    half_wh_zr_t = np.ascontiguousarray((wh_zr * half).T)
+    wh_c_t = np.ascontiguousarray(wh_c.T)
 
     hs = np.empty((steps + 1, rows, hd), dtype=hv.dtype)  # hs[t] is the state before step t
     hs[0] = hv
@@ -436,7 +489,7 @@ def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
         zr_t *= half
         zr_t += half
         np.multiply(r, h_prev, out=rh_t)
-        np.matmul(rh_t, wh_c.T, out=c)
+        np.matmul(rh_t, wh_c_t, out=c)
         c += gi_c_t
         np.tanh(c, out=c)
         np.subtract(c, h_prev, out=h_next)
@@ -445,27 +498,33 @@ def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
 
     def push(g):
         gs = g.swapaxes(0, 1)  # S x B x h
+        z, r = zr[..., :hd], zr[..., hd:]
+        h_prevs = hs[:-1]
+        # the gate derivatives of every step at once, outside the loop
+        one_minus_z = 1.0 - z
+        dc_gate = z * (1.0 - cand * cand)
+        c_minus_h = cand - h_prevs
+        dzr_gate = zr * (1.0 - zr)
         dpre = np.empty((steps, rows, 3 * hd), dtype=gi.dtype)  # gate pre-activations
         dh = np.zeros_like(hv)
+        gt, drh, tmp = np.empty_like(dh), np.empty_like(dh), np.empty_like(dh)
         for t in reversed(range(steps)):
-            h_prev, c, zr_t = hs[t], cand[t], zr[t]
-            z, r = zr_t[:, :hd], zr_t[:, hd:]
             dz, dr, dc = dpre[t, :, :hd], dpre[t, :, hd : 2 * hd], dpre[t, :, c_cols]
-            gt = gs[t] + dh
-            dh = gt * (1.0 - z)
-            np.multiply(gt, z, out=dc)
-            dc *= 1.0 - c * c
-            drh = dc @ wh_c
-            dh += drh * r
-            np.subtract(c, h_prev, out=dz)
-            dz *= gt
-            np.multiply(drh, h_prev, out=dr)
             dzr = dpre[t, :, zr_cols]
-            dzr *= zr_t * (1.0 - zr_t)
-            dh += dzr @ wh_zr
+            np.add(gs[t], dh, out=gt)
+            np.multiply(gt, one_minus_z[t], out=dh)
+            np.multiply(gt, dc_gate[t], out=dc)
+            np.matmul(dc, wh_c, out=drh)
+            np.multiply(drh, r[t], out=tmp)
+            dh += tmp
+            np.multiply(gt, c_minus_h[t], out=dz)
+            np.multiply(drh, h_prevs[t], out=dr)
+            dzr *= dzr_gate[t]
+            np.matmul(dzr, wh_zr, out=tmp)
+            dh += tmp
         flat = dpre.reshape(steps * rows, 3 * hd)
         dwh = np.empty_like(wh.value)
-        dwh[zr_cols] = flat[:, zr_cols].T @ hs[:-1].reshape(steps * rows, hd)
+        dwh[zr_cols] = flat[:, zr_cols].T @ h_prevs.reshape(steps * rows, hd)
         dwh[c_cols] = flat[:, c_cols].T @ rh.reshape(steps * rows, hd)
         _accum(wh, dwh)
         dgi = dpre.sum(axis=1) if shared else dpre  # shared inputs gather every row

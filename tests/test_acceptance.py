@@ -71,9 +71,9 @@ def _sweep_cases() -> list:
     case(lambda: T.linear(m, bias, seqs), m, bias, seqs)
 
     # stride 2 over a batch, with the input gradient of an inner layer
-    img, kern, cb = param((2, 2, 7, 7), "img"), param((3, 2, 3, 3), "kern"), param(3, "cb")
+    img, kern, cb = param((2, 7, 7, 2), "img"), param((3, 2, 3, 3), "kern"), param(3, "cb")
     case(lambda: T.conv2d(img, kern, cb, stride=2), kern, cb, img)
-    maps = param((2, 3, 2, 3), "maps")
+    maps = param((2, 2, 3, 3), "maps")
     case(lambda: T.spatial_sequence(maps), maps)
     states = param((2, 4, 3), "states")
     case(lambda: T.row(states, 3), states)
@@ -186,10 +186,10 @@ def test_metric_oracle(capsys):
 def test_hand_cases(capsys):
     checks = []
 
-    image = Tensor(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
+    image = Tensor(np.arange(1.0, 10.0).reshape(1, 3, 3, 1))
     kernels = Tensor(np.array([[[[1.0, 0.0], [0.0, 1.0]]]]))
     out = T.conv2d(image, kernels, Tensor(np.zeros(1)), stride=1)
-    checks.append(("conv2d", np.array_equal(out.value[0, 0], [[6.0, 8.0], [12.0, 14.0]])))
+    checks.append(("conv2d", np.array_equal(out.value[0, ..., 0], [[6.0, 8.0], [12.0, 14.0]])))
 
     # one step of a zero-parameter cell over a batch of one
     cell = GruCellParams.zeros(3, 4, np.float64, "g")

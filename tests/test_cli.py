@@ -729,10 +729,10 @@ def _relu_inputs(params, images, diffs):
     found = []
     for node in T._topo_order(model_forward(params, images, diffs).logits):
         if node._push is not None and node._push.__qualname__ == "relu.<locals>.push":
-            pre = node.parents[0]  # a conv2d or linear node, its units on axis 1
+            pre = node.parents[0]  # a conv2d or linear node, its units on the last axis
             bias = next(p for p in pre.parents
                         if isinstance(p, Parameter) and p.name.endswith("bias"))
-            found.append((bias, pre.value.swapaxes(0, 1)))
+            found.append((bias, np.moveaxis(pre.value, -1, 0)))
     return found
 
 

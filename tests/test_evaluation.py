@@ -607,6 +607,30 @@ class TestArtifacts:
         body = np.array([[int(x) for x in ln.split(",")[1:]] for ln in lines[1:]])
         np.testing.assert_array_equal(body, track.smoothed)
 
+    def test_track_csv_bytes_equal_value_by_value_formatting(self, tmp_path):
+        # the formatting the one-template writers replaced, kept as the reference
+        def reference(rows, cell):
+            lines = [PREDICTION_HEADER]
+            for t in range(rows.shape[0]):
+                lines.append(f"{t}," + ",".join(cell(x) for x in rows[t]))
+            return ("\n".join(lines) + "\n").encode()
+
+        rng = np.random.default_rng(20)
+        for case in range(60):
+            frames = 1 if case % 4 == 0 else int(rng.integers(2, 30))
+            probs = rng.uniform(size=(frames, 8))
+            # exact and rounding-edge values: 0, 1/2, 1, and halves of the 6th decimal
+            mask = rng.uniform(size=probs.shape) < 0.3
+            probs[mask] = rng.choice([0.0, 0.5, 1.0, 0.0000005, 0.1234565, 0.9999995],
+                                     size=int(mask.sum()))
+            binary = binarize(probs)
+            smoothed = smooth(binary, 3)
+            track = PredictionTrack("clip0", probs, np.zeros((frames, 8, 2)), binary, smoothed)
+            got = write_probability_csv(track, tmp_path / "p.csv").read_bytes()
+            assert got == reference(probs, lambda p: f"{p:.6f}"), case
+            got = write_binary_csv(track, tmp_path / "b.csv").read_bytes()
+            assert got == reference(smoothed, lambda x: str(int(x))), case
+
     def test_report_csv_and_text(self, tiny_params, tiny_corpus, tmp_path):
         report = evaluate(tiny_params, tiny_corpus, window=5)
         path = write_report_csv(report, tmp_path / "report.csv")

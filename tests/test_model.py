@@ -401,7 +401,7 @@ def _per_frame_reference(params, image, diff, labels, weights):
     Returns (probs, loss node or None).
     """
     cfg = params.config
-    x = Tensor(image[None])
+    x = Tensor(image.transpose(1, 2, 0)[None])  # channel-last
     for (kern, bias), (_, _, _, stride) in zip(params.conv_layers, cfg.conv_spec):
         x = T.relu(T.conv2d(x, kern, bias, stride))
     seq = T.spatial_sequence(x)

@@ -25,32 +25,32 @@ def _check(loss_fn, params, bound=1e-5):
 
 
 def test_conv2d_scalar_kernel_scales_input():
-    x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+    x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])[..., None])
     k = Tensor(np.full((1, 1, 1, 1), 2.0))
     b = Tensor(np.zeros(1))
     out = T.conv2d(x, k, b, stride=1)
-    np.testing.assert_array_equal(out.value, [[[[2.0, 4.0], [6.0, 8.0]]]])
+    np.testing.assert_array_equal(out.value[..., 0], [[[2.0, 4.0], [6.0, 8.0]]])
 
 
 def test_conv2d_zero_kernels_zero_output():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.uniform(-1, 1, (1, 3, 6, 6)))
+    x = Tensor(rng.uniform(-1, 1, (1, 6, 6, 3)))
     k = Tensor(np.zeros((2, 3, 3, 3)))
     b = Tensor(np.zeros(2))
     out = T.conv2d(x, k, b, stride=1)
-    np.testing.assert_array_equal(out.value, np.zeros((1, 2, 4, 4)))
+    np.testing.assert_array_equal(out.value, np.zeros((1, 4, 4, 2)))
 
 
 def test_conv2d_identity_diagonal_kernel():
-    x = Tensor(np.arange(1.0, 10.0).reshape(1, 1, 3, 3))
+    x = Tensor(np.arange(1.0, 10.0).reshape(1, 3, 3, 1))
     k = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]).reshape(1, 1, 2, 2))
     b = Tensor(np.zeros(1))
     out = T.conv2d(x, k, b, stride=1)
-    np.testing.assert_array_equal(out.value, [[[[6.0, 8.0], [12.0, 14.0]]]])
+    np.testing.assert_array_equal(out.value[..., 0], [[[6.0, 8.0], [12.0, 14.0]]])
 
 
 def _conv_reference(x, k, bias, stride):
-    # independent nested-loop cross-correlation
+    # independent nested-loop cross-correlation of a C x H x W map; F x H' x W' out
     f, c, kh, _ = k.shape
     _, h, w = x.shape
     ho = (h - kh) // stride + 1
@@ -74,8 +74,9 @@ def test_conv2d_matches_nested_loop_reference(stride, size, kside):
     x = rng.uniform(-1, 1, (3, size, size))
     k = rng.uniform(-1, 1, (4, 3, kside, kside))
     b = rng.uniform(-1, 1, 4)
-    out = T.conv2d(Tensor(x[None]), Tensor(k), Tensor(b), stride)
-    np.testing.assert_allclose(out.value[0], _conv_reference(x, k, b, stride), atol=1e-12)
+    out = T.conv2d(Tensor(x.transpose(1, 2, 0)[None]), Tensor(k), Tensor(b), stride)
+    np.testing.assert_allclose(out.value[0].transpose(2, 0, 1), _conv_reference(x, k, b, stride),
+                               atol=1e-12)
 
 
 def _one_step(x, h, cell):
@@ -239,7 +240,7 @@ def test_grad_row_and_spatial_sequence():
     m = _param(rng, (4, 3), "m")
     weights = rng.uniform(-1, 1, 3)
     _check(lambda: weighted_sum(T.row(m, 2), weights), [m])
-    cube = _param(rng, (1, 2, 3, 3), "cube")
+    cube = _param(rng, (1, 3, 3, 2), "cube")
     wseq = rng.uniform(-1, 1, (1, 9, 2))
     _check(lambda: weighted_sum(T.spatial_sequence(cube), wseq), [cube])
 
@@ -255,10 +256,10 @@ def test_grad_linear():
 
 def test_grad_conv2d():
     rng = np.random.default_rng(27)
-    x = _param(rng, (1, 2, 6, 6), "x")
+    x = _param(rng, (1, 6, 6, 2), "x")
     k = _param(rng, (3, 2, 3, 3), "k")
     b = _param(rng, (3,), "b")
-    weights = rng.uniform(-1, 1, (1, 3, 4, 4))
+    weights = rng.uniform(-1, 1, (1, 4, 4, 3))
     _check(lambda: weighted_sum(T.conv2d(x, k, b, 1), weights), [x, k, b])
 
 
@@ -303,26 +304,26 @@ def test_output_shapes_total_function_of_input_shapes():
         assert T.row(mat, n - 1).shape == (m,)
         assert T.linear(mat, Tensor(rng.uniform(-1, 1, (n,))),
                         Tensor(rng.uniform(-1, 1, (m,)))).shape == (n,)
-        cube = Tensor(rng.uniform(-1, 1, (2, k, n, m)))
+        cube = Tensor(rng.uniform(-1, 1, (2, n, m, k)))
         assert T.spatial_sequence(cube).shape == (2, n * m, k)
         size = int(rng.integers(3, 10))
         kside = int(rng.integers(1, size + 1))
         stride = int(rng.integers(1, 4))
-        x = Tensor(rng.uniform(-1, 1, (k, 2, size, size)))
+        x = Tensor(rng.uniform(-1, 1, (k, size, size, 2)))
         kern = Tensor(rng.uniform(-1, 1, (3, 2, kside, kside)))
         out = T.conv2d(x, kern, Tensor(rng.uniform(-1, 1, 3)), stride)
         expect = (size - kside) // stride + 1
-        assert out.shape == (k, 3, expect, expect)
+        assert out.shape == (k, expect, expect, 3)
 
 
 def test_shape_mismatch_names_offender():
     with pytest.raises(ContractViolation, match=r"weights \(2, 3\) do not accept input \(4,\)"):
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)), Tensor(np.zeros(4)))
     with pytest.raises(ContractViolation, match="kernel channels"):
-        T.conv2d(Tensor(np.zeros((1, 2, 5, 5))), Tensor(np.zeros((1, 3, 2, 2))),
+        T.conv2d(Tensor(np.zeros((1, 5, 5, 2))), Tensor(np.zeros((1, 3, 2, 2))),
                  Tensor(np.zeros(1)), 1)
     with pytest.raises(ContractViolation, match="smaller than kernel"):
-        T.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))),
+        T.conv2d(Tensor(np.zeros((1, 2, 2, 1))), Tensor(np.zeros((1, 1, 3, 3))),
                  Tensor(np.zeros(1)), 1)
 
 
@@ -362,7 +363,7 @@ def test_gru_output_bounded_by_state_and_candidate():
 
 def test_forward_is_bitwise_deterministic():
     rng = np.random.default_rng(43)
-    x = rng.uniform(-1, 1, (2, 2, 8, 8))
+    x = rng.uniform(-1, 1, (2, 8, 8, 2))
     k = rng.uniform(-1, 1, (3, 2, 3, 3))
     b = rng.uniform(-1, 1, 3)
 
@@ -431,20 +432,21 @@ def test_grad_batched_linear():
 
 def test_grad_batched_conv2d_stride_two():
     rng = np.random.default_rng(51)
-    x = _param(rng, (3, 2, 7, 7), "x")
+    x = _param(rng, (3, 7, 7, 2), "x")
     k = _param(rng, (4, 2, 3, 3), "k")
     b = _param(rng, (4,), "b")
-    weights = rng.uniform(-1, 1, (3, 4, 3, 3))
+    weights = rng.uniform(-1, 1, (3, 3, 3, 4))
     _check(lambda: weighted_sum(T.conv2d(x, k, b, 2), weights), [x, k, b])
     out = T.conv2d(x, k, b, 2).value
     for i in range(3):
-        np.testing.assert_allclose(out[i], _conv_reference(x.value[i], k.value, b.value, 2),
-                                   atol=1e-12)
+        np.testing.assert_allclose(
+            out[i].transpose(2, 0, 1),
+            _conv_reference(x.value[i].transpose(2, 0, 1), k.value, b.value, 2), atol=1e-12)
 
 
 def test_conv2d_skips_gradient_of_constant_input():
     rng = np.random.default_rng(52)
-    x = Tensor(rng.uniform(-1, 1, (2, 2, 5, 5)))
+    x = Tensor(rng.uniform(-1, 1, (2, 5, 5, 2)))
     k = _param(rng, (3, 2, 3, 3), "k")
     T.backward(weighted_sum(T.conv2d(x, k, Tensor(np.zeros(3)), 1)))
     assert x.grad is None
@@ -583,7 +585,7 @@ def test_batch_extents_must_agree():
     with pytest.raises(ContractViolation, match="incompatible"):
         T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3)))])
     for shape in ((2, 5, 5), (1, 2, 2, 5, 5)):
-        with pytest.raises(ContractViolation, match="conv2d: input must be a B,C,H,W batch"):
+        with pytest.raises(ContractViolation, match="conv2d: input must be a B,H,W,C batch"):
             T.conv2d(Tensor(np.zeros(shape)), Tensor(np.zeros((1, 2, 3, 3))),
                      Tensor(np.zeros(1)), 1)
         with pytest.raises(ContractViolation, match="spatial_sequence"):
@@ -596,7 +598,7 @@ def test_batched_shapes():
     for xs, h0, states in (((6, 4), (2, 3), (2, 6, 3)), ((2, 6, 4), (2, 3), (2, 6, 3)),
                            ((6, 4), (1, 3), (1, 6, 3))):
         assert T.gru_scan(Tensor(np.zeros(xs)), Tensor(np.zeros(h0)), cell).shape == states
-    assert T.spatial_sequence(Tensor(np.zeros((2, 5, 3, 4)))).shape == (2, 12, 5)
+    assert T.spatial_sequence(Tensor(np.zeros((2, 3, 4, 5)))).shape == (2, 12, 5)
     assert T.linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)),
                     Tensor(np.zeros((2, 6, 4)))).shape == (2, 6, 3)
     assert T.row(Tensor(np.zeros((2, 6, 4))), 5).shape == (2, 4)
@@ -673,7 +675,7 @@ def test_backward_releases_interior_nodes_but_not_leaves():
 
 def test_conv_and_relu_in_a_workspace_match_fresh_arrays():
     rng = np.random.default_rng(60)
-    x = Tensor(rng.uniform(-1, 1, (3, 2, 9, 9)))
+    x = Tensor(rng.uniform(-1, 1, (3, 9, 9, 2)))
     k = Parameter(rng.uniform(-1, 1, (4, 2, 3, 3)), "k")
     b = Parameter(rng.uniform(-1, 1, 4), "b")
     weights = rng.uniform(-1, 1, (3, 4, 4, 4))
@@ -730,5 +732,5 @@ def test_an_exception_inside_a_pass_leaves_no_workspace_active():
 
 def test_conv2d_rejects_mixed_dtypes():
     with pytest.raises(ContractViolation, match="dtype"):
-        T.conv2d(Tensor(np.zeros((1, 1, 3, 3), np.float32)), Tensor(np.zeros((1, 1, 2, 2))),
+        T.conv2d(Tensor(np.zeros((1, 3, 3, 1), np.float32)), Tensor(np.zeros((1, 1, 2, 2))),
                  Tensor(np.zeros(1)), 1)
