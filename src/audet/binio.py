@@ -46,11 +46,21 @@ class ByteReader:
                 f"{self.origin}: invalid UTF-8 at byte {start + exc.start}: {exc.reason}"
             ) from None
 
-    def exhausted(self) -> bool:
-        return self.ofs == len(self.data)
+    def check_header(self, magic: bytes, version: int, kind: str) -> None:
+        """Read a file's leading magic and u16 version, raising FormatError
+        unless they are ``magic`` and ``version``; ``kind`` names the format."""
+        found = bytes(self.take(len(magic)))
+        if found != magic:
+            raise FormatError(f"{self.origin}: bad magic {found!r}, expected {magic!r}")
+        (found_version,) = self.unpack("<H")
+        if found_version != version:
+            raise FormatError(f"{self.origin}: {kind} version {found_version}, "
+                              f"this reader supports {version}")
 
-    def remaining(self) -> int:
-        return len(self.data) - self.ofs
+    def check_end(self, after: str = "") -> None:
+        """Raise FormatError if bytes remain; ``after`` ends the message."""
+        if self.ofs != len(self.data):
+            raise FormatError(f"{self.origin}: {len(self.data) - self.ofs} trailing bytes{after}")
 
 
 def pack_str(s: str) -> bytes:

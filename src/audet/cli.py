@@ -43,26 +43,16 @@ from .evaluation import (
     write_report_csv,
 )
 from .model import (
+    GRADCHECK_CONFIG,
     ModelConfig,
     ModelParams,
-    channel_last,
     load_checkpoint,
     model_forward,
     parameter_count,
     save_checkpoint,
 )
-from .tensor import Parameter, Tensor, finite_difference_report, masked_cross_entropy
+from .tensor import finite_difference_report, masked_cross_entropy
 from .training import TrainConfig, train, write_history
-
-# Narrow variant of the default architecture: same layer types and wiring,
-# sized so the exhaustive finite-difference sweep finishes in seconds.
-GRADCHECK_CONFIG = ModelConfig(
-    conv_spec=((2, 4, 5, 2), (4, 8, 3, 2), (8, 8, 3, 2)),
-    static_gru_hidden=16,
-    dynamic_hidden=((16, "relu"), (16, "tanh")),
-    fusion_out=16,
-    au_embedding_dim=16,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +284,19 @@ def _gap_shift(values: np.ndarray, margin: float, cap: float) -> float:
     return best_delta
 
 
-def _relu_cleared(op: Callable[[], Tensor], bias: Parameter, margin: float, cap: float) -> Tensor:
-    """relu of ``op()`` once each unit, on the last axis of a conv filter's
-    map and of a dense layer alike, has its bias moved by its batch's _gap_shift."""
-    pre = op().value
-    for unit in range(pre.shape[-1]):
-        bias.value[unit] += _gap_shift(pre[..., unit].ravel(), margin, cap)
-    return T.relu(op())
+def _relu_layers(params: ModelParams, images: np.ndarray, diffs: np.ndarray) -> list:
+    """(bias, pre-activation values) of each relu in the graph that
+    model_forward builds, in graph order.  A relu reads a conv2d or linear
+    node with its units on the last axis; their bias is the node's 1-d
+    Parameter parent."""
+    found = []
+    for node in T._topo_order(model_forward(params, images, diffs).logits):
+        if node._push is not None and node._push.__qualname__ == "relu.<locals>.push":
+            pre = node.parents[0]
+            bias = next(p for p in pre.parents
+                        if isinstance(p, T.Parameter) and p.value.ndim == 1)
+            found.append((bias, pre.value))
+    return found
 
 
 def clear_relu_margins(params: ModelParams, images: np.ndarray, diffs: np.ndarray,
@@ -312,17 +308,13 @@ def clear_relu_margins(params: ModelParams, images: np.ndarray, diffs: np.ndarra
     where the analytic gradient is not defined, and fail spuriously.  One
     bias shift per conv filter or dynamic unit moves that unit's values
     over the whole batch into the widest gap away from zero, and both
-    gradients are compared at the same, shifted point.
+    gradients are compared at the same, shifted point.  Each relu layer is
+    cleared on a graph rebuilt after the layers before it were.
     """
-    x = Tensor(channel_last(images, images.dtype))
-    for (kern, bias), (_, _, _, stride) in zip(params.conv_layers, params.config.conv_spec):
-        x = _relu_cleared(lambda: T.conv2d(x, kern, bias, stride), bias, margin, cap)
-    h = Tensor(diffs)
-    for (w, b), (_, act) in zip(params.dynamic_layers, params.config.dynamic_hidden):
-        if act == "relu":
-            h = _relu_cleared(lambda: T.linear(w, b, h), b, margin, cap)
-        else:
-            h = T.tanh(T.linear(w, b, h))
+    for layer in range(len(_relu_layers(params, images, diffs))):
+        bias, pre = _relu_layers(params, images, diffs)[layer]
+        for unit in range(pre.shape[-1]):
+            bias.value[unit] += _gap_shift(pre[..., unit].ravel(), margin, cap)
 
 
 def _cmd_gradcheck(cfg: dict) -> int:

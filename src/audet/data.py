@@ -46,7 +46,6 @@ PROTOTYPE_LABELS = np.array(
 JAW = slice(0, 17)
 LEFT_BROW = slice(17, 23)
 RIGHT_BROW = slice(23, 29)
-NOSE = slice(29, 38)
 LEFT_EYE = slice(38, 46)
 RIGHT_EYE = slice(46, 54)
 OUTER_LIP = slice(54, 66)
@@ -505,14 +504,8 @@ def store_corpus(videos: list[VideoSequence], path) -> Path:
 
 def _load_file(target: Path) -> list[VideoSequence]:
     r = ByteReader(memoryview(target.read_bytes()), str(target))
-    magic = bytes(r.take(4))
-    if magic != CORPUS_MAGIC:
-        raise FormatError(f"{target}: bad magic {magic!r}, expected {CORPUS_MAGIC!r}")
-    version, h, w, count = r.unpack("<HHHI")
-    if version != CORPUS_VERSION:
-        raise FormatError(
-            f"{target}: corpus version {version}, this reader supports {CORPUS_VERSION}"
-        )
+    r.check_header(CORPUS_MAGIC, CORPUS_VERSION, "corpus")
+    h, w, count = r.unpack("<HHI")
     if count == 0:
         raise EmptyCorpusError(f"{target}: corpus holds no videos")
     record = frame_record(h, w)
@@ -527,8 +520,7 @@ def _load_file(target: Path) -> list[VideoSequence]:
                                         rows["labels"].copy()))
         except ContractViolation as exc:
             raise FormatError(f"{target}: {exc}") from None
-    if not r.exhausted():
-        raise FormatError(f"{target}: {r.remaining()} trailing bytes after last video")
+    r.check_end(" after last video")
     return videos
 
 

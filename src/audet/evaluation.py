@@ -60,14 +60,6 @@ def smooth(binary: np.ndarray, window: int) -> np.ndarray:
     return (2 * (running[window:] - running[:-window]) > window).astype(np.int8)
 
 
-def smooth_track(binary: np.ndarray, window: int) -> np.ndarray:
-    """Majority vote over one 0/1 track: the one-column case of :func:`smooth`."""
-    track = np.asarray(binary)
-    if track.ndim != 1:
-        raise ContractViolation(f"smooth_track: expected 1-d track, got {track.shape}")
-    return smooth(track[:, None], window)[:, 0]
-
-
 def f1_from_counts(tp: int, fp: int, fn: int) -> tuple[float, bool]:
     """F1 = 2tp / (2tp + fp + fn); a zero denominator scores 0, flagged."""
     denom = 2 * tp + fp + fn

@@ -35,67 +35,64 @@ from .tensor import GruCellParams, Parameter, Tensor
 
 DIFF_DIM = 2 * LANDMARK_COUNT
 
-_ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh}
-
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture dimensions; conv_spec rows are (in, out, kernel, stride)."""
+    """Architecture dimensions, each one independent of the others.
+
+    ``conv_spec`` rows are (filters, kernel, stride), each layer followed
+    by relu: layer 0 reads the 2 image planes, every later layer the
+    filters of the layer before.  ``dynamic_hidden`` lists the widths of
+    the landmark-motion MLP: relu on every layer but the last, tanh on
+    the last.  The checkpoint text spells out those derived values (in
+    channels, activation names), and :meth:`from_kv` accepts exactly the
+    text :meth:`to_kv` writes.
+    """
 
     image_size: int = 64
-    conv_spec: tuple[tuple[int, int, int, int], ...] = (
-        (2, 16, 5, 2),
-        (16, 32, 3, 2),
-        (32, 32, 3, 2),
-    )
+    conv_spec: tuple[tuple[int, int, int], ...] = ((16, 5, 2), (32, 3, 2), (32, 3, 2))
     static_gru_hidden: int = 64
-    dynamic_hidden: tuple[tuple[int, str], ...] = ((128, "relu"), (64, "tanh"))
+    dynamic_hidden: tuple[int, ...] = (128, 64)
     fusion_out: int = 64
     au_embedding_dim: int = 64
 
     def validate(self):
         if not self.conv_spec:
             raise ContractViolation("conv_spec is empty")
-        if self.conv_spec[0][0] != 2:
-            raise ContractViolation(
-                f"first conv layer must take the 2 image planes, got {self.conv_spec[0][0]}"
-            )
-        for i, (cin, cout, k, s) in enumerate(self.conv_spec):
-            if min(cin, cout, k, s) < 1:
-                raise ContractViolation(f"conv layer {i}: bad spec {(cin, cout, k, s)}")
-            if i > 0 and cin != self.conv_spec[i - 1][1]:
-                raise ContractViolation(
-                    f"conv layer {i} takes {cin} channels but layer {i - 1} emits "
-                    f"{self.conv_spec[i - 1][1]}"
-                )
+        for i, layer in enumerate(self.conv_spec):
+            if min(layer) < 1:
+                raise ContractViolation(f"conv layer {i}: bad spec {layer}")
         self.conv_output_shape()  # raises if the map collapses
         if not self.dynamic_hidden:
             raise ContractViolation("dynamic_hidden is empty")
-        for width, act in self.dynamic_hidden:
+        for width in self.dynamic_hidden:
             if width < 1:
                 raise ContractViolation(f"dynamic layer width {width} < 1")
-            if act not in _ACTIVATIONS:
-                raise ContractViolation(f"unknown activation {act!r}")
-        if self.dynamic_hidden[-1][1] != "tanh":
-            raise ContractViolation("dynamic branch must end in tanh")
         for name in ("static_gru_hidden", "fusion_out", "au_embedding_dim"):
             if getattr(self, name) < 1:
                 raise ContractViolation(f"{name} must be >= 1")
 
+    def conv_layers(self):
+        """(in channels, filters, kernel, stride) of each conv layer."""
+        channels = 2  # the gray and edge planes
+        for filters, k, s in self.conv_spec:
+            yield channels, filters, k, s
+            channels = filters
+
     def conv_output_shape(self) -> tuple[int, int, int]:
         size = self.image_size
-        channels = 2
-        for _, cout, k, s in self.conv_spec:
+        for _, k, s in self.conv_spec:
             size = T.conv_output_size(size, k, s)
-            channels = cout
-        return channels, size, size
+        return self.conv_spec[-1][0], size, size
 
     def to_kv(self) -> dict[str, str]:
+        last = len(self.dynamic_hidden) - 1
         return {
             "image_size": str(self.image_size),
-            "conv_spec": ",".join(":".join(map(str, layer)) for layer in self.conv_spec),
+            "conv_spec": ",".join(":".join(map(str, layer)) for layer in self.conv_layers()),
             "static_gru_hidden": str(self.static_gru_hidden),
-            "dynamic_hidden": ",".join(f"{w}:{a}" for w, a in self.dynamic_hidden),
+            "dynamic_hidden": ",".join(f"{w}:{'tanh' if i == last else 'relu'}"
+                                       for i, w in enumerate(self.dynamic_hidden)),
             "fusion_out": str(self.fusion_out),
             "au_embedding_dim": str(self.au_embedding_dim),
         }
@@ -108,18 +105,13 @@ class ModelConfig:
                 f"{origin}: config keys {sorted(kv)} != expected {sorted(expected)}"
             )
         try:
-            conv = tuple(
-                tuple(int(x) for x in layer.split(":")) for layer in kv["conv_spec"].split(",")
-            )
-            if any(len(layer) != 4 for layer in conv):
+            rows = [tuple(map(int, layer.split(":"))) for layer in kv["conv_spec"].split(",")]
+            if any(len(row) != 4 for row in rows):
                 raise ValueError("conv_spec layers need 4 fields")
-            dyn = []
-            for part in kv["dynamic_hidden"].split(","):
-                w, a = part.split(":")
-                dyn.append((int(w), a))
+            dyn = [int(part.split(":")[0]) for part in kv["dynamic_hidden"].split(",")]
             cfg = cls(
                 image_size=int(kv["image_size"]),
-                conv_spec=conv,
+                conv_spec=tuple(row[1:] for row in rows),
                 static_gru_hidden=int(kv["static_gru_hidden"]),
                 dynamic_hidden=tuple(dyn),
                 fusion_out=int(kv["fusion_out"]),
@@ -128,19 +120,37 @@ class ModelConfig:
             cfg.validate()
         except (ValueError, ContractViolation) as exc:
             raise FormatError(f"{origin}: bad model config: {exc}") from None
+        # the text also spells out what the dimensions imply (in channels,
+        # activations), so it must be exactly the text these dimensions write
+        written = cfg.to_kv()
+        if written != kv:
+            key = next(k for k in kv if kv[k] != written[k])
+            raise FormatError(f"{origin}: bad model config: {key} = {kv[key]!r}, "
+                              f"expected {written[key]!r}")
         return cfg
+
+
+# Narrow variant of the default architecture: same layer types and wiring,
+# sized so the exhaustive finite-difference sweep finishes in seconds.
+GRADCHECK_CONFIG = ModelConfig(
+    conv_spec=((4, 5, 2), (8, 3, 2), (8, 3, 2)),
+    static_gru_hidden=16,
+    dynamic_hidden=(16, 16),
+    fusion_out=16,
+    au_embedding_dim=16,
+)
 
 
 def parameter_count(config: ModelConfig) -> int:
     """Total trainable scalars for a configuration, in closed form."""
     n = 0
-    for cin, cout, k, _ in config.conv_spec:
+    for cin, cout, k, _ in config.conv_layers():
         n += cout * cin * k * k + cout
-    conv_channels = config.conv_spec[-1][1]
+    conv_channels = config.conv_spec[-1][0]
     h = config.static_gru_hidden
     n += 3 * h * (conv_channels + h + 1)
     prev = DIFF_DIM
-    for width, _ in config.dynamic_hidden:
+    for width in config.dynamic_hidden:
         n += width * prev + width
         prev = width
     n += config.fusion_out * (prev + h) + config.fusion_out
@@ -195,18 +205,18 @@ class ModelParams:
     def zeros(cls, config: ModelConfig, dtype=np.float32) -> "ModelParams":
         config.validate()
         conv = []
-        for i, (cin, cout, k, _) in enumerate(config.conv_spec):
+        for i, (cin, cout, k, _) in enumerate(config.conv_layers()):
             conv.append(
                 (
                     Parameter(np.zeros((cout, cin, k, k), dtype), f"conv{i}.kernels"),
                     Parameter(np.zeros(cout, dtype), f"conv{i}.bias"),
                 )
             )
-        conv_channels = config.conv_spec[-1][1]
+        conv_channels = config.conv_spec[-1][0]
         static = GruCellParams.zeros(conv_channels, config.static_gru_hidden, dtype, "static_gru")
         dyn = []
         prev = DIFF_DIM
-        for i, (width, _) in enumerate(config.dynamic_hidden):
+        for i, width in enumerate(config.dynamic_hidden):
             dyn.append(
                 (
                     Parameter(np.zeros((width, prev), dtype), f"dynamic{i}.weights"),
@@ -282,7 +292,7 @@ def static_forward(params: ModelParams, image: np.ndarray) -> Tensor:
     if image.ndim != 4 or image.shape[1:] != expect:
         raise ContractViolation(f"static_forward: image {image.shape}, expected B x {expect}")
     x = Tensor(channel_last(image, params.dtype))
-    for (kern, bias), (_, _, _, stride) in zip(params.conv_layers, cfg.conv_spec):
+    for (kern, bias), (_, _, stride) in zip(params.conv_layers, cfg.conv_spec):
         x = T.relu(T.conv2d(x, kern, bias, stride))
     seq = T.spatial_sequence(x)
     h0 = Tensor(np.zeros((len(image), cfg.static_gru_hidden), dtype=params.dtype))
@@ -291,13 +301,15 @@ def static_forward(params: ModelParams, image: np.ndarray) -> Tensor:
 
 
 def dynamic_forward(params: ModelParams, diff: np.ndarray) -> Tensor:
-    """MLP over B landmark motion vectors, a B x 146 array."""
+    """MLP over B landmark motion vectors, a B x 146 array: relu hidden
+    layers, then a tanh layer."""
     if diff.ndim != 2 or diff.shape[1] != DIFF_DIM:
         raise ContractViolation(f"dynamic_forward: diff {diff.shape}, expected B x {DIFF_DIM}")
     x = Tensor(np.asarray(diff, dtype=params.dtype))
-    for (w, b), (_, act) in zip(params.dynamic_layers, params.config.dynamic_hidden):
-        x = _ACTIVATIONS[act](T.linear(w, b, x))
-    return x
+    *hidden, (w, b) = params.dynamic_layers
+    for hw, hb in hidden:
+        x = T.relu(T.linear(hw, hb, x))
+    return T.tanh(T.linear(w, b, x))
 
 
 def fuse(params: ModelParams, dynamic: Tensor, static: Tensor) -> Tensor:
@@ -404,14 +416,7 @@ def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint back into float32 parameters."""
     target = Path(path)
     r = ByteReader(target.read_bytes(), str(target))
-    magic = r.take(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{target}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = r.unpack("<H")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(
-            f"{target}: checkpoint version {version}, this reader supports {CHECKPOINT_VERSION}"
-        )
+    r.check_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     (cfg_len,) = r.unpack("<I")
     kv = {}
     for line in r.take_text(cfg_len).splitlines():
@@ -450,9 +455,14 @@ def load_checkpoint(path) -> ModelParams:
     aus = tuple(r.take_str() for _ in range(au_count))
     if aus != AU_ORDER:
         raise FormatError(f"{target}: AU order {aus} != expected {AU_ORDER}")
-    if not r.exhausted():
-        raise FormatError(f"{target}: {r.remaining()} trailing bytes")
+    r.check_end()
 
+    # the stored values fill the file, so matching their total before
+    # allocating bounds what the config can allocate by the file's size
+    stored, needed = sum(a.size for a in arrays.values()), parameter_count(config)
+    if stored != needed:
+        raise FormatError(f"{target}: the config has {needed} parameters, "
+                          f"the file stores {stored}")
     params = ModelParams.zeros(config, dtype=np.float32)
     expected = dict(params.named_arrays())
     missing = sorted(set(expected) - set(arrays))

@@ -12,9 +12,9 @@ from audet.training import TrainConfig, train
 # default model, sized so one forward pass costs well under a millisecond.
 TINY_MODEL = ModelConfig(
     image_size=24,
-    conv_spec=((2, 3, 5, 2), (3, 4, 3, 2), (4, 4, 3, 1)),
+    conv_spec=((3, 5, 2), (4, 3, 2), (4, 3, 1)),
     static_gru_hidden=8,
-    dynamic_hidden=((10, "relu"), (8, "tanh")),
+    dynamic_hidden=(10, 8),
     fusion_out=8,
     au_embedding_dim=8,
 )

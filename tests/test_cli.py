@@ -451,6 +451,49 @@ class TestRuntimeErrors:
         assert code == 2
         assert "7" in err and str(CHECKPOINT_VERSION) in err
 
+    def test_checkpoint_whose_config_text_its_dimensions_do_not_write(
+            self, capsys, cli_env, tmp_path):
+        mutated = tmp_path / "mutated.auck"
+        blob = cli_env["checkpoint"].read_bytes()
+        assert blob.count(b"128:relu") == 1
+        mutated.write_bytes(blob.replace(b"128:relu", b"128:tanh"))  # same length
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--checkpoint", str(mutated),
+            "--corpus", str(cli_env["corpus"]),
+            "--out", str(tmp_path / "scores"),
+        )
+        assert code == 2
+        assert "dynamic_hidden = '128:tanh,64:tanh', expected '128:relu,64:tanh'" in err
+        assert not (tmp_path / "scores").exists()
+
+    def test_oversized_checkpoint_config_fails_before_allocating(
+            self, capsys, cli_env, tmp_path, monkeypatch):
+        # a config far larger than the tensors stored must not reach ModelParams.zeros,
+        # which would allocate (and touch) every parameter and its gradient
+        def refuse(*args, **kwargs):
+            raise AssertionError("ModelParams.zeros called for an oversized config")
+
+        monkeypatch.setattr(ModelParams, "zeros", refuse)
+        blob = cli_env["checkpoint"].read_bytes()
+        (length,) = struct.unpack("<I", blob[6:10])
+        text = blob[10 : 10 + length]
+        assert text.count(b"fusion_out=64") == 1
+        text = text.replace(b"fusion_out=64", b"fusion_out=9999999")
+        mutated = tmp_path / "huge.auck"
+        mutated.write_bytes(blob[:6] + struct.pack("<I", len(text)) + text + blob[10 + length:])
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--checkpoint", str(mutated),
+            "--corpus", str(cli_env["corpus"]),
+            "--out", str(tmp_path / "scores"),
+        )
+        assert code == 2
+        assert "parameters, the file stores" in err
+        assert not (tmp_path / "scores").exists()
+
     def test_checkpoint_with_bad_utf8_config_is_a_data_error(self, capsys, cli_env, tmp_path):
         mutated = tmp_path / "mutated.auck"
         blob = bytearray(cli_env["checkpoint"].read_bytes())
@@ -697,14 +740,17 @@ class TestGradcheck:
     def test_differentiates_the_whole_video_as_one_batch(self, capsys, monkeypatch):
         from audet.tensor import GradientCheckReport
 
-        batches = []
+        batches = []  # (images, diffs) extents of every model_forward call
+        loss_batches = []
 
         def spy_forward(params, images, diffs):
             batches.append((len(images), len(diffs)))
             return model_forward(params, images, diffs)
 
         def one_loss(loss_fn, params, step):
+            before = len(batches)
             assert loss_fn().value.shape == ()
+            loss_batches.extend(batches[before:])
             return GradientCheckReport(0.0, "conv0.bias", (0,))
 
         monkeypatch.setattr(cli, "GRADCHECK_CONFIG", TINY_MODEL)
@@ -712,7 +758,9 @@ class TestGradcheck:
         monkeypatch.setattr(cli, "finite_difference_report", one_loss)
         code, _, _ = run(capsys, "gradcheck")
         assert code == 0
-        assert batches == [(3, 3)]  # the 3-frame video, one forward pass
+        assert loss_batches == [(3, 3)]  # the 3-frame video, one forward pass
+        clearing = batches[:-1]  # relu clearing runs before the sweep
+        assert clearing and all(b == (3, 3) for b in clearing)
 
     def test_reports_worst_parameter(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "GRADCHECK_CONFIG", TINY_MODEL)
@@ -748,8 +796,8 @@ class TestReluClearing:
         cli.clear_relu_margins(params, images, diffs, self.MARGIN, self.CAP)
 
         relus = _relu_inputs(params, images, diffs)
-        relu_layers = len(TINY_MODEL.conv_spec) + sum(
-            act == "relu" for _, act in TINY_MODEL.dynamic_hidden)
+        # every conv layer, and every dynamic layer but the tanh one
+        relu_layers = len(TINY_MODEL.conv_spec) + len(TINY_MODEL.dynamic_hidden) - 1
         assert len(relus) == relu_layers
         grid = np.linspace(-self.CAP, self.CAP, 2001)
         moved = 0

@@ -21,7 +21,6 @@ from audet.evaluation import (
     predict_video,
     render_report,
     smooth,
-    smooth_track,
     write_binary_csv,
     write_probability_csv,
     write_report_csv,
@@ -74,30 +73,35 @@ def _majority_reference(track, window):
     return out
 
 
+def _smooth_column(track, window):
+    """Majority vote over one 0/1 track: the one-column case of smooth."""
+    return smooth(np.asarray(track)[:, None], window)[:, 0]
+
+
 class TestSmoothing:
     def test_window_one_is_identity(self):
         track = np.array([0, 1, 1, 0, 1], dtype=np.int8)
-        np.testing.assert_array_equal(smooth_track(track, 1), track)
+        np.testing.assert_array_equal(_smooth_column(track, 1), track)
 
     def test_isolated_spike_removed(self):
-        out = smooth_track(np.array([0, 1, 0, 0, 0]), 3)
+        out = _smooth_column(np.array([0, 1, 0, 0, 0]), 3)
         np.testing.assert_array_equal(out, [0, 0, 0, 0, 0])
 
     def test_boundary_spike_survives_replicate_padding(self):
         # the padded first window sees the first value twice
-        out = smooth_track(np.array([1, 0, 0, 0, 0]), 3)
+        out = _smooth_column(np.array([1, 0, 0, 0, 0]), 3)
         np.testing.assert_array_equal(out, [1, 0, 0, 0, 0])
 
     @pytest.mark.parametrize("window", [1, 3, 5, 9])
     def test_constant_tracks_unchanged(self, window):
         for value in (0, 1):
             track = np.full(7, value, dtype=np.int8)
-            np.testing.assert_array_equal(smooth_track(track, window), track)
+            np.testing.assert_array_equal(_smooth_column(track, window), track)
 
     @pytest.mark.parametrize("window", [0, 2, 4, -3])
     def test_even_or_nonpositive_window_rejected(self, window):
         with pytest.raises(ContractViolation):
-            smooth_track(np.array([0, 1, 0]), window)
+            _smooth_column(np.array([0, 1, 0]), window)
 
     def test_matches_reference_vote(self):
         rng = np.random.default_rng(17)
@@ -106,17 +110,17 @@ class TestSmoothing:
             track = rng.integers(0, 2, size=n)
             for window in (1, 3, 5, 7):
                 np.testing.assert_array_equal(
-                    smooth_track(track, window), _majority_reference(track.tolist(), window)
+                    _smooth_column(track, window), _majority_reference(track.tolist(), window)
                 )
 
     def test_window_longer_than_track(self):
         # replicate padding repeats the endpoints, so the leading 1 wins
         # its own window: [1,1,1,1,0,0,0] has four active votes of seven
-        np.testing.assert_array_equal(smooth_track(np.array([1, 0, 0]), 7), [1, 0, 0])
+        np.testing.assert_array_equal(_smooth_column(np.array([1, 0, 0]), 7), [1, 0, 0])
 
     def test_non_binary_rejected(self):
         with pytest.raises(ContractViolation):
-            smooth_track(np.array([0, 2, 0]), 3)
+            _smooth_column(np.array([0, 2, 0]), 3)
 
     def test_columns_smoothed_independently(self):
         arr = np.zeros((5, 8), dtype=np.int8)
@@ -142,7 +146,7 @@ class TestSmoothing:
                 for j in range(arr.shape[1]):
                     np.testing.assert_array_equal(
                         out[:, j], _majority_reference(arr[:, j].tolist(), window))
-                np.testing.assert_array_equal(smooth_track(arr[:, 0], window), out[:, 0])
+                np.testing.assert_array_equal(_smooth_column(arr[:, 0], window), out[:, 0])
         assert smooth(np.zeros((0, 8), np.int8), 5).shape == (0, 8)
 
     @pytest.mark.parametrize("window", [1, 5])
@@ -154,7 +158,7 @@ class TestSmoothing:
                   np.array([[1, 0], [0, -1], [1, 1]], np.int64),
                   np.array([[1.0, 0.5], [0.0, 1.0], [1.0, 1.0]]),
                   np.array([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]])]
-        for smoother, prepare in ((smooth, lambda a: a), (smooth_track, lambda a: a[:, 1])):
+        for smoother, prepare in ((smooth, lambda a: a), (_smooth_column, lambda a: a[:, 1])):
             verdicts = []
             for arr in cases:
                 try:

@@ -2,6 +2,7 @@
 causality, parameter accounting, and the checkpoint container."""
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -55,37 +56,58 @@ def test_parameter_count_matches_actual_parameters():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ContractViolation, match="2 image planes"):
-        ModelConfig(conv_spec=((3, 8, 3, 1),)).validate()
-    with pytest.raises(ContractViolation, match="channels"):
-        ModelConfig(conv_spec=((2, 8, 3, 1), (4, 8, 3, 1))).validate()
-    with pytest.raises(ContractViolation, match="tanh"):
-        ModelConfig(dynamic_hidden=((64, "relu"),)).validate()
     with pytest.raises(ContractViolation, match="smaller than kernel"):
         ModelConfig(image_size=8).validate()
 
 
 @pytest.mark.parametrize("changes,message", [
     ({"conv_spec": ()}, "conv_spec is empty"),
-    ({"conv_spec": ((2, 8, 0, 1),)}, r"conv layer 0: bad spec \(2, 8, 0, 1\)"),
-    ({"conv_spec": ((2, 8, 3, 1), (8, 0, 3, 1))}, "conv layer 1: bad spec"),
+    ({"conv_spec": ((8, 0, 1),)}, r"conv layer 0: bad spec \(8, 0, 1\)"),
+    ({"conv_spec": ((8, 3, 1), (0, 3, 1))}, "conv layer 1: bad spec"),
     ({"dynamic_hidden": ()}, "dynamic_hidden is empty"),
-    ({"dynamic_hidden": ((0, "relu"), (8, "tanh"))}, "dynamic layer width 0 < 1"),
-    ({"dynamic_hidden": ((8, "gelu"), (8, "tanh"))}, "unknown activation 'gelu'"),
+    ({"dynamic_hidden": (0, 8)}, "dynamic layer width 0 < 1"),
     ({"static_gru_hidden": 0}, "static_gru_hidden must be >= 1"),
     ({"fusion_out": 0}, "fusion_out must be >= 1"),
     ({"au_embedding_dim": 0}, "au_embedding_dim must be >= 1"),
     ({"image_size": 0}, "conv: input extent 0 smaller than kernel 5"),
-], ids=["no-conv", "zero-kernel", "zero-filters", "no-dynamic", "zero-width", "activation",
+], ids=["no-conv", "zero-kernel", "zero-filters", "no-dynamic", "zero-width",
         "static-hidden", "fusion", "embedding", "no-image"])
 def test_config_validation_names_each_bad_field(changes, message):
     with pytest.raises(ContractViolation, match=message):
         ModelConfig(**changes).validate()
 
 
+def test_default_config_text_is_pinned():
+    # the checkpoint's config block: in channels and activations spelled out
+    assert ModelConfig().to_kv() == {
+        "image_size": "64",
+        "conv_spec": "2:16:5:2,16:32:3:2,32:32:3:2",
+        "static_gru_hidden": "64",
+        "dynamic_hidden": "128:relu,64:tanh",
+        "fusion_out": "64",
+        "au_embedding_dim": "64",
+    }
+
+
 def test_config_kv_round_trip():
     for cfg in (ModelConfig(), TINY_MODEL):
         assert ModelConfig.from_kv(cfg.to_kv(), "test") == cfg
+
+
+@pytest.mark.parametrize("key,text", [
+    ("conv_spec", "3:16:5:2,16:32:3:2,32:32:3:2"),
+    ("conv_spec", "2:16:5:2,8:32:3:2,32:32:3:2"),
+    ("dynamic_hidden", "128:gelu,64:tanh"),
+    ("dynamic_hidden", "128:tanh,64:tanh"),
+    ("dynamic_hidden", "128:relu,64:relu"),
+], ids=["in-channels-3", "in-channels-8", "gelu", "tanh-hidden", "relu-last"])
+def test_config_from_kv_rejects_text_its_dimensions_do_not_write(key, text):
+    kv = ModelConfig().to_kv()
+    expected = kv[key]
+    kv[key] = text
+    with pytest.raises(FormatError, match=re.escape(
+            f"test: bad model config: {key} = {text!r}, expected {expected!r}")):
+        ModelConfig.from_kv(kv, "test")
 
 
 def test_config_from_kv_rejects_garbage():
@@ -108,7 +130,7 @@ def test_branch_shapes_and_ranges():
     assert h_static.shape == (1, TINY_MODEL.static_gru_hidden)
     assert np.all(np.abs(h_static.value) <= 1.0)
     h_dynamic = dynamic_forward(params, diff)
-    assert h_dynamic.shape == (1, TINY_MODEL.dynamic_hidden[-1][0])
+    assert h_dynamic.shape == (1, TINY_MODEL.dynamic_hidden[-1])
     assert np.all(np.abs(h_dynamic.value) < 1.0)
     fused = fuse(params, h_dynamic, h_static)
     assert fused.shape == (1, TINY_MODEL.fusion_out)
@@ -128,14 +150,14 @@ def test_zero_params_give_indifferent_predictions():
     np.testing.assert_array_equal(h_static.value, np.zeros((1, TINY_MODEL.static_gru_hidden)))
     h_dynamic = dynamic_forward(params, diff)
     np.testing.assert_array_equal(h_dynamic.value,
-                                  np.zeros((1, TINY_MODEL.dynamic_hidden[-1][0])))
+                                  np.zeros((1, TINY_MODEL.dynamic_hidden[-1])))
     result = model_forward(params, image, diff)
     np.testing.assert_array_equal(result.probs, np.full((1, 8), 0.5))
 
 
 def test_fusion_concatenates_dynamic_before_static():
     params = ModelParams.zeros(TINY_MODEL, dtype=np.float64)
-    d = TINY_MODEL.dynamic_hidden[-1][0]
+    d = TINY_MODEL.dynamic_hidden[-1]
     s = TINY_MODEL.static_gru_hidden
     # weights that copy the dynamic half and ignore the static half
     w = np.zeros((TINY_MODEL.fusion_out, d + s))
@@ -155,16 +177,14 @@ def test_dynamic_branch_input_gradient():
     params = ModelParams.init(TINY_MODEL, seed=2, dtype=np.float64)
     rng = np.random.default_rng(4)
     diff = Parameter(rng.uniform(-1, 1, 146), "diff_input")
-    weights = rng.uniform(-1, 1, TINY_MODEL.dynamic_hidden[-1][0])
+    weights = rng.uniform(-1, 1, TINY_MODEL.dynamic_hidden[-1])
 
     def loss_fn():
-        from audet.model import _ACTIVATIONS
-        from audet.tensor import linear
-
+        *hidden, (w, b) = params.dynamic_layers
         x = diff
-        for (w, b), (_, act) in zip(params.dynamic_layers, TINY_MODEL.dynamic_hidden):
-            x = _ACTIVATIONS[act](linear(w, b, x))
-        return weighted_sum(x, weights)
+        for hw, hb in hidden:
+            x = T.relu(T.linear(hw, hb, x))
+        return weighted_sum(T.tanh(T.linear(w, b, x)), weights)
 
     assert finite_difference_report(loss_fn, [diff], 1e-3).max_relative_error <= 1e-5
 
@@ -313,13 +333,31 @@ def test_checkpoint_rejects_a_duplicate_tensor(tmp_path):
 
 
 def test_checkpoint_rejects_a_wrong_tensor_shape(tmp_path):
+    # same size, so the parameter total matches and the shape check speaks
+    params = ModelParams.init(TINY_MODEL, seed=30)
+    named = params.named_arrays()
+    name, value = named[1]
+    named[1] = (name, np.zeros((1, value.size), value.dtype))
+    path = _save_with(params, tmp_path / "m.auck", named)
+    with pytest.raises(FormatError,
+                       match=rf"tensor '{name}' has shape \(1, {value.size}\), expected"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_wrong_parameter_total_before_allocating(tmp_path, monkeypatch):
     params = ModelParams.init(TINY_MODEL, seed=30)
     named = params.named_arrays()
     name, value = named[1]
     named[1] = (name, np.zeros(value.size + 1, value.dtype))
     path = _save_with(params, tmp_path / "m.auck", named)
-    with pytest.raises(FormatError,
-                       match=rf"tensor '{name}' has shape \({value.size + 1},\), expected"):
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ModelParams.zeros called before the parameter total was checked")
+
+    monkeypatch.setattr(ModelParams, "zeros", refuse)
+    total = parameter_count(TINY_MODEL)
+    with pytest.raises(FormatError, match=rf"the config has {total} parameters, "
+                                          rf"the file stores {total + 1}$"):
         load_checkpoint(path)
 
 
@@ -402,15 +440,15 @@ def _per_frame_reference(params, image, diff, labels, weights):
     """
     cfg = params.config
     x = Tensor(image.transpose(1, 2, 0)[None])  # channel-last
-    for (kern, bias), (_, _, _, stride) in zip(params.conv_layers, cfg.conv_spec):
+    for (kern, bias), (_, _, stride) in zip(params.conv_layers, cfg.conv_spec):
         x = T.relu(T.conv2d(x, kern, bias, stride))
     seq = T.spatial_sequence(x)
     h = Tensor(np.zeros((1, cfg.static_gru_hidden)))
     for t in range(seq.shape[1]):
         h = T.row(T.gru_scan(T.row(seq, t), h, params.static_gru), 0)
     d = Tensor(diff[None])
-    for (w, b), (_, act) in zip(params.dynamic_layers, cfg.dynamic_hidden):
-        d = (T.relu if act == "relu" else T.tanh)(T.linear(w, b, d))
+    for i, (w, b) in enumerate(params.dynamic_layers, start=1):
+        d = (T.tanh if i == len(params.dynamic_layers) else T.relu)(T.linear(w, b, d))
     state = T.tanh(T.linear(params.fusion_weights, params.fusion_bias, T.concat([d, h])))
     probs, terms = [], []
     for i in range(len(AU_ORDER)):

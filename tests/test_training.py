@@ -558,7 +558,6 @@ def test_validation_neither_smooths_nor_scores_twice(tiny_corpus, monkeypatch):
         return call
 
     monkeypatch.setattr(E, "smooth", counting(E.smooth))
-    monkeypatch.setattr(E, "smooth_track", counting(E.smooth_track))
     monkeypatch.setattr(E, "challenge_metric", counting(E.challenge_metric))
     train(tiny_corpus, TINY_MODEL, TrainConfig(epochs=1, batch_size=8, seed=7))
     assert calls == ["challenge_metric"]
