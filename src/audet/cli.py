@@ -290,7 +290,7 @@ def _relu_layers(params: ModelParams, images: np.ndarray, diffs: np.ndarray) -> 
     node with its units on the last axis; their bias is the node's 1-d
     Parameter parent."""
     found = []
-    for node in T._topo_order(model_forward(params, images, diffs).logits):
+    for node in T._topo_order(model_forward(params, images, diffs)):
         if node._push is not None and node._push.__qualname__ == "relu.<locals>.push":
             pre = node.parents[0]
             bias = next(p for p in pre.parents
@@ -332,8 +332,7 @@ def _cmd_gradcheck(cfg: dict) -> int:
 
     def loss_fn():
         # the graph of a training step, with the whole video as its batch
-        logits = model_forward(params, images, diffs).logits
-        return masked_cross_entropy(logits, video.labels, weights)
+        return masked_cross_entropy(model_forward(params, images, diffs), video.labels, weights)
 
     report = finite_difference_report(loss_fn, params.all_parameters(), cfg["step"])
     worst = report.max_relative_error

@@ -197,8 +197,8 @@ def _score_pass(params: ModelParams, chunk, workspace: T.Workspace):
     images = decode_planes(np.concatenate([planes for _, _, planes, _ in chunk]), params.dtype)
     diffs = np.concatenate([diffs for *_, diffs in chunk]).astype(params.dtype)
     with T.reusing(workspace):
-        res = model_forward(params, images, diffs)
-        probs, logits = res.probs, res.logits.value.astype(np.float64)
+        logits = model_forward(params, images, diffs).value.astype(np.float64)
+    probs = T.logistic(logits[..., 1] - logits[..., 0])
     if not np.isfinite(probs).all():
         raise NumericError("scoring gave a non-finite activation probability; "
                            "the model's parameters may hold NaN or Inf")

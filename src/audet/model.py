@@ -13,9 +13,11 @@ step's output state feeds a shared 2-way affine classifier whose
 softmax gives the activation probability for that AU.  Step i therefore
 sees only embeddings 0..i, never later ones.
 
-The forward functions take batches only, B x 2 x S x S images and
-B x 146 motion vectors, and run a batch as one graph; one frame is a
-batch of one.
+The trainable tensors are declared once, in the ordered name -> shape
+table of :func:`parameter_shapes`; building, counting, copying, saving
+and checking them all follow it.  The forward functions take batches
+only, B x 2 x S x S images and B x 146 motion vectors, run a batch as
+one graph (one frame is a batch of one), and read the tensors by name.
 """
 
 from __future__ import annotations
@@ -141,118 +143,84 @@ GRADCHECK_CONFIG = ModelConfig(
 )
 
 
-def parameter_count(config: ModelConfig) -> int:
-    """Total trainable scalars for a configuration, in closed form."""
-    n = 0
-    for cin, cout, k, _ in config.conv_layers():
-        n += cout * cin * k * k + cout
-    conv_channels = config.conv_spec[-1][0]
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable tensor, in table order.
+
+    The one place a tensor's shape is written: building, counting,
+    copying, saving and loading parameters all follow this table, and
+    its order is the checkpoint's tensor order and the init draw order.
+    """
+    config.validate()
+    shapes = {}
+    for i, (cin, cout, k, _) in enumerate(config.conv_layers()):
+        shapes[f"conv{i}.kernels"] = (cout, cin, k, k)
+        shapes[f"conv{i}.bias"] = (cout,)
     h = config.static_gru_hidden
-    n += 3 * h * (conv_channels + h + 1)
+    shapes.update(GruCellParams.shapes(config.conv_spec[-1][0], h, "static_gru"))
     prev = DIFF_DIM
-    for width in config.dynamic_hidden:
-        n += width * prev + width
+    for i, width in enumerate(config.dynamic_hidden):
+        shapes[f"dynamic{i}.weights"] = (width, prev)
+        shapes[f"dynamic{i}.bias"] = (width,)
         prev = width
-    n += config.fusion_out * (prev + h) + config.fusion_out
-    n += len(AU_ORDER) * config.au_embedding_dim
     f = config.fusion_out
-    n += 3 * f * (config.au_embedding_dim + f + 1)
-    n += 2 * f + 2
-    return n
+    shapes["fusion.weights"] = (f, prev + h)
+    shapes["fusion.bias"] = (f,)
+    shapes["au_table"] = (len(AU_ORDER), config.au_embedding_dim)
+    shapes.update(GruCellParams.shapes(config.au_embedding_dim, f, "query_gru"))
+    shapes["classifier.weights"] = (2, f)
+    shapes["classifier.bias"] = (2,)
+    return shapes
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """Total trainable scalars for a configuration."""
+    return sum(math.prod(shape) for shape in parameter_shapes(config).values())
 
 
 @dataclass
 class ModelParams:
-    """All trainable parameters, grouped per branch."""
+    """All trainable parameters of ``config``, by name in table order
+    (:func:`parameter_shapes`)."""
 
     config: ModelConfig
-    conv_layers: list[tuple[Parameter, Parameter]]  # (kernels, bias)
-    static_gru: GruCellParams
-    dynamic_layers: list[tuple[Parameter, Parameter]]  # (weights, bias)
-    fusion_weights: Parameter
-    fusion_bias: Parameter
-    au_table: Parameter
-    query_gru: GruCellParams
-    classifier_weights: Parameter
-    classifier_bias: Parameter
+    tensors: dict[str, Parameter]
 
     @property
     def dtype(self):
-        return self.au_table.value.dtype
+        return self.tensors["au_table"].value.dtype
+
+    def cell(self, prefix: str) -> GruCellParams:
+        """The gated cell whose tensors are named ``prefix.*``."""
+        t = self.tensors
+        return GruCellParams(t[f"{prefix}.input_weights"], t[f"{prefix}.hidden_weights"],
+                             t[f"{prefix}.biases"])
 
     def all_parameters(self) -> list[Parameter]:
-        out = []
-        for kern, bias in self.conv_layers:
-            out += [kern, bias]
-        out += self.static_gru.parameters()
-        for w, b in self.dynamic_layers:
-            out += [w, b]
-        out += [self.fusion_weights, self.fusion_bias, self.au_table]
-        out += self.query_gru.parameters()
-        out += [self.classifier_weights, self.classifier_bias]
-        return out
+        return list(self.tensors.values())
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(p.name, p.value) for p in self.all_parameters()]
+        return [(name, p.value) for name, p in self.tensors.items()]
 
     def copy(self) -> "ModelParams":
-        clone = ModelParams.zeros(self.config, dtype=self.dtype)
-        for mine, theirs in zip(self.all_parameters(), clone.all_parameters()):
-            theirs.value[...] = mine.value
-        return clone
+        return ModelParams(self.config, {name: Parameter(p.value.copy(), name)
+                                         for name, p in self.tensors.items()})
 
     @classmethod
     def zeros(cls, config: ModelConfig, dtype=np.float32) -> "ModelParams":
-        config.validate()
-        conv = []
-        for i, (cin, cout, k, _) in enumerate(config.conv_layers()):
-            conv.append(
-                (
-                    Parameter(np.zeros((cout, cin, k, k), dtype), f"conv{i}.kernels"),
-                    Parameter(np.zeros(cout, dtype), f"conv{i}.bias"),
-                )
-            )
-        conv_channels = config.conv_spec[-1][0]
-        static = GruCellParams.zeros(conv_channels, config.static_gru_hidden, dtype, "static_gru")
-        dyn = []
-        prev = DIFF_DIM
-        for i, width in enumerate(config.dynamic_hidden):
-            dyn.append(
-                (
-                    Parameter(np.zeros((width, prev), dtype), f"dynamic{i}.weights"),
-                    Parameter(np.zeros(width, dtype), f"dynamic{i}.bias"),
-                )
-            )
-            prev = width
-        f = config.fusion_out
-        return cls(
-            config=config,
-            conv_layers=conv,
-            static_gru=static,
-            dynamic_layers=dyn,
-            fusion_weights=Parameter(
-                np.zeros((f, prev + config.static_gru_hidden), dtype), "fusion.weights"
-            ),
-            fusion_bias=Parameter(np.zeros(f, dtype), "fusion.bias"),
-            au_table=Parameter(
-                np.zeros((len(AU_ORDER), config.au_embedding_dim), dtype), "au_table"
-            ),
-            query_gru=GruCellParams.zeros(config.au_embedding_dim, f, dtype, "query_gru"),
-            classifier_weights=Parameter(np.zeros((2, f), dtype), "classifier.weights"),
-            classifier_bias=Parameter(np.zeros(2, dtype), "classifier.bias"),
-        )
+        return cls(config, {name: Parameter(np.zeros(shape, dtype), name)
+                            for name, shape in parameter_shapes(config).items()})
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int, dtype=np.float32) -> "ModelParams":
         """Glorot-uniform weights, zero biases, small uniform AU table.
 
-        One RNG drawn in :meth:`all_parameters` order, so a seed pins
-        every value regardless of platform.
+        One RNG drawn in table order, so a seed pins every value
+        regardless of platform.
         """
         params = cls.zeros(config, dtype)
         rng = np.random.default_rng([seed, 1])
-        for p in params.all_parameters():
-            if p is params.au_table:
+        for name, p in params.tensors.items():
+            if name == "au_table":
                 limit = 0.1
             elif p.value.ndim >= 2:
                 # (out, in) or (out, in, k, k): fans are out and in times the kernel area
@@ -291,12 +259,13 @@ def static_forward(params: ModelParams, image: np.ndarray) -> Tensor:
     expect = (2, cfg.image_size, cfg.image_size)
     if image.ndim != 4 or image.shape[1:] != expect:
         raise ContractViolation(f"static_forward: image {image.shape}, expected B x {expect}")
+    t = params.tensors
     x = Tensor(channel_last(image, params.dtype))
-    for (kern, bias), (_, _, stride) in zip(params.conv_layers, cfg.conv_spec):
-        x = T.relu(T.conv2d(x, kern, bias, stride))
+    for i, (_, _, stride) in enumerate(cfg.conv_spec):
+        x = T.relu(T.conv2d(x, t[f"conv{i}.kernels"], t[f"conv{i}.bias"], stride))
     seq = T.spatial_sequence(x)
     h0 = Tensor(np.zeros((len(image), cfg.static_gru_hidden), dtype=params.dtype))
-    states = T.gru_scan(seq, h0, params.static_gru)
+    states = T.gru_scan(seq, h0, params.cell("static_gru"))
     return T.row(states, states.shape[1] - 1)
 
 
@@ -305,48 +274,38 @@ def dynamic_forward(params: ModelParams, diff: np.ndarray) -> Tensor:
     layers, then a tanh layer."""
     if diff.ndim != 2 or diff.shape[1] != DIFF_DIM:
         raise ContractViolation(f"dynamic_forward: diff {diff.shape}, expected B x {DIFF_DIM}")
+    t = params.tensors
     x = Tensor(np.asarray(diff, dtype=params.dtype))
-    *hidden, (w, b) = params.dynamic_layers
-    for hw, hb in hidden:
-        x = T.relu(T.linear(hw, hb, x))
-    return T.tanh(T.linear(w, b, x))
+    last = len(params.config.dynamic_hidden) - 1
+    for i in range(last):
+        x = T.relu(T.linear(t[f"dynamic{i}.weights"], t[f"dynamic{i}.bias"], x))
+    return T.tanh(T.linear(t[f"dynamic{last}.weights"], t[f"dynamic{last}.bias"], x))
 
 
 def fuse(params: ModelParams, dynamic: Tensor, static: Tensor) -> Tensor:
     """Joint state from both branches: tanh affine over [dynamic, static]."""
     joint = T.concat([dynamic, static])
-    return T.tanh(T.linear(params.fusion_weights, params.fusion_bias, joint))
+    t = params.tensors
+    return T.tanh(T.linear(t["fusion.weights"], t["fusion.bias"], joint))
 
 
-@dataclass
-class ForwardResult:
-    """Outputs of a batch of B frames.
-
-    ``probs`` is B x 8 float64 activation probabilities and ``logits``
-    one B x 8 x 2 node; index 1 of the last logit axis is "active".
-    """
-
-    probs: np.ndarray
-    logits: Tensor
-
-
-def classify_aus(params: ModelParams, fused: Tensor) -> ForwardResult:
-    """Recurrent decoding over the AU list.
+def classify_aus(params: ModelParams, fused: Tensor) -> Tensor:
+    """Recurrent decoding over the AU list: the B x 8 x 2 logits node.
 
     The query cell starts from the B x f fused states and consumes
     embedding i at step i; that step's state goes through the shared
     2-way classifier.  Every frame reads the same embeddings, so their
-    input projection is computed once.  Probability of activation is the
-    softmax weight of class 1, computed here directly from the logit gap.
+    input projection is computed once.  Index 1 of the last axis is
+    "active": its softmax weight, the logistic of the logit gap, is the
+    probability of activation.
     """
-    states = T.gru_scan(params.au_table, fused, params.query_gru)
-    logits = T.linear(params.classifier_weights, params.classifier_bias, states)
-    gap = logits.value[..., 1].astype(np.float64) - logits.value[..., 0].astype(np.float64)
-    return ForwardResult(T.logistic(gap), logits)
+    t = params.tensors
+    states = T.gru_scan(t["au_table"], fused, params.cell("query_gru"))
+    return T.linear(t["classifier.weights"], t["classifier.bias"], states)
 
 
-def model_forward(params: ModelParams, image: np.ndarray, diff: np.ndarray) -> ForwardResult:
-    """Full pass over a batch: probabilities and logits for all 8 AUs.
+def model_forward(params: ModelParams, image: np.ndarray, diff: np.ndarray) -> Tensor:
+    """Full pass over a batch: the B x 8 x 2 logits node of all 8 AUs.
 
     ``image`` is B x 2 x H x W (gray plus edge planes, see
     data.decode_planes) and ``diff`` B x 146; the batch runs as one graph.
@@ -457,24 +416,19 @@ def load_checkpoint(path) -> ModelParams:
         raise FormatError(f"{target}: AU order {aus} != expected {AU_ORDER}")
     r.check_end()
 
-    # the stored values fill the file, so matching their total before
-    # allocating bounds what the config can allocate by the file's size
+    # checked against the table, then wrapped: no parameter is allocated
+    # from the config, so what loading allocates is bounded by the file's size
+    shapes = parameter_shapes(config)
     stored, needed = sum(a.size for a in arrays.values()), parameter_count(config)
     if stored != needed:
         raise FormatError(f"{target}: the config has {needed} parameters, "
                           f"the file stores {stored}")
-    params = ModelParams.zeros(config, dtype=np.float32)
-    expected = dict(params.named_arrays())
-    missing = sorted(set(expected) - set(arrays))
-    extra = sorted(set(arrays) - set(expected))
+    missing = sorted(set(shapes) - set(arrays))
+    extra = sorted(set(arrays) - set(shapes))
     if missing or extra:
         raise FormatError(f"{target}: missing tensors {missing}, unexpected {extra}")
-    for p in params.all_parameters():
-        stored = arrays[p.name]
-        if stored.shape != p.value.shape:
-            raise FormatError(
-                f"{target}: tensor {p.name!r} has shape {stored.shape}, "
-                f"expected {p.value.shape}"
-            )
-        p.value[...] = stored
-    return params
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise FormatError(f"{target}: tensor {name!r} has shape {arrays[name].shape}, "
+                              f"expected {shape}")
+    return ModelParams(config, {name: Parameter(arrays[name], name) for name in shapes})

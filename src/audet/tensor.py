@@ -419,13 +419,17 @@ class GruCellParams:
     def parameters(self) -> list[Parameter]:
         return [self.input_weights, self.hidden_weights, self.biases]
 
+    @staticmethod
+    def shapes(input_dim: int, hidden_dim: int, prefix="gru") -> dict[str, tuple[int, ...]]:
+        """Name -> shape of the cell's tensors, in field order."""
+        return {f"{prefix}.input_weights": (3 * hidden_dim, input_dim),
+                f"{prefix}.hidden_weights": (3 * hidden_dim, hidden_dim),
+                f"{prefix}.biases": (3 * hidden_dim,)}
+
     @classmethod
     def zeros(cls, input_dim: int, hidden_dim: int, dtype=np.float32, prefix="gru"):
-        return cls(
-            Parameter(np.zeros((3 * hidden_dim, input_dim), dtype), f"{prefix}.input_weights"),
-            Parameter(np.zeros((3 * hidden_dim, hidden_dim), dtype), f"{prefix}.hidden_weights"),
-            Parameter(np.zeros(3 * hidden_dim, dtype), f"{prefix}.biases"),
-        )
+        return cls(*(Parameter(np.zeros(shape, dtype), name)
+                     for name, shape in cls.shapes(input_dim, hidden_dim, prefix).items()))
 
 
 def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:

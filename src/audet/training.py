@@ -333,8 +333,7 @@ def _train_step(params, adam, batch, weights, cfg: TrainConfig, where: str,
     plist = params.all_parameters()
     T.zero_grads(plist)
     with T.reusing(workspace):
-        res = model_forward(params, images, diffs)
-        loss = T.masked_cross_entropy(res.logits, labels, weights)
+        loss = T.masked_cross_entropy(model_forward(params, images, diffs), labels, weights)
         value = float(loss.value)
         if not np.isfinite(value):
             raise NumericError(f"training diverged: loss {value} at {where}")

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,22 @@ def weighted_sum(a, weights=1.0):
         T._accum(a, g * w)
 
     return T.Tensor(np.asarray((a.value * w).sum()), (a,), push)
+
+
+def probabilities(logits):
+    """B x 8 float64 activation probabilities of a B x 8 x 2 logits node,
+    computed as scoring computes them."""
+    gap = logits.value.astype(np.float64)
+    return T.logistic(gap[..., 1] - gap[..., 0])
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes that Python and numpy held while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from audet.model import ModelConfig, ModelParams, model_forward
 from audet.tensor import GruCellParams, Parameter, Tensor
 from audet.training import TrainConfig
 
-from conftest import TINY_MODEL, weighted_sum
+from conftest import TINY_MODEL, probabilities, weighted_sum
 from naive_scorer import naive_score
 
 # Frozen from the first verified end-to-end run (best validation metric
@@ -112,7 +112,7 @@ def test_sweep_checks_exactly_the_ops_of_a_training_step():
     diffs = rng.uniform(-1, 1, (3, 146)).astype(np.float32)
     labels = rng.integers(-1, 2, (3, 8)).astype(np.int8)
     labels[0, 0] = 1
-    logits = model_forward(params, images, diffs).logits
+    logits = model_forward(params, images, diffs)
     step = _engine_ops(T.masked_cross_entropy(logits, labels, np.ones(8)))
     swept = set().union(*(_engine_ops(loss_fn()) for loss_fn, _ in _sweep_cases()))
     assert swept == step, f"unchecked: {sorted(step - swept)}, unused: {sorted(swept - step)}"
@@ -298,10 +298,11 @@ def test_causality_property(capsys):
         params = ModelParams.init(TINY_MODEL, seed=int(rng.integers(1 << 31)), dtype=np.float64)
         image = rng.uniform(0.0, 1.0, (2, size, size))
         diff = rng.uniform(-1.0, 1.0, 146)
-        base = model_forward(params, image[None], diff[None]).probs
+        base = probabilities(model_forward(params, image[None], diff[None]))
         j = int(rng.integers(1, 8))
-        params.au_table.value[j] += rng.normal(size=params.au_table.value[j].shape)
-        bumped = model_forward(params, image[None], diff[None]).probs
+        table = params.tensors["au_table"].value
+        table[j] += rng.normal(size=table[j].shape)
+        bumped = probabilities(model_forward(params, image[None], diff[None]))
         trials += 1
         if not np.array_equal(base[0, :j], bumped[0, :j]):
             violations.append((trial, j))

@@ -14,11 +14,12 @@ import pytest
 from audet import cli, tensor as T
 from audet.data import SynthConfig, frame_record, generate_synthetic, store_corpus
 from audet.errors import ConfigError, ContractViolation
-from audet.model import CHECKPOINT_VERSION, ModelParams, load_checkpoint, model_forward
+from audet.model import (CHECKPOINT_VERSION, ModelParams, load_checkpoint, model_forward,
+                         parameter_shapes)
 from audet.tensor import Parameter
 from audet.training import TrainConfig
 
-from conftest import TINY_MODEL
+from conftest import TINY_MODEL, traced_peak
 
 
 def run(capsys, *argv):
@@ -469,21 +470,19 @@ class TestRuntimeErrors:
         assert not (tmp_path / "scores").exists()
 
     def test_oversized_checkpoint_config_fails_before_allocating(
-            self, capsys, cli_env, tmp_path, monkeypatch):
-        # a config far larger than the tensors stored must not reach ModelParams.zeros,
-        # which would allocate (and touch) every parameter and its gradient
-        def refuse(*args, **kwargs):
-            raise AssertionError("ModelParams.zeros called for an oversized config")
-
-        monkeypatch.setattr(ModelParams, "zeros", refuse)
+            self, capsys, cli_env, tmp_path):
+        # a config about 38 times the size of the tensors stored must fail
+        # without its parameters being built: building them and their
+        # gradients would hold about 75 times the file
         blob = cli_env["checkpoint"].read_bytes()
         (length,) = struct.unpack("<I", blob[6:10])
         text = blob[10 : 10 + length]
         assert text.count(b"fusion_out=64") == 1
-        text = text.replace(b"fusion_out=64", b"fusion_out=9999999")
+        text = text.replace(b"fusion_out=64", b"fusion_out=1024")
         mutated = tmp_path / "huge.auck"
         mutated.write_bytes(blob[:6] + struct.pack("<I", len(text)) + text + blob[10 + length:])
-        code, _, err = run(
+        (code, _, err), peak = traced_peak(
+            run,
             capsys,
             "eval",
             "--checkpoint", str(mutated),
@@ -491,6 +490,7 @@ class TestRuntimeErrors:
             "--out", str(tmp_path / "scores"),
         )
         assert code == 2
+        assert peak < 4 * len(blob)
         assert "parameters, the file stores" in err
         assert not (tmp_path / "scores").exists()
 
@@ -641,7 +641,7 @@ class TestRuntimeErrors:
         # parameters that hold NaN without passing through the reader's check
         def poisoned(path):
             params = load_checkpoint(path)
-            params.classifier_bias.value[1] = np.nan
+            params.tensors["classifier.bias"].value[1] = np.nan
             return params
 
         monkeypatch.setattr(cli, "load_checkpoint", poisoned)
@@ -662,7 +662,7 @@ class TestRuntimeErrors:
 
         def poisoned(*args, **kwargs):
             result = real_train(*args, **kwargs)
-            result.best_params.fusion_weights.value[0, 0] = np.nan
+            result.best_params.tensors["fusion.weights"].value[0, 0] = np.nan
             return result
 
         monkeypatch.setattr(cli, "train", poisoned)
@@ -768,14 +768,14 @@ class TestGradcheck:
         assert code == 0
         line = next(x for x in out.splitlines() if x.startswith("worst_parameter = "))
         name, _, index = line.split(" = ")[1].partition("[")
-        assert name in {p.name for p in ModelParams.zeros(TINY_MODEL).all_parameters()}
+        assert name in parameter_shapes(TINY_MODEL)
         assert index.endswith("]") and all(i.isdigit() for i in index[:-1].split(","))
 
 
 def _relu_inputs(params, images, diffs):
     """(bias, unit-major pre-activations) of every relu in the model's own graph."""
     found = []
-    for node in T._topo_order(model_forward(params, images, diffs).logits):
+    for node in T._topo_order(model_forward(params, images, diffs)):
         if node._push is not None and node._push.__qualname__ == "relu.<locals>.push":
             pre = node.parents[0]  # a conv2d or linear node, its units on the last axis
             bias = next(p for p in pre.parents

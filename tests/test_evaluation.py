@@ -1,7 +1,5 @@
 """Tests for scoring: binarization, smoothing, F1, challenge metric."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,7 @@ from audet.evaluation import (
 )
 from audet.model import ModelConfig, ModelParams, model_forward
 
-from conftest import TINY_MODEL
+from conftest import TINY_MODEL, probabilities, traced_peak
 from naive_scorer import naive_score
 
 
@@ -455,7 +453,7 @@ class TestEvaluate:
 def test_a_nan_probability_is_a_numeric_error(tiny_params, tiny_corpus):
     # a 0.5 threshold reads NaN as "inactive", so scoring must not return one
     params = tiny_params.copy()
-    params.classifier_bias.value[1] = np.nan
+    params.tensors["classifier.bias"].value[1] = np.nan
     with pytest.raises(NumericError, match="non-finite activation probability"):
         evaluate(params, tiny_corpus, window=1)
 
@@ -474,9 +472,9 @@ def test_score_frames_chunks_match_one_batch(tiny_corpus, monkeypatch):
     monkeypatch.setattr(E, "SCORING_BATCH", 4)  # passes of 3+1, 4, 4, 1+3 and 2 frames
     scores = E.score_frames(params, videos, T.Workspace())
     assert [(p.shape, l.shape) for p, l in scores] == [((n, 8), (n, 8, 2)) for n in (3, 10, 5)]
-    np.testing.assert_allclose(np.concatenate([p for p, _ in scores]), whole.probs,
+    np.testing.assert_allclose(np.concatenate([p for p, _ in scores]), probabilities(whole),
                                rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(np.concatenate([l for _, l in scores]), whole.logits.value,
+    np.testing.assert_allclose(np.concatenate([l for _, l in scores]), whole.value,
                                rtol=1e-12, atol=1e-14)
 
 
@@ -565,12 +563,7 @@ def test_a_corpus_holds_the_buffers_of_one_pass(default_params, short_videos):
 
 def test_scoring_memory_does_not_grow_with_the_corpus(default_params, short_videos):
     def peak(videos):
-        tracemalloc.start()
-        try:
-            E.predict_tracks(default_params, videos, 1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(E.predict_tracks, default_params, videos, 1)[1]
 
     few, many = peak(short_videos[:4]), peak(short_videos)
     assert many <= 1.1 * few, (few, many)

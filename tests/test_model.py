@@ -1,9 +1,11 @@
 """Model tests: branch shapes, zero-parameter fixed points, decoder
 causality, parameter accounting, and the checkpoint container."""
 
+import hashlib
 import os
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from audet.model import (
 from audet import tensor as T
 from audet.tensor import Parameter, Tensor, finite_difference_report
 
-from conftest import TINY_MODEL, weighted_sum
+from conftest import TINY_MODEL, probabilities, traced_peak, weighted_sum
 
 
 def _inputs(config, seed=0, dtype=np.float64):
@@ -136,11 +138,12 @@ def test_branch_shapes_and_ranges():
     assert fused.shape == (1, TINY_MODEL.fusion_out)
     assert np.all(np.abs(fused.value) < 1.0)
 
-    result = model_forward(params, image, diff)
-    assert result.probs.shape == (1, 8)
-    assert result.probs.dtype == np.float64
-    assert np.all((result.probs > 0.0) & (result.probs < 1.0))
-    assert result.logits.shape == (1, 8, 2)
+    logits = model_forward(params, image, diff)
+    probs = probabilities(logits)
+    assert probs.shape == (1, 8)
+    assert probs.dtype == np.float64
+    assert np.all((probs > 0.0) & (probs < 1.0))
+    assert logits.shape == (1, 8, 2)
 
 
 def test_zero_params_give_indifferent_predictions():
@@ -151,8 +154,8 @@ def test_zero_params_give_indifferent_predictions():
     h_dynamic = dynamic_forward(params, diff)
     np.testing.assert_array_equal(h_dynamic.value,
                                   np.zeros((1, TINY_MODEL.dynamic_hidden[-1])))
-    result = model_forward(params, image, diff)
-    np.testing.assert_array_equal(result.probs, np.full((1, 8), 0.5))
+    np.testing.assert_array_equal(probabilities(model_forward(params, image, diff)),
+                                  np.full((1, 8), 0.5))
 
 
 def test_fusion_concatenates_dynamic_before_static():
@@ -162,7 +165,7 @@ def test_fusion_concatenates_dynamic_before_static():
     # weights that copy the dynamic half and ignore the static half
     w = np.zeros((TINY_MODEL.fusion_out, d + s))
     w[:d, :d] = np.eye(d)
-    params.fusion_weights.value[...] = w
+    params.tensors["fusion.weights"].value[...] = w
     rng = np.random.default_rng(3)
     dynamic = Tensor(rng.uniform(-1, 1, d))
     static = Tensor(rng.uniform(-1, 1, s))
@@ -180,10 +183,11 @@ def test_dynamic_branch_input_gradient():
     weights = rng.uniform(-1, 1, TINY_MODEL.dynamic_hidden[-1])
 
     def loss_fn():
-        *hidden, (w, b) = params.dynamic_layers
+        t, last = params.tensors, len(TINY_MODEL.dynamic_hidden) - 1
         x = diff
-        for hw, hb in hidden:
-            x = T.relu(T.linear(hw, hb, x))
+        for i in range(last):
+            x = T.relu(T.linear(t[f"dynamic{i}.weights"], t[f"dynamic{i}.bias"], x))
+        w, b = t[f"dynamic{last}.weights"], t[f"dynamic{last}.bias"]
         return weighted_sum(T.tanh(T.linear(w, b, x)), weights)
 
     assert finite_difference_report(loss_fn, [diff], 1e-3).max_relative_error <= 1e-5
@@ -192,12 +196,12 @@ def test_dynamic_branch_input_gradient():
 def test_decoder_causality():
     params = ModelParams.init(TINY_MODEL, seed=5, dtype=np.float64)
     image, diff = _inputs(TINY_MODEL, seed=6)
-    base = model_forward(params, image, diff).probs
+    base = probabilities(model_forward(params, image, diff))
     rng = np.random.default_rng(7)
     for j in (1, 4, 7):
         bumped = params.copy()
-        bumped.au_table.value[j] += rng.uniform(0.5, 1.0, TINY_MODEL.au_embedding_dim)
-        probs = model_forward(bumped, image, diff).probs
+        bumped.tensors["au_table"].value[j] += rng.uniform(0.5, 1.0, TINY_MODEL.au_embedding_dim)
+        probs = probabilities(model_forward(bumped, image, diff))
         np.testing.assert_array_equal(probs[0, :j], base[0, :j])
         assert probs[0, j] != base[0, j]
 
@@ -231,8 +235,8 @@ def test_init_is_seeded_and_distinct():
 def test_copy_is_independent():
     params = ModelParams.init(TINY_MODEL, seed=13)
     clone = params.copy()
-    clone.au_table.value[0, 0] += 1.0
-    assert params.au_table.value[0, 0] != clone.au_table.value[0, 0]
+    clone.tensors["au_table"].value[0, 0] += 1.0
+    assert params.tensors["au_table"].value[0, 0] != clone.tensors["au_table"].value[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +253,21 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         np.testing.assert_array_equal(pa.value, pb.value)
     image, diff = _inputs(TINY_MODEL, seed=22, dtype=np.float32)
     np.testing.assert_array_equal(
-        model_forward(params, image, diff).probs, model_forward(loaded, image, diff).probs
+        probabilities(model_forward(params, image, diff)),
+        probabilities(model_forward(loaded, image, diff)),
     )
+
+
+@pytest.mark.parametrize("cfg, pin", [
+    (ModelConfig(), "5ea436433a332f480bf01dbd36353ec2f18f007dd3f62b57ae46ac41e6b5a830"),
+    (TINY_MODEL, "d38e37ee94f102c3ab60f1e4ae014170183d44e8922664962a4caa259ba1fa3b"),
+], ids=["default", "tiny"])
+def test_initial_checkpoint_bytes_are_pinned(tmp_path, cfg, pin):
+    # init draws from numpy's generator and does no BLAS arithmetic, so the
+    # bytes are the same on every host; they change if the parameter table's
+    # order, names or shapes, or the order of the init draws, change
+    path = save_checkpoint(ModelParams.init(cfg, seed=0), tmp_path / "m.auck")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == pin
 
 
 def test_failed_checkpoint_write_leaves_the_old_file(tmp_path, monkeypatch):
@@ -344,21 +361,33 @@ def test_checkpoint_rejects_a_wrong_tensor_shape(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_a_wrong_parameter_total_before_allocating(tmp_path, monkeypatch):
+def test_checkpoint_rejects_a_wrong_parameter_total_before_allocating(tmp_path):
     params = ModelParams.init(TINY_MODEL, seed=30)
     named = params.named_arrays()
     name, value = named[1]
     named[1] = (name, np.zeros(value.size + 1, value.dtype))
     path = _save_with(params, tmp_path / "m.auck", named)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("ModelParams.zeros called before the parameter total was checked")
-
-    monkeypatch.setattr(ModelParams, "zeros", refuse)
     total = parameter_count(TINY_MODEL)
     with pytest.raises(FormatError, match=rf"the config has {total} parameters, "
                                           rf"the file stores {total + 1}$"):
         load_checkpoint(path)
+
+    # a config about 280 times the size of the tensors stored: the totals must
+    # disagree before anything of the config's size exists, so the failing
+    # load holds no more than a few times the file (building the config's
+    # parameters and gradients would hold over 500 times it)
+    params = ModelParams.init(TINY_MODEL, seed=30)
+    params.config = replace(TINY_MODEL, fusion_out=512)
+    path = save_checkpoint(params, tmp_path / "huge.auck")
+    claimed = parameter_count(params.config)
+
+    def failing_load():
+        with pytest.raises(FormatError, match=rf"the config has {claimed} parameters, "
+                                              rf"the file stores {total}$"):
+            load_checkpoint(path)
+
+    _, peak = traced_peak(failing_load)
+    assert peak < 4 * path.stat().st_size
 
 
 def test_checkpoint_rejects_another_au_order(tmp_path, monkeypatch):
@@ -375,7 +404,7 @@ def test_checkpoint_rejects_another_au_order(tmp_path, monkeypatch):
 def test_checkpoint_save_refuses_a_non_finite_tensor(tmp_path, value):
     # 1e39 is finite in float64 but overflows the stored float32
     params = ModelParams.init(TINY_MODEL, seed=32, dtype=np.float64)
-    params.fusion_bias.value[2] = value
+    params.tensors["fusion.bias"].value[2] = value
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="tensor 'fusion.bias' holds NaN or Inf"):
             save_checkpoint(params, tmp_path / "m.auck")
@@ -438,23 +467,25 @@ def _per_frame_reference(params, image, diff, labels, weights):
     multi-step scans or the batch loss over several frames and labels.
     Returns (probs, loss node or None).
     """
-    cfg = params.config
+    cfg, p = params.config, params.tensors
     x = Tensor(image.transpose(1, 2, 0)[None])  # channel-last
-    for (kern, bias), (_, _, stride) in zip(params.conv_layers, cfg.conv_spec):
-        x = T.relu(T.conv2d(x, kern, bias, stride))
+    for i, (_, _, stride) in enumerate(cfg.conv_spec):
+        x = T.relu(T.conv2d(x, p[f"conv{i}.kernels"], p[f"conv{i}.bias"], stride))
     seq = T.spatial_sequence(x)
     h = Tensor(np.zeros((1, cfg.static_gru_hidden)))
     for t in range(seq.shape[1]):
-        h = T.row(T.gru_scan(T.row(seq, t), h, params.static_gru), 0)
+        h = T.row(T.gru_scan(T.row(seq, t), h, params.cell("static_gru")), 0)
     d = Tensor(diff[None])
-    for i, (w, b) in enumerate(params.dynamic_layers, start=1):
-        d = (T.tanh if i == len(params.dynamic_layers) else T.relu)(T.linear(w, b, d))
-    state = T.tanh(T.linear(params.fusion_weights, params.fusion_bias, T.concat([d, h])))
+    layers = len(cfg.dynamic_hidden)
+    for i in range(layers):
+        w, b = p[f"dynamic{i}.weights"], p[f"dynamic{i}.bias"]
+        d = (T.tanh if i == layers - 1 else T.relu)(T.linear(w, b, d))
+    state = T.tanh(T.linear(p["fusion.weights"], p["fusion.bias"], T.concat([d, h])))
     probs, terms = [], []
     for i in range(len(AU_ORDER)):
-        states = T.gru_scan(_row_matrix(params.au_table, i), state, params.query_gru)
+        states = T.gru_scan(_row_matrix(p["au_table"], i), state, params.cell("query_gru"))
         state = T.row(states, 0)
-        lg = T.linear(params.classifier_weights, params.classifier_bias, states)
+        lg = T.linear(p["classifier.weights"], p["classifier.bias"], states)
         pair = lg.value[0, 0]
         probs.append(float(np.exp(pair[1] - np.logaddexp(*pair))))
         if labels[i] != -1:
@@ -496,15 +527,16 @@ def test_batched_forward_loss_and_gradients_match_per_frame_graphs(frames):
     weights = np.array([2.0, 1.0, 3.5, 1.0, 10.0, 1.0, 1.5, 4.0])
 
     batched = model_forward(params, images, diffs)
-    assert batched.probs.shape == (frames, 8)
-    assert batched.logits.shape == (frames, 8, 2)
-    loss = masked_cross_entropy(batched.logits, labels, weights)
+    batched_probs = probabilities(batched)
+    assert batched_probs.shape == (frames, 8)
+    assert batched.shape == (frames, 8, 2)
+    loss = masked_cross_entropy(batched, labels, weights)
     got = _grads(params, loss)
 
     ref_probs, ref_loss = _reference_batch(params, images, diffs, labels, weights)
     want = _grads(params, ref_loss)
 
-    np.testing.assert_allclose(batched.probs, ref_probs, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(batched_probs, ref_probs, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(float(loss.value), float(ref_loss.value), rtol=1e-12)
     for name, g in want.items():
         scale = max(1.0, float(np.abs(g).max()))
@@ -513,7 +545,7 @@ def test_batched_forward_loss_and_gradients_match_per_frame_graphs(frames):
     if frames > 1:
         # removing the all-unknown frame changes neither the loss nor a gradient
         keep = [t for t in range(frames) if t != 2]
-        rest = masked_cross_entropy(model_forward(params, images[keep], diffs[keep]).logits,
+        rest = masked_cross_entropy(model_forward(params, images[keep], diffs[keep]),
                                     labels[keep], weights)
         np.testing.assert_allclose(float(rest.value), float(loss.value), rtol=1e-12)
         for name, g in _grads(params, rest).items():
@@ -551,10 +583,9 @@ def test_forward_results_without_a_workspace_are_independent():
     batches = [(rng.uniform(0, 1, (3, 2, size, size)).astype(np.float32),
                 rng.uniform(-1, 1, (3, 146)).astype(np.float32)) for _ in range(2)]
     a = model_forward(params, *batches[0])
-    kept = a.probs.copy(), a.logits.value.copy()
+    kept = a.value.copy()
     b = model_forward(params, *batches[1])
-    assert a.probs.tobytes() == kept[0].tobytes()
-    assert a.logits.value.tobytes() == kept[1].tobytes()
-    ours, theirs = _graph_arrays(a.logits), _graph_arrays(b.logits)
+    assert a.value.tobytes() == kept.tobytes()
+    ours, theirs = _graph_arrays(a), _graph_arrays(b)
     assert len(ours) > 10
     assert not any(np.shares_memory(x, y) for x in ours for y in theirs)

@@ -639,7 +639,7 @@ class TestWorkspace:
         with pytest.raises(EmptyBatchError, match="every label in the batch is -1"):
             self.step(unknown, T.Workspace())
         assert T._active.get() is None
-        self.params.classifier_bias.value[...] = np.nan
+        self.params.tensors["classifier.bias"].value[...] = np.nan
         with pytest.raises(NumericError, match="diverged"):
             self.step(_random_batch(self.rng, 3), T.Workspace())
         assert T._active.get() is None
