@@ -11,14 +11,18 @@ from .errors import CorruptionError, FormatError
 
 
 class ByteReader:
-    """Sequential reader that reports truncation with a byte offset."""
+    """Sequential reader that reports truncation with a byte offset.
+
+    It reads through a memoryview, so a payload it hands out shares the
+    input's memory instead of copying it.
+    """
 
     def __init__(self, data: bytes | memoryview, origin: str):
-        self.data = data
+        self.data = memoryview(data)
         self.origin = origin
         self.ofs = 0
 
-    def take(self, n: int) -> bytes | memoryview:
+    def take(self, n: int) -> memoryview:
         if self.ofs + n > len(self.data):
             raise CorruptionError(
                 f"{self.origin}: truncated at byte {self.ofs}, "

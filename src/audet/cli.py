@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .binio import write_atomic
-from .data import SynthConfig, generate_synthetic, load_corpus, store_corpus
+from .data import FrameStream, SynthConfig, generate_synthetic, load_corpus, store_corpus
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -325,7 +325,7 @@ def _cmd_gradcheck(cfg: dict) -> int:
             videos=1, frames_per_video=3, seed=cfg["seed"], image_size=config.image_size
         )
     )[0]
-    images, diffs = video.model_inputs(np.float64)
+    images, diffs = FrameStream([video]).inputs(slice(None), np.float64)
     weights = np.ones(video.labels.shape[1])
     params = ModelParams.init(config, cfg["seed"], np.float64)
     clear_relu_margins(params, images, diffs, margin=max(0.05, 50.0 * cfg["step"]))

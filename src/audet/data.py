@@ -4,8 +4,10 @@ A video is held column-wise, T-leading, in the corpus file's own units:
 u8 pixel planes (grayscale rendering of a schematic 73-point face, then
 its Sobel edge map), f32 landmark coordinates, and one i8 label per
 action unit (-1 marks unknown).  One record dtype describes a stored
-frame, so a video is written and read as one block of bytes, and
-:func:`decode_planes` is the only place u8 planes become model input.
+frame, so a video is written and read as one block of bytes.  A
+:class:`FrameStream` numbers the frames of a list of videos as rows,
+and its :meth:`FrameStream.inputs` is the only place stored frames
+become model input.
 Videos are generated by a five-state expression Markov chain;
 activations ramp linearly over three frames so that labels flip before
 the face fully settles, which is the only label noise in the default
@@ -213,10 +215,6 @@ class VideoSequence:
         """The T x 8 labels (the ``labels`` array itself, not a copy)."""
         return self.labels
 
-    def model_inputs(self, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """Decoded planes (T x 2 x H x W) and motion features (T x 146) in dtype."""
-        return decode_planes(self.planes, dtype), landmark_diffs(self.landmarks).astype(dtype)
-
 
 def encode_planes(values: np.ndarray) -> np.ndarray:
     """Values in [0, 1] (clipped) to the u8 grid: round(255 x)."""
@@ -278,6 +276,38 @@ def landmark_diffs(landmarks: np.ndarray) -> np.ndarray:
     ahead = landmarks[np.minimum(t + 1, n - 1)]
     behind = landmarks[np.maximum(t - 1, 0)]
     return (10.0 * (ahead - behind)).reshape(n, -1)
+
+
+class FrameStream:
+    """The frames of a list of videos as rows 0..N-1, in (video, frame) order.
+
+    Only the small per-frame arrays are concatenated: ``diffs``, the
+    N x 146 motion features, and ``labels``, N x 8.  The u8 planes stay
+    in their videos; :meth:`inputs`, the one place stored frames become
+    model input, gathers and decodes only the rows asked for.  Training
+    reads the rows in shuffled batches, scoring in consecutive passes.
+    """
+
+    def __init__(self, videos: list[VideoSequence]):
+        if not videos:
+            raise ContractViolation("FrameStream: no videos")
+        self.videos = videos
+        self.lengths = np.array([len(v) for v in videos])
+        self.diffs = np.concatenate([landmark_diffs(v.landmarks) for v in videos])
+        self.labels = np.concatenate([v.labels for v in videos])
+        # each row's owning video and its frame index there
+        self.video = np.repeat(np.arange(len(videos)), self.lengths)
+        self.frame = np.concatenate([np.arange(len(v)) for v in videos])
+
+    def __len__(self):
+        return len(self.labels)
+
+    def inputs(self, rows, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Decoded planes (B x 2 x H x W) and motion features (B x 146), in
+        dtype, of ``rows``: an index array or a slice."""
+        planes = np.stack([self.videos[v].planes[t] for v, t in
+                           zip(self.video[rows].tolist(), self.frame[rows].tolist())])
+        return decode_planes(planes, dtype), self.diffs[rows].astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +533,7 @@ def store_corpus(videos: list[VideoSequence], path) -> Path:
 
 
 def _load_file(target: Path) -> list[VideoSequence]:
-    r = ByteReader(memoryview(target.read_bytes()), str(target))
+    r = ByteReader(target.read_bytes(), str(target))
     r.check_header(CORPUS_MAGIC, CORPUS_VERSION, "corpus")
     h, w, count = r.unpack("<HHI")
     if count == 0:

@@ -4,8 +4,8 @@ smoothing, F1, challenge metric.
 Every scoring pass, training's validation included, is :func:`score_frames`
 in a :class:`tensor.Workspace`.  The model scores each frame on its own
 (a video matters only through its landmark differences), so
-``score_frames`` treats a list of videos as one stream of frames and
-fills every forward pass with the next SCORING_BATCH of them, across
+``score_frames`` reads a list of videos as one :class:`data.FrameStream`
+and fills every forward pass with its next SCORING_BATCH rows, across
 video boundaries, before splitting the scores back per video.
 
 The challenge metric is 0.5 * pooled accuracy + 0.5 * mean per-AU F1.
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .binio import write_atomic
-from .data import AU_ORDER, VideoSequence, decode_planes, landmark_diffs
+from .data import AU_ORDER, FrameStream, VideoSequence
 from .errors import ContractViolation, NumericError
 from .model import ModelParams, check_frame_size, model_forward
 
@@ -164,67 +164,30 @@ def challenge_metric(
 SCORING_BATCH = 16
 
 
-def _chunks(videos: list[VideoSequence]):
-    """The frame stream of ``videos``, cut into passes of SCORING_BATCH frames.
+def score_frames(params: ModelParams, videos: list[VideoSequence], workspace: T.Workspace):
+    """Probabilities (T x 8) and float64 logits (T x 8 x 2) of every video.
 
-    Yields each pass as a list of (video index, first frame, u8 planes,
-    motion features) pieces, in stream order; a pass may span several
-    videos, and only the last one may be short.
+    The videos' frames form one :class:`data.FrameStream`, and every
+    forward pass scores its next SCORING_BATCH rows in ``workspace``'s
+    buffers, across video boundaries.  Only that pass's planes are
+    decoded, so memory does not grow with the corpus.  Returns one
+    (probs, logits) pair per video; the arrays never alias the buffers.
+    Raises NumericError on a non-finite probability, which a 0.5
+    threshold would read as "inactive".
     """
-    chunk, room = [], SCORING_BATCH
-    for i, video in enumerate(videos):
-        diffs = landmark_diffs(video.landmarks)
-        start = 0
-        while start < len(video):
-            stop = min(len(video), start + room)
-            chunk.append((i, start, video.planes[start:stop], diffs[start:stop]))
-            room -= stop - start
-            start = stop
-            if room == 0:
-                yield chunk
-                chunk, room = [], SCORING_BATCH
-    if chunk:
-        yield chunk
-
-
-def _score_pass(params: ModelParams, chunk, workspace: T.Workspace):
-    """Probabilities and float64 logits of one pass's frames, in stream order.
-
-    The pass's graph dies when this returns, before the next pass builds
-    its own.  Raises NumericError on a non-finite probability, which a
-    0.5 threshold would read as "inactive".
-    """
-    images = decode_planes(np.concatenate([planes for _, _, planes, _ in chunk]), params.dtype)
-    diffs = np.concatenate([diffs for *_, diffs in chunk]).astype(params.dtype)
-    with T.reusing(workspace):
-        logits = model_forward(params, images, diffs).value.astype(np.float64)
+    frames = FrameStream(videos)
+    logits = np.empty((len(frames), len(AU_ORDER), 2))
+    for start in range(0, len(frames), SCORING_BATCH):
+        rows = slice(start, start + SCORING_BATCH)
+        # each pass's graph dies before the next pass builds its own
+        with T.reusing(workspace):
+            logits[rows] = model_forward(params, *frames.inputs(rows, params.dtype)).value
     probs = T.logistic(logits[..., 1] - logits[..., 0])
     if not np.isfinite(probs).all():
         raise NumericError("scoring gave a non-finite activation probability; "
                            "the model's parameters may hold NaN or Inf")
-    return probs, logits
-
-
-def score_frames(params: ModelParams, videos: list[VideoSequence], workspace: T.Workspace):
-    """Probabilities (T x 8) and float64 logits (T x 8 x 2) of every video.
-
-    The videos' frames form one stream, and every forward pass scores
-    the next SCORING_BATCH of them in ``workspace``'s buffers, across
-    video boundaries.  Only that chunk's planes are decoded, so memory
-    does not grow with the corpus.  Returns one (probs, logits) pair per
-    video; the arrays are copies and never alias the buffers.
-    """
-    scores = [(np.empty((len(v), len(AU_ORDER))), np.empty((len(v), len(AU_ORDER), 2)))
-              for v in videos]
-    for chunk in _chunks(videos):
-        probs, logits = _score_pass(params, chunk, workspace)
-        at = 0
-        for i, start, planes, _ in chunk:
-            n = len(planes)
-            scores[i][0][start:start + n] = probs[at:at + n]
-            scores[i][1][start:start + n] = logits[at:at + n]
-            at += n
-    return scores
+    cuts = np.cumsum(frames.lengths)[:-1]
+    return list(zip(np.split(probs, cuts), np.split(logits, cuts)))
 
 
 def predict_video(params: ModelParams, video: VideoSequence) -> np.ndarray:

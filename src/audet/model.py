@@ -33,7 +33,7 @@ from . import tensor as T
 from .binio import ByteReader, pack_str, write_atomic
 from .data import AU_ORDER, LANDMARK_COUNT
 from .errors import ContractViolation, FormatError, NumericError
-from .tensor import GruCellParams, Parameter, Tensor
+from .tensor import Parameter, Tensor
 
 DIFF_DIM = 2 * LANDMARK_COUNT
 
@@ -143,6 +143,13 @@ GRADCHECK_CONFIG = ModelConfig(
 )
 
 
+def _gru_shapes(prefix: str, input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of a gated cell's tensors (see tensor.gru_scan)."""
+    return {f"{prefix}.input_weights": (3 * hidden_dim, input_dim),
+            f"{prefix}.hidden_weights": (3 * hidden_dim, hidden_dim),
+            f"{prefix}.biases": (3 * hidden_dim,)}
+
+
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every trainable tensor, in table order.
 
@@ -156,7 +163,7 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"conv{i}.kernels"] = (cout, cin, k, k)
         shapes[f"conv{i}.bias"] = (cout,)
     h = config.static_gru_hidden
-    shapes.update(GruCellParams.shapes(config.conv_spec[-1][0], h, "static_gru"))
+    shapes.update(_gru_shapes("static_gru", config.conv_spec[-1][0], h))
     prev = DIFF_DIM
     for i, width in enumerate(config.dynamic_hidden):
         shapes[f"dynamic{i}.weights"] = (width, prev)
@@ -166,7 +173,7 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["fusion.weights"] = (f, prev + h)
     shapes["fusion.bias"] = (f,)
     shapes["au_table"] = (len(AU_ORDER), config.au_embedding_dim)
-    shapes.update(GruCellParams.shapes(config.au_embedding_dim, f, "query_gru"))
+    shapes.update(_gru_shapes("query_gru", config.au_embedding_dim, f))
     shapes["classifier.weights"] = (2, f)
     shapes["classifier.bias"] = (2,)
     return shapes
@@ -189,11 +196,10 @@ class ModelParams:
     def dtype(self):
         return self.tensors["au_table"].value.dtype
 
-    def cell(self, prefix: str) -> GruCellParams:
-        """The gated cell whose tensors are named ``prefix.*``."""
+    def cell(self, prefix: str) -> tuple[Parameter, Parameter, Parameter]:
+        """The input weights, hidden weights and biases of the gated cell ``prefix``."""
         t = self.tensors
-        return GruCellParams(t[f"{prefix}.input_weights"], t[f"{prefix}.hidden_weights"],
-                             t[f"{prefix}.biases"])
+        return t[f"{prefix}.input_weights"], t[f"{prefix}.hidden_weights"], t[f"{prefix}.biases"]
 
     def all_parameters(self) -> list[Parameter]:
         return list(self.tensors.values())
@@ -265,7 +271,7 @@ def static_forward(params: ModelParams, image: np.ndarray) -> Tensor:
         x = T.relu(T.conv2d(x, t[f"conv{i}.kernels"], t[f"conv{i}.bias"], stride))
     seq = T.spatial_sequence(x)
     h0 = Tensor(np.zeros((len(image), cfg.static_gru_hidden), dtype=params.dtype))
-    states = T.gru_scan(seq, h0, params.cell("static_gru"))
+    states = T.gru_scan(seq, h0, *params.cell("static_gru"))
     return T.row(states, states.shape[1] - 1)
 
 
@@ -300,7 +306,7 @@ def classify_aus(params: ModelParams, fused: Tensor) -> Tensor:
     probability of activation.
     """
     t = params.tensors
-    states = T.gru_scan(t["au_table"], fused, params.cell("query_gru"))
+    states = T.gru_scan(t["au_table"], fused, *params.cell("query_gru"))
     return T.linear(t["classifier.weights"], t["classifier.bias"], states)
 
 
@@ -308,7 +314,7 @@ def model_forward(params: ModelParams, image: np.ndarray, diff: np.ndarray) -> T
     """Full pass over a batch: the B x 8 x 2 logits node of all 8 AUs.
 
     ``image`` is B x 2 x H x W (gray plus edge planes, see
-    data.decode_planes) and ``diff`` B x 146; the batch runs as one graph.
+    data.FrameStream.inputs) and ``diff`` B x 146; the batch runs as one graph.
     """
     if image.shape[:1] != diff.shape[:1]:
         raise ContractViolation(

@@ -386,60 +386,17 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
 # gated recurrent cell
 
 
-@dataclass
-class GruCellParams:
-    """Weights of one gated recurrent cell.
-
-    The three gate blocks are stacked row-wise in the order update,
-    reset, candidate: ``input_weights`` is 3h x d, ``hidden_weights``
-    is 3h x h and ``biases`` is 3h.
-    """
-
-    input_weights: Parameter
-    hidden_weights: Parameter
-    biases: Parameter
-
-    def __post_init__(self):
-        wi, wh, b = self.input_weights.value, self.hidden_weights.value, self.biases.value
-        _require(wi.ndim == 2 and wi.shape[0] % 3 == 0,
-                 lambda: f"gru: input weights must be 3h x d, got {wi.shape}")
-        h = wi.shape[0] // 3
-        _require(wh.shape == (3 * h, h),
-                 lambda: f"gru: hidden weights must be {(3 * h, h)}, got {wh.shape}")
-        _require(b.shape == (3 * h,), lambda: f"gru: biases must be ({3 * h},), got {b.shape}")
-
-    @property
-    def input_dim(self) -> int:
-        return self.input_weights.value.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.input_weights.value.shape[0] // 3
-
-    def parameters(self) -> list[Parameter]:
-        return [self.input_weights, self.hidden_weights, self.biases]
-
-    @staticmethod
-    def shapes(input_dim: int, hidden_dim: int, prefix="gru") -> dict[str, tuple[int, ...]]:
-        """Name -> shape of the cell's tensors, in field order."""
-        return {f"{prefix}.input_weights": (3 * hidden_dim, input_dim),
-                f"{prefix}.hidden_weights": (3 * hidden_dim, hidden_dim),
-                f"{prefix}.biases": (3 * hidden_dim,)}
-
-    @classmethod
-    def zeros(cls, input_dim: int, hidden_dim: int, dtype=np.float32, prefix="gru"):
-        return cls(*(Parameter(np.zeros(shape, dtype), name)
-                     for name, shape in cls.shapes(input_dim, hidden_dim, prefix).items()))
-
-
-def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
+def gru_scan(xs: Tensor, h0: Tensor, wi: Tensor, wh: Tensor, bias: Tensor) -> Tensor:
     """Run a gated recurrent cell over S steps, as a single node.
 
     ``h0`` is the B x h batch of initial states, and the output is the
     B x S x h sequence of states, [b, t] being row b's state after
     consuming its input t.  ``xs`` is either B x S x d, one input
     sequence per row, or S x d, one sequence shared by every row
-    (projected once, not B times).
+    (projected once, not B times).  The cell's three gate blocks are
+    stacked row-wise in the order update, reset, candidate: the input
+    weights ``wi`` are 3h x d, the hidden weights ``wh`` 3h x h and
+    ``bias`` 3h.
 
     Every step's input projection is computed up front in one matmul;
     the loop over steps does only the recurrent part.  The loop keeps
@@ -455,7 +412,13 @@ def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
     all steps before its loop, which then writes into preallocated
     buffers.
     """
-    d, hd = cell.input_dim, cell.hidden_dim
+    _require(wi.value.ndim == 2 and wi.value.shape[0] % 3 == 0,
+             lambda: f"gru: input weights must be 3h x d, got {wi.value.shape}")
+    hd, d = wi.value.shape[0] // 3, wi.value.shape[1]
+    _require(wh.value.shape == (3 * hd, hd),
+             lambda: f"gru: hidden weights must be {(3 * hd, hd)}, got {wh.value.shape}")
+    _require(bias.value.shape == (3 * hd,),
+             lambda: f"gru: biases must be ({3 * hd},), got {bias.value.shape}")
     _require(h0.value.ndim == 2 and h0.value.shape[1] == hd,
              lambda: f"gru_scan: state must be a B x {hd} batch, got {h0.value.shape}")
     _require(xs.value.ndim in (2, 3) and xs.value.shape[-1] == d,
@@ -464,7 +427,6 @@ def gru_scan(xs: Tensor, h0: Tensor, cell: GruCellParams) -> Tensor:
              lambda: f"gru_scan: input batch {xs.value.shape} does not match "
                      f"state {h0.value.shape}")
     _require(xs.value.shape[-2] >= 1, "gru_scan: no steps")
-    wi, wh, bias = cell.input_weights, cell.hidden_weights, cell.biases
     hv = h0.value
     rows, steps = hv.shape[0], xs.value.shape[-2]
     shared = xs.value.ndim == 2

@@ -1,11 +1,13 @@
 """Deterministic training loop: weighted cross entropy, clipping, Adam.
 
-Videos split 80/20 into train and validation by id.  Every batch
-builds one graph for all of its frames, accumulates gradients once,
-clips by global norm, then applies bias-corrected Adam; a batch whose
-labels are all -1 is skipped.  All shuffling comes from RNGs seeded
-by (seed, salt), so two runs with the same corpus and config produce
-bitwise identical parameters.
+Videos split 80/20 into train and validation by id.  The training
+videos' frames are one :class:`data.FrameStream`, read in a new
+shuffled order each epoch; a batch gathers and decodes the planes of
+its own frames only.  Every batch builds one graph for all of its
+frames, accumulates gradients once, clips by global norm, then applies
+bias-corrected Adam; a batch whose labels are all -1 is skipped.  All
+shuffling comes from RNGs seeded by (seed, salt), so two runs with the
+same corpus and config produce bitwise identical parameters.
 
 Validation is :func:`evaluation.evaluate` with window 1, the unsmoothed
 score.  One :class:`tensor.Workspace` serves every training step and
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import evaluation, tensor as T
 from .binio import write_atomic
-from .data import AU_ORDER, VideoSequence, decode_planes, landmark_diffs, reject_non_finite
+from .data import AU_ORDER, FrameStream, VideoSequence, reject_non_finite
 from .errors import ContractViolation, EmptyBatchError, NumericError
 from .model import ModelConfig, ModelParams, check_frame_size, model_forward
 from .tensor import Tensor
@@ -80,13 +82,13 @@ class TrainConfig:
 # loss
 
 
-def compute_class_weights(videos: list[VideoSequence]) -> np.ndarray:
-    """Per-AU positive-example weight: negatives/positives, clipped to [1, 10].
+def compute_class_weights(labels: np.ndarray) -> np.ndarray:
+    """Per-AU positive-example weight from N x 8 labels: negatives/positives,
+    clipped to [1, 10].
 
     An AU with no positive examples at all gets the cap.  Unknown
     labels (-1) are ignored.
     """
-    labels = np.concatenate([v.labels for v in videos])
     pos = (labels == 1).sum(axis=0).astype(np.float64)
     neg = (labels == 0).sum(axis=0).astype(np.float64)
     ratio = np.where(pos > 0, neg / np.maximum(pos, 1.0), WEIGHT_CAP)
@@ -239,12 +241,9 @@ def train(
     by_id = {v.video_id: v for v in corpus}
     dtype = train_config.dtype
     # every training frame, in (video, frame) order: a batch is rows of these
-    train_videos = [by_id[i] for i in train_ids]
-    planes = np.concatenate([v.planes for v in train_videos])
-    diffs = np.concatenate([landmark_diffs(v.landmarks) for v in train_videos]).astype(dtype)
-    labels = np.concatenate([v.labels for v in train_videos])
+    frames = FrameStream([by_id[i] for i in train_ids])
     val_videos = [by_id[i] for i in val_ids]
-    if (labels == -1).all():
+    if (frames.labels == -1).all():
         raise EmptyBatchError(f"every label of the {len(train_ids)} training videos is -1")
     if all((v.labels == -1).all() for v in val_videos):
         raise ContractViolation(
@@ -253,7 +252,7 @@ def train(
         )
 
     if train_config.class_weighting:
-        weights = compute_class_weights(train_videos)
+        weights = compute_class_weights(frames.labels)
     else:
         weights = np.ones(len(AU_ORDER))
 
@@ -269,15 +268,15 @@ def train(
 
     for epoch in range(train_config.epochs):
         rng = np.random.default_rng([train_config.seed, 3, epoch])
-        order = rng.permutation(len(labels))
+        order = rng.permutation(len(frames))
         epoch_loss = 0.0
         norms = []
         started = time.perf_counter()
         for start in range(0, len(order), train_config.batch_size):
             picks = order[start : start + train_config.batch_size]
-            if (labels[picks] == -1).all():
+            if (frames.labels[picks] == -1).all():
                 continue  # no known label to learn from: no step, no Adam update
-            batch = (decode_planes(planes[picks], dtype), diffs[picks], labels[picks])
+            batch = (*frames.inputs(picks, dtype), frames.labels[picks])
             where = f"epoch {epoch}, batch {start // train_config.batch_size}"
             loss, norm = _train_step(params, adam, batch, weights, train_config, where,
                                      workspace)

@@ -35,6 +35,13 @@ def weighted_sum(a, weights=1.0):
     return T.Tensor(np.asarray((a.value * w).sum()), (a,), push)
 
 
+def gru_cell(input_dim, hidden_dim, fill=np.zeros):
+    """A gated cell's input weights, hidden weights and biases, gru_scan's
+    last three arguments, as Parameters holding ``fill(shape)``."""
+    shapes = ((3 * hidden_dim, input_dim), (3 * hidden_dim, hidden_dim), (3 * hidden_dim,))
+    return tuple(T.Parameter(fill(shape), name) for shape, name in zip(shapes, ("wi", "wh", "b")))
+
+
 def probabilities(logits):
     """B x 8 float64 activation probabilities of a B x 8 x 2 logits node,
     computed as scoring computes them."""

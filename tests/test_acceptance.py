@@ -19,10 +19,10 @@ from audet import cli, tensor as T
 from audet.data import PROTOTYPE_LABELS, SynthConfig, generate_synthetic
 from audet.evaluation import challenge_metric, evaluate, render_report, smooth
 from audet.model import ModelConfig, ModelParams, model_forward
-from audet.tensor import GruCellParams, Parameter, Tensor
+from audet.tensor import Parameter, Tensor
 from audet.training import TrainConfig
 
-from conftest import TINY_MODEL, probabilities, weighted_sum
+from conftest import TINY_MODEL, gru_cell, probabilities, weighted_sum
 from naive_scorer import naive_score
 
 # Frozen from the first verified end-to-end run (best validation metric
@@ -78,12 +78,10 @@ def _sweep_cases() -> list:
     states = param((2, 4, 3), "states")
     case(lambda: T.row(states, 3), states)
 
-    cell = GruCellParams.zeros(5, 4, np.float64, "g")
-    for p in cell.parameters():
-        p.value[...] = rng.uniform(-0.5, 0.5, p.value.shape)
+    cell = gru_cell(5, 4, lambda shape: rng.uniform(-0.5, 0.5, shape))
     per_row, shared, h0 = param((2, 3, 5), "per_row"), param((3, 5), "shared"), param((2, 4), "h0")
-    case(lambda: T.gru_scan(per_row, h0, cell), *cell.parameters(), per_row, h0)
-    case(lambda: T.gru_scan(shared, h0, cell), *cell.parameters(), shared, h0)
+    case(lambda: T.gru_scan(per_row, h0, *cell), *cell, per_row, h0)
+    case(lambda: T.gru_scan(shared, h0, *cell), *cell, shared, h0)
 
     logits = param((3, 4, 2), "logits")
     labels = np.array([[1, 0, -1, 1], [-1, -1, -1, -1], [0, 1, 1, -1]], dtype=np.int8)
@@ -192,9 +190,9 @@ def test_hand_cases(capsys):
     checks.append(("conv2d", np.array_equal(out.value[0, ..., 0], [[6.0, 8.0], [12.0, 14.0]])))
 
     # one step of a zero-parameter cell over a batch of one
-    cell = GruCellParams.zeros(3, 4, np.float64, "g")
+    cell = gru_cell(3, 4)
     h = Tensor(np.array([[0.4, -0.6, 1.0, 0.0]]))
-    hp = T.gru_scan(Tensor(np.zeros((1, 3))), h, cell)
+    hp = T.gru_scan(Tensor(np.zeros((1, 3))), h, *cell)
     checks.append(("gru-half-state", np.array_equal(hp.value[:, 0], 0.5 * h.value)))
 
     # one frame, one known label

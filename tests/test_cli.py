@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from audet import cli, tensor as T
-from audet.data import SynthConfig, frame_record, generate_synthetic, store_corpus
+from audet.data import (FrameStream, SynthConfig, frame_record, generate_synthetic,
+                        store_corpus)
 from audet.errors import ConfigError, ContractViolation
 from audet.model import (CHECKPOINT_VERSION, ModelParams, load_checkpoint, model_forward,
                          parameter_shapes)
@@ -790,7 +791,7 @@ class TestReluClearing:
     def test_every_relu_unit_is_cleared_and_nothing_else_moves(self):
         video = generate_synthetic(SynthConfig(videos=1, frames_per_video=3, seed=7,
                                                image_size=TINY_MODEL.image_size))[0]
-        images, diffs = video.model_inputs(np.float64)
+        images, diffs = FrameStream([video]).inputs(slice(None), np.float64)
         params = ModelParams.init(TINY_MODEL, 7, np.float64)
         before = {name: value.copy() for name, value in params.named_arrays()}
         cli.clear_relu_margins(params, images, diffs, self.MARGIN, self.CAP)

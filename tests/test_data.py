@@ -13,6 +13,7 @@ from audet.data import (
     _DRAWN_GROUPS,
     AU_ORDER,
     EXPRESSION_PROTOTYPES,
+    FrameStream,
     EXPRESSION_STATES,
     LANDMARK_TEMPLATE,
     PROTOTYPE_LABELS,
@@ -414,6 +415,15 @@ def test_loaded_videos_own_their_arrays(small_corpus, tmp_path):
             assert arr.flags.owndata and arr.flags.writeable
 
 
+def test_byte_reader_payloads_share_the_input():
+    data = bytes(range(16))
+    reader = binio.ByteReader(data, "mem")
+    reader.take(3)
+    payload = np.frombuffer(reader.take(8), np.uint8)
+    assert payload.tolist() == list(range(3, 11))
+    assert np.shares_memory(payload, np.frombuffer(data, np.uint8))
+
+
 def test_write_atomic_replaces_the_target_and_leaves_no_temporary(tmp_path):
     target = write_atomic(tmp_path / "sub" / "a.txt", "new")
     assert target.read_text() == "new"
@@ -627,10 +637,35 @@ def test_plain_video_ids_are_accepted(video_id):
     assert _video(video_id=video_id).video_id == video_id
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_frame_stream_inputs_are_the_rows_of_their_videos(dtype):
+    corpus = generate_synthetic(SynthConfig(videos=3, frames_per_video=10, seed=4, image_size=12))
+    videos = [VideoSequence(v.video_id, v.planes[:n], v.landmarks[:n], v.labels[:n])
+              for v, n in zip(corpus, (3, 10, 5))]
+    frames = FrameStream(videos)
+    owners = [(v, t) for v in videos for t in range(len(v))]
+    assert len(frames) == len(owners) and frames.lengths.tolist() == [3, 10, 5]
+    rows = np.random.default_rng(6).permutation(len(owners))
+    for picks in (rows, slice(2, 15)):
+        images, diffs = frames.inputs(picks, dtype)
+        expected = [owners[i] for i in np.arange(len(owners))[picks]]
+        assert images.dtype == dtype and diffs.dtype == dtype
+        assert len(images) == len(diffs) == len(expected)
+        for image, diff, label, (video, t) in zip(images, diffs, frames.labels[picks], expected):
+            assert image.tobytes() == decode_planes(video.planes[t], dtype).tobytes()
+            assert diff.tobytes() == landmark_diffs(video.landmarks)[t].astype(dtype).tobytes()
+            assert label.tobytes() == video.labels[t].tobytes()
+
+
+def test_a_frame_stream_needs_a_video():
+    with pytest.raises(ContractViolation, match="FrameStream: no videos"):
+        FrameStream([])
+
+
 def test_decode_planes_keeps_gray_then_edge():
     planes = np.zeros((3, 2, 4, 4), dtype=np.uint8)
     planes[:, 0], planes[:, 1] = 64, 191
-    images, diffs = _video(planes=planes).model_inputs(np.float64)
+    images, diffs = FrameStream([_video(planes=planes)]).inputs(slice(None), np.float64)
     assert images.shape == (3, 2, 4, 4) and images.dtype == np.float64
     assert diffs.shape == (3, 146) and diffs.dtype == np.float64
     np.testing.assert_array_equal(images[:, 0], np.float32(64) / np.float32(255))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import audet.tensor as T
-from audet.tensor import GruCellParams, Parameter
+from audet.tensor import Parameter
 
 from conftest import weighted_sum
 
@@ -179,11 +179,10 @@ def test_lean_scan_backward_matches_the_per_step_loop(case):
     want = _scan_reference(xs, h0, wi, wh, bias, g)
 
     xp, hp = Parameter(xs.copy(), "xs"), Parameter(h0.copy(), "h0")
-    cell = GruCellParams(Parameter(wi.copy(), "wi"), Parameter(wh.copy(), "wh"),
-                         Parameter(bias.copy(), "b"))
-    states = T.gru_scan(xp, hp, cell)
+    cell = (Parameter(wi.copy(), "wi"), Parameter(wh.copy(), "wh"), Parameter(bias.copy(), "b"))
+    states = T.gru_scan(xp, hp, *cell)
     T.backward(weighted_sum(states, g))
-    got = (states.value, xp.grad, hp.grad, *(p.grad for p in cell.parameters()))
+    got = (states.value, xp.grad, hp.grad, *(p.grad for p in cell))
     for what, a, b in zip(("states", "inputs", "h0", "input weights", "hidden weights",
                            "biases"), got, want):
         _agree(a, b, what)

@@ -5,7 +5,7 @@ import pytest
 
 from audet import evaluation as E
 from audet import tensor as T
-from audet.data import (AU_ORDER, PROTOTYPE_LABELS, SynthConfig, VideoSequence,
+from audet.data import (AU_ORDER, PROTOTYPE_LABELS, FrameStream, SynthConfig, VideoSequence,
                         generate_synthetic)
 from audet.errors import ContractViolation, NumericError
 from audet.evaluation import (
@@ -450,6 +450,11 @@ class TestEvaluate:
 # scoring passes
 
 
+def test_scoring_no_videos_is_a_contract_violation(tiny_params):
+    with pytest.raises(ContractViolation, match="no videos"):
+        E.predict_tracks(tiny_params, [], 1)
+
+
 def test_a_nan_probability_is_a_numeric_error(tiny_params, tiny_corpus):
     # a 0.5 threshold reads NaN as "inactive", so scoring must not return one
     params = tiny_params.copy()
@@ -467,8 +472,7 @@ def _cut(videos, lengths):
 def test_score_frames_chunks_match_one_batch(tiny_corpus, monkeypatch):
     params = ModelParams.init(TINY_MODEL, seed=35, dtype=np.float64)
     videos = _cut(tiny_corpus, (3, 10, 5))
-    inputs = [v.model_inputs(np.float64) for v in videos]
-    whole = model_forward(params, *(np.concatenate(x) for x in zip(*inputs)))
+    whole = model_forward(params, *FrameStream(videos).inputs(slice(None), np.float64))
     monkeypatch.setattr(E, "SCORING_BATCH", 4)  # passes of 3+1, 4, 4, 1+3 and 2 frames
     scores = E.score_frames(params, videos, T.Workspace())
     assert [(p.shape, l.shape) for p, l in scores] == [((n, 8), (n, 8, 2)) for n in (3, 10, 5)]

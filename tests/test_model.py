@@ -474,7 +474,7 @@ def _per_frame_reference(params, image, diff, labels, weights):
     seq = T.spatial_sequence(x)
     h = Tensor(np.zeros((1, cfg.static_gru_hidden)))
     for t in range(seq.shape[1]):
-        h = T.row(T.gru_scan(T.row(seq, t), h, params.cell("static_gru")), 0)
+        h = T.row(T.gru_scan(T.row(seq, t), h, *params.cell("static_gru")), 0)
     d = Tensor(diff[None])
     layers = len(cfg.dynamic_hidden)
     for i in range(layers):
@@ -483,7 +483,7 @@ def _per_frame_reference(params, image, diff, labels, weights):
     state = T.tanh(T.linear(p["fusion.weights"], p["fusion.bias"], T.concat([d, h])))
     probs, terms = [], []
     for i in range(len(AU_ORDER)):
-        states = T.gru_scan(_row_matrix(p["au_table"], i), state, params.cell("query_gru"))
+        states = T.gru_scan(_row_matrix(p["au_table"], i), state, *params.cell("query_gru"))
         state = T.row(states, 0)
         lg = T.linear(p["classifier.weights"], p["classifier.bias"], states)
         pair = lg.value[0, 0]

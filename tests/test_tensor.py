@@ -6,9 +6,9 @@ import pytest
 
 import audet.tensor as T
 from audet.errors import ContractViolation, EmptyBatchError, NumericError
-from audet.tensor import GruCellParams, Parameter, Tensor
+from audet.tensor import Parameter, Tensor
 
-from conftest import weighted_sum
+from conftest import gru_cell, weighted_sum
 
 
 def _param(rng, shape, name, lo=-1.0, hi=1.0):
@@ -81,18 +81,18 @@ def test_conv2d_matches_nested_loop_reference(stride, size, kside):
 
 def _one_step(x, h, cell):
     """One step of a gated cell for a single example: a one-step scan over a batch of one."""
-    return T.gru_scan(Tensor(x[None]), Tensor(h[None]), cell).value[0, 0]
+    return T.gru_scan(Tensor(x[None]), Tensor(h[None]), *cell).value[0, 0]
 
 
 def test_gru_cell_zero_params_halves_state():
-    cell = GruCellParams.zeros(4, 3, dtype=np.float64)
+    cell = gru_cell(4, 3)
     h = np.array([0.4, -1.0, 0.6])
     out = _one_step(np.array([0.3, -0.8, 0.1, 0.9]), h, cell)
     np.testing.assert_allclose(out, 0.5 * h, atol=1e-15)
 
 
 def test_gru_cell_zero_params_zero_state():
-    cell = GruCellParams.zeros(2, 3, dtype=np.float64)
+    cell = gru_cell(2, 3)
     out = _one_step(np.array([1.0, -2.0]), np.zeros(3), cell)
     np.testing.assert_array_equal(out, np.zeros(3))
 
@@ -120,15 +120,13 @@ def _gru_reference(x, h, wi, wh, b):
 
 def test_gru_cell_matches_scalar_reference():
     rng = np.random.default_rng(11)
-    cell = GruCellParams(
+    cell = (
         _param(rng, (9, 4), "wi"), _param(rng, (9, 3), "wh"), _param(rng, (9,), "b")
     )
     x = rng.uniform(-1, 1, 4)
     h = rng.uniform(-1, 1, 3)
     out = _one_step(x, h, cell)
-    ref = _gru_reference(
-        x, h, cell.input_weights.value, cell.hidden_weights.value, cell.biases.value
-    )
+    ref = _gru_reference(x, h, *(p.value for p in cell))
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
@@ -265,25 +263,25 @@ def test_grad_conv2d():
 
 def test_grad_gru_cell_and_chain():
     rng = np.random.default_rng(28)
-    cell = GruCellParams(
+    cell = (
         _param(rng, (9, 4), "wi"), _param(rng, (9, 3), "wh"), _param(rng, (9,), "b")
     )
     # one step for one example: a 1 x d input shared by a batch of one state
     x = _param(rng, (1, 4), "x")
     h = _param(rng, (1, 3), "h")
     weights = rng.uniform(-1, 1, (1, 1, 3))
-    _check(lambda: weighted_sum(T.gru_scan(x, h, cell), weights),
-           [x, h] + cell.parameters())
+    _check(lambda: weighted_sum(T.gru_scan(x, h, *cell), weights),
+           [x, h] + list(cell))
 
     seq = [_param(rng, (1, 4), f"s{t}") for t in range(3)]
 
     def chain():
         state = Tensor(np.zeros((1, 3)))
         for t in range(3):
-            state = T.row(T.gru_scan(seq[t], state, cell), 0)
+            state = T.row(T.gru_scan(seq[t], state, *cell), 0)
         return weighted_sum(state, weights[0])
 
-    _check(chain, seq + cell.parameters())
+    _check(chain, seq + list(cell))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +341,7 @@ def test_softmax_sums_to_one_across_precisions():
 def test_gru_output_bounded_by_state_and_candidate():
     rng = np.random.default_rng(42)
     for trial in range(30):
-        cell = GruCellParams(
+        cell = (
             _param(rng, (12, 5), "wi"), _param(rng, (12, 4), "wh"), _param(rng, (12,), "b")
         )
         x = rng.uniform(-1, 1, 5)
@@ -351,8 +349,8 @@ def test_gru_output_bounded_by_state_and_candidate():
         out = _one_step(x, h, cell)
         # recover the candidate from the same equations
         hd = 4
-        gi = cell.input_weights.value @ x + cell.biases.value
-        wh = cell.hidden_weights.value
+        wi, wh, b = (p.value for p in cell)
+        gi = wi @ x + b
         r = 1.0 / (1.0 + np.exp(-(gi[hd : 2 * hd] + wh[hd : 2 * hd] @ h)))
         cand = np.tanh(gi[2 * hd :] + wh[2 * hd :] @ (r * h))
         lo = np.minimum(h, cand) - 1e-12
@@ -370,12 +368,12 @@ def test_forward_is_bitwise_deterministic():
     def run():
         h = T.conv2d(Tensor(x.copy()), Tensor(k.copy()), Tensor(b.copy()), 2)
         seq = T.spatial_sequence(T.relu(h))
-        cell = GruCellParams(
+        cell = (
             Parameter(np.tile(np.linspace(-0.3, 0.3, 9)[:, None], (1, 3)), "wi"),
             Parameter(np.tile(np.linspace(0.2, -0.2, 9)[:, None], (1, 3)), "wh"),
             Parameter(np.linspace(-0.1, 0.1, 9), "b"),
         )
-        states = T.gru_scan(seq, Tensor(np.zeros((2, 3))), cell)
+        states = T.gru_scan(seq, Tensor(np.zeros((2, 3))), *cell)
         return T.row(states, states.shape[1] - 1).value
 
     np.testing.assert_array_equal(run(), run())
@@ -457,8 +455,7 @@ def _cell(rng, d, h):
     # weights in [-0.5, 0.5], as in the acceptance sweep: over several steps,
     # unit-scale weights let step-1e-3 truncation error pass 1e-5 on the
     # smallest gradients (it shrinks with the step squared)
-    return GruCellParams(*(_param(rng, shape, name, -0.5, 0.5) for shape, name in
-                           (((3 * h, d), "wi"), ((3 * h, h), "wh"), ((3 * h,), "b"))))
+    return gru_cell(d, h, lambda shape: rng.uniform(-0.5, 0.5, shape))
 
 
 def test_grad_gru_scan_per_row_inputs():
@@ -467,8 +464,8 @@ def test_grad_gru_scan_per_row_inputs():
     xs = _param(rng, (2, 5, 4), "xs")
     h0 = _param(rng, (2, 3), "h0")
     weights = rng.uniform(-1, 1, (2, 5, 3))
-    _check(lambda: weighted_sum(T.gru_scan(xs, h0, cell), weights),
-           [xs, h0] + cell.parameters())
+    _check(lambda: weighted_sum(T.gru_scan(xs, h0, *cell), weights),
+           [xs, h0] + list(cell))
 
 
 def test_grad_gru_scan_shared_inputs():
@@ -477,8 +474,8 @@ def test_grad_gru_scan_shared_inputs():
     xs = _param(rng, (5, 4), "xs")
     h0 = _param(rng, (3, 3), "h0")
     weights = rng.uniform(-1, 1, (3, 5, 3))
-    _check(lambda: weighted_sum(T.gru_scan(xs, h0, cell), weights),
-           [xs, h0] + cell.parameters())
+    _check(lambda: weighted_sum(T.gru_scan(xs, h0, *cell), weights),
+           [xs, h0] + list(cell))
 
 
 def test_gru_scan_matches_chain_of_cells():
@@ -486,20 +483,19 @@ def test_gru_scan_matches_chain_of_cells():
     cell = _cell(rng, 4, 3)
     xs = rng.uniform(-1, 1, (2, 6, 4))
     h0 = rng.uniform(-1, 1, (2, 3))
-    states = T.gru_scan(Tensor(xs), Tensor(h0), cell).value
+    states = T.gru_scan(Tensor(xs), Tensor(h0), *cell).value
     assert states.shape == (2, 6, 3)
     for i in range(2):
         h = Tensor(h0[i : i + 1])
         for t in range(6):
-            h = T.row(T.gru_scan(Tensor(xs[i, t : t + 1]), h, cell), 0)
+            h = T.row(T.gru_scan(Tensor(xs[i, t : t + 1]), h, *cell), 0)
             ref = _gru_reference(xs[i, t], states[i, t - 1] if t else h0[i],
-                                 cell.input_weights.value, cell.hidden_weights.value,
-                                 cell.biases.value)
+                                 *(p.value for p in cell))
             np.testing.assert_allclose(states[i, t], h.value[0], rtol=1e-13, atol=1e-14)
             np.testing.assert_allclose(states[i, t], ref, atol=1e-12)
-    shared = T.gru_scan(Tensor(xs[0]), Tensor(h0), cell).value
+    shared = T.gru_scan(Tensor(xs[0]), Tensor(h0), *cell).value
     np.testing.assert_allclose(shared[0], states[0], rtol=1e-13, atol=1e-14)
-    single = T.gru_scan(Tensor(xs[1]), Tensor(h0[1:]), cell).value
+    single = T.gru_scan(Tensor(xs[1]), Tensor(h0[1:]), *cell).value
     assert single.shape == (1, 6, 3)
     np.testing.assert_allclose(single[0], states[1], rtol=1e-13, atol=1e-14)
 
@@ -574,11 +570,11 @@ def test_batch_extents_must_agree():
     rng = np.random.default_rng(58)
     cell = _cell(rng, 4, 3)
     with pytest.raises(ContractViolation, match="batch"):
-        T.gru_scan(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((3, 3))), cell)
+        T.gru_scan(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((3, 3))), *cell)
     with pytest.raises(ContractViolation, match="state must be a B x 3 batch"):
-        T.gru_scan(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros(3)), cell)
+        T.gru_scan(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros(3)), *cell)
     with pytest.raises(ContractViolation, match="state must be a B x 3 batch"):
-        T.gru_scan(Tensor(np.zeros((5, 4))), Tensor(np.zeros(3)), cell)
+        T.gru_scan(Tensor(np.zeros((5, 4))), Tensor(np.zeros(3)), *cell)
     with pytest.raises(ContractViolation, match="labels"):
         T.masked_cross_entropy(Tensor(np.zeros((2, 8, 2))), np.zeros((3, 8), np.int8),
                                np.ones(8))
@@ -592,12 +588,25 @@ def test_batch_extents_must_agree():
             T.spatial_sequence(Tensor(np.zeros(shape)))
 
 
+def test_gru_scan_checks_its_weight_shapes():
+    xs, h0 = Tensor(np.zeros((5, 4))), Tensor(np.zeros((2, 3)))
+    wi, wh, b = gru_cell(4, 3)
+    for cell, message in (
+            ((Tensor(np.zeros((8, 4))), wh, b),
+             r"gru: input weights must be 3h x d, got \(8, 4\)"),
+            ((wi, Tensor(np.zeros((9, 4))), b),
+             r"gru: hidden weights must be \(9, 3\), got \(9, 4\)"),
+            ((wi, wh, Tensor(np.zeros(3))), r"gru: biases must be \(9,\), got \(3,\)")):
+        with pytest.raises(ContractViolation, match=message):
+            T.gru_scan(xs, h0, *cell)
+
+
 def test_batched_shapes():
     rng = np.random.default_rng(59)
     cell = _cell(rng, 4, 3)
     for xs, h0, states in (((6, 4), (2, 3), (2, 6, 3)), ((2, 6, 4), (2, 3), (2, 6, 3)),
                            ((6, 4), (1, 3), (1, 6, 3))):
-        assert T.gru_scan(Tensor(np.zeros(xs)), Tensor(np.zeros(h0)), cell).shape == states
+        assert T.gru_scan(Tensor(np.zeros(xs)), Tensor(np.zeros(h0)), *cell).shape == states
     assert T.spatial_sequence(Tensor(np.zeros((2, 3, 4, 5)))).shape == (2, 12, 5)
     assert T.linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)),
                     Tensor(np.zeros((2, 6, 4)))).shape == (2, 6, 3)

@@ -131,8 +131,7 @@ class TestClassWeights:
                     -1,
                 ]
             )
-        video = _video("w0", rows)
-        w = compute_class_weights([video])
+        w = compute_class_weights(np.array(rows, dtype=np.int8))
         np.testing.assert_allclose(w[0], 3.0)
         np.testing.assert_allclose(w[1], 10.0)
         np.testing.assert_allclose(w[2], 1.0)
@@ -144,14 +143,14 @@ class TestClassWeights:
 
     def test_unknowns_ignored(self):
         rows = [[1, -1, -1, -1, -1, -1, -1, -1]] * 2 + [[0, -1, -1, -1, -1, -1, -1, -1]] * 4
-        w = compute_class_weights([_video("w1", rows)])
+        w = compute_class_weights(np.array(rows, dtype=np.int8))
         np.testing.assert_allclose(w[0], 2.0)
 
     def test_bounds_hold_for_random_corpora(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             rows = rng.integers(-1, 2, size=(12, 8)).tolist()
-            w = compute_class_weights([_video("wr", rows)])
+            w = compute_class_weights(np.array(rows, dtype=np.int8))
             assert w.shape == (8,)
             assert (w >= 1.0).all() and (w <= 10.0).all()
 
