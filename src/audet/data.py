@@ -212,7 +212,10 @@ class VideoSequence:
         return len(self.labels)
 
     def labels_array(self) -> np.ndarray:
-        """The T x 8 labels (the ``labels`` array itself, not a copy)."""
+        """The T x 8 labels (the ``labels`` array itself, not a copy).
+
+        Only the benchmark harness, ``perfbench/run.py``, calls it.
+        """
         return self.labels
 
 

@@ -191,7 +191,10 @@ def score_frames(params: ModelParams, videos: list[VideoSequence], workspace: T.
 
 
 def predict_video(params: ModelParams, video: VideoSequence) -> np.ndarray:
-    """Per-frame activation probabilities, T x 8 float64, scored in a workspace of its own."""
+    """Per-frame activation probabilities, T x 8 float64, scored in a workspace of its own.
+
+    Only the benchmark harness, ``perfbench/run.py``, calls it.
+    """
     return score_frames(params, [video], T.Workspace())[0][0]
 
 

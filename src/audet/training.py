@@ -100,14 +100,14 @@ def compute_class_weights(labels: np.ndarray) -> np.ndarray:
 
 
 def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients by min(1, max_norm / global_norm); returns the raw norm."""
+    """Scale all gradients, out of place, by min(1, max_norm / norm); returns the raw norm."""
     if max_norm <= 0:
         raise ContractViolation(f"clip_gradients: max_norm must be > 0, got {max_norm}")
     norm = T.global_grad_norm(params)
     if norm > max_norm:
         factor = max_norm / norm
         for p in params:
-            p.grad *= factor
+            p.grad = p.grad * factor
     return norm
 
 
@@ -261,7 +261,6 @@ def train(
 
     history: list[EpochStats] = []
     telemetry: list[EpochTelemetry] = []
-    best_params = params.copy()
     best_epoch = -1
     best_metric = -np.inf
     workspace = T.Workspace()
@@ -297,7 +296,7 @@ def train(
             step_seconds=validating - started,
             validation_seconds=done - validating,
         ))
-        if stats.val_metric > best_metric:
+        if stats.val_metric > best_metric:  # always at epoch 0: the metric is finite
             best_metric = stats.val_metric
             best_epoch = epoch
             best_params = params.copy()
@@ -308,7 +307,7 @@ def train(
 
     return TrainResult(
         best_params=best_params,
-        final_params=params.copy(),
+        final_params=params,
         best_epoch=best_epoch,
         best_metric=best_metric,
         history=history,

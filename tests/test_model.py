@@ -239,6 +239,17 @@ def test_copy_is_independent():
     assert params.tensors["au_table"].value[0, 0] != clone.tensors["au_table"].value[0, 0]
 
 
+def test_parameters_hold_no_gradient_until_a_backward_pass(tmp_path):
+    params = ModelParams.init(TINY_MODEL, seed=14)
+    loaded = load_checkpoint(save_checkpoint(params, tmp_path / "m.auck"))
+    T.backward(T.masked_cross_entropy(model_forward(params, *_inputs(TINY_MODEL, 15, np.float32)),
+                                      np.ones((1, len(AU_ORDER)), int), np.ones(len(AU_ORDER))))
+    assert all(p.grad is not None for p in params.all_parameters())
+    for built in (ModelParams.init(TINY_MODEL, seed=14), ModelParams.zeros(TINY_MODEL),
+                  loaded, params.copy()):
+        assert all(p.grad is None for p in built.all_parameters())
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -375,7 +386,7 @@ def test_checkpoint_rejects_a_wrong_parameter_total_before_allocating(tmp_path):
     # a config about 280 times the size of the tensors stored: the totals must
     # disagree before anything of the config's size exists, so the failing
     # load holds no more than a few times the file (building the config's
-    # parameters and gradients would hold over 500 times it)
+    # parameters would hold about 280 times it)
     params = ModelParams.init(TINY_MODEL, seed=30)
     params.config = replace(TINY_MODEL, fusion_out=512)
     path = save_checkpoint(params, tmp_path / "huge.auck")
@@ -424,6 +435,14 @@ def test_checkpoint_rejects_a_non_finite_tensor(tmp_path, value):
         load_checkpoint(path)
 
 
+def test_loading_the_default_checkpoint_holds_its_parameters_once(tmp_path):
+    # the file, the float32 parameters and a payload in flight: no gradient arrays
+    path = save_checkpoint(ModelParams.init(ModelConfig(), seed=0), tmp_path / "m.auck")
+    loaded, peak = traced_peak(load_checkpoint, path)
+    assert loaded.config == ModelConfig()
+    assert peak < 2.5 * path.stat().st_size
+
+
 def test_checkpoint_float64_params_stored_as_float32(tmp_path):
     params = ModelParams.init(TINY_MODEL, seed=27, dtype=np.float64)
     path = save_checkpoint(params, tmp_path / "m.auck")
@@ -431,6 +450,24 @@ def test_checkpoint_float64_params_stored_as_float32(tmp_path):
     assert loaded.dtype == np.float32
     for pa, pb in zip(params.all_parameters(), loaded.all_parameters()):
         np.testing.assert_array_equal(pa.value.astype(np.float32), pb.value)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grad_norm_sums_each_gradient_in_c_order(seed):
+    # the pre-clip norm sets the clip factor, so it must not depend on the
+    # memory layout a backward rule leaves a gradient in
+    rng = np.random.default_rng(seed)
+    config = ModelConfig()
+    params = ModelParams.init(config, seed=seed)
+    images = rng.uniform(0, 1, (4, 2, config.image_size, config.image_size)).astype(np.float32)
+    diffs = rng.uniform(-1, 1, (4, 146)).astype(np.float32)
+    labels = rng.integers(0, 2, (4, len(AU_ORDER)))
+    T.backward(T.masked_cross_entropy(model_forward(params, images, diffs), labels,
+                                      np.ones(len(AU_ORDER))))
+    grads = [p.grad for p in params.all_parameters()]
+    assert all(g.flags.c_contiguous for g in grads)
+    c_order = sum(float((np.ascontiguousarray(g, np.float64) ** 2).sum()) for g in grads)
+    assert T.global_grad_norm(params.all_parameters()) == float(np.sqrt(c_order))
 
 
 # ---------------------------------------------------------------------------

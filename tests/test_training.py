@@ -200,6 +200,18 @@ class TestClipGradients:
         with pytest.raises(ContractViolation):
             clip_gradients([], 0.0)
 
+    def test_clipping_rebinds_and_leaves_the_given_array_alone(self):
+        rng = np.random.default_rng(5)
+        params = _params_with_grads(rng, 100.0)
+        given = [p.grad for p in params]
+        before = [g.copy() for g in given]
+        norm = clip_gradients(params, 1.0)
+        assert type(norm) is float and norm > 1.0
+        for p, g, b in zip(params, given, before):
+            np.testing.assert_array_equal(g, b)
+            assert p.grad is not g
+            np.testing.assert_array_equal(p.grad, b * (1.0 / norm))
+
 
 # ---------------------------------------------------------------------------
 # Adam
@@ -209,6 +221,7 @@ class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
         rng = np.random.default_rng(6)
         params = [Parameter(rng.normal(size=(3, 2)), name="a")]
+        params[0].grad = np.zeros_like(params[0].value)
         before = params[0].value.copy()
         state = AdamState.for_params(params)
         adam_step(params, state, TrainConfig())
