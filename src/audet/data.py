@@ -224,9 +224,10 @@ def encode_planes(values: np.ndarray) -> np.ndarray:
     return np.round(np.clip(values, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
-def decode_planes(planes: np.ndarray, dtype) -> np.ndarray:
-    """u8 planes as model input: planes / 255 computed in float32, then cast to dtype."""
-    return (planes / np.float32(255)).astype(dtype, copy=False)
+def decode_planes(planes: np.ndarray) -> np.ndarray:
+    """u8 planes as float32 model input, planes / 255; the model casts
+    them to its parameters' dtype."""
+    return planes / np.float32(255)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +306,12 @@ class FrameStream:
     def __len__(self):
         return len(self.labels)
 
-    def inputs(self, rows, dtype) -> tuple[np.ndarray, np.ndarray]:
+    def inputs(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """Decoded planes (B x 2 x H x W) and motion features (B x 146), in
-        dtype, of ``rows``: an index array or a slice."""
+        float32, of ``rows``: an index array or a slice."""
         planes = np.stack([self.videos[v].planes[t] for v, t in
                            zip(self.video[rows].tolist(), self.frame[rows].tolist())])
-        return decode_planes(planes, dtype), self.diffs[rows].astype(dtype, copy=False)
+        return decode_planes(planes), self.diffs[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +485,7 @@ def _synthesize_video(config: SynthConfig, v: int) -> VideoSequence:
         noise[t] = rng.normal(0.0, config.pixel_noise_sigma, (size, size))
 
     planes[:, 0] = encode_planes(render_face(landmarks, size) + noise)
-    planes[:, 1] = encode_planes(sobel_edge(decode_planes(planes[:, :1], np.float32))[:, 0])
+    planes[:, 1] = encode_planes(sobel_edge(decode_planes(planes[:, :1]))[:, 0])
     return VideoSequence(f"synth{v:04d}", planes, landmarks, labels)
 
 

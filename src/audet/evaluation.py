@@ -181,7 +181,7 @@ def score_frames(params: ModelParams, videos: list[VideoSequence], workspace: T.
         rows = slice(start, start + SCORING_BATCH)
         # each pass's graph dies before the next pass builds its own
         with T.reusing(workspace):
-            logits[rows] = model_forward(params, *frames.inputs(rows, params.dtype)).value
+            logits[rows] = model_forward(params, *frames.inputs(rows)).value
     probs = T.logistic(logits[..., 1] - logits[..., 0])
     if not np.isfinite(probs).all():
         raise NumericError("scoring gave a non-finite activation probability; "

@@ -341,11 +341,12 @@ def check_frame_size(config: ModelConfig, videos) -> None:
 # magic "AUCK", version u16, config block (u32 byte length, utf8 key=value
 # lines), tensor count u32, then per tensor: name (u16 length + utf8),
 # rank u8, extents u32 each, float32 payload.  After the tensors, the AU
-# name list: count u8, names (u16 length + utf8).  Little endian.
+# name list: count u8, names (u16 length + utf8).  Little endian.  The
+# tensors are the config's parameter_shapes table, in its order; the
+# reader accepts no other count, order, name or shape.
 
 CHECKPOINT_MAGIC = b"AUCK"
 CHECKPOINT_VERSION = 1
-MAX_TENSOR_RANK = 4  # conv kernels, the highest-rank parameters
 
 
 def save_checkpoint(params: ModelParams, path) -> Path:
@@ -396,45 +397,30 @@ def load_checkpoint(path) -> ModelParams:
         kv[key] = value.strip()
     config = ModelConfig.from_kv(kv, str(target))
 
+    # the file must be the table the config defines, in table order: each
+    # tensor's name and shape match before its payload is read, so no
+    # payload is sized by anything but a shape the config allows
+    shapes = parameter_shapes(config)
     (count,) = r.unpack("<I")
-    arrays = {}
-    for _ in range(count):
-        name = r.take_str()
+    if count != len(shapes):
+        raise FormatError(f"{target}: the config has {len(shapes)} tensors, "
+                          f"the file stores {count}")
+    tensors = {}
+    for name, shape in shapes.items():
+        found = r.take_str()
         (rank,) = r.unpack("<B")
-        if rank > MAX_TENSOR_RANK:
-            raise FormatError(
-                f"{target}: tensor {name!r} has rank {rank}, at most {MAX_TENSOR_RANK} allowed"
-            )
-        shape = tuple(r.unpack("<" + "I" * rank)) if rank else ()
-        # exact product: in int64, four u32 extents can wrap to a negative
-        # size; take() then rejects any size beyond the bytes left
-        n = math.prod(shape)
-        payload = np.frombuffer(r.take(4 * n), "<f4").reshape(shape)
-        if name in arrays:
-            raise FormatError(f"{target}: duplicate tensor {name!r}")
+        stored_shape = r.unpack("<" + "I" * rank)
+        if (found, stored_shape) != (name, shape):
+            raise FormatError(f"{target}: tensor {found!r} {stored_shape} "
+                              f"where the config puts {name!r} {shape}")
+        payload = np.frombuffer(r.take(4 * math.prod(shape)), "<f4").reshape(shape)
         if not np.isfinite(payload).all():
             raise FormatError(f"{target}: tensor {name!r} holds NaN or Inf")
-        arrays[name] = payload.astype(np.float32)
+        tensors[name] = Parameter(payload.astype(np.float32), name)
 
     (au_count,) = r.unpack("<B")
     aus = tuple(r.take_str() for _ in range(au_count))
     if aus != AU_ORDER:
         raise FormatError(f"{target}: AU order {aus} != expected {AU_ORDER}")
     r.check_end()
-
-    # checked against the table, then wrapped: no parameter is allocated
-    # from the config, so what loading allocates is bounded by the file's size
-    shapes = parameter_shapes(config)
-    stored, needed = sum(a.size for a in arrays.values()), parameter_count(config)
-    if stored != needed:
-        raise FormatError(f"{target}: the config has {needed} parameters, "
-                          f"the file stores {stored}")
-    missing = sorted(set(shapes) - set(arrays))
-    extra = sorted(set(arrays) - set(shapes))
-    if missing or extra:
-        raise FormatError(f"{target}: missing tensors {missing}, unexpected {extra}")
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise FormatError(f"{target}: tensor {name!r} has shape {arrays[name].shape}, "
-                              f"expected {shape}")
-    return ModelParams(config, {name: Parameter(arrays[name], name) for name in shapes})
+    return ModelParams(config, tensors)

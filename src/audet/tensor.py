@@ -599,12 +599,17 @@ def zero_grads(params):
         p.grad = None
 
 
+def gradient(p: Parameter) -> np.ndarray:
+    """``p.grad``, or ContractViolation naming ``p`` if no backward pass reached it."""
+    _require(p.grad is not None,
+             lambda: f"{p.name!r} has no gradient: no backward pass reached it")
+    return p.grad
+
+
 def global_grad_norm(params) -> float:
     acc = 0.0
     for p in params:
-        g = p.grad
-        if g is not None:
-            acc += float((g.astype(np.float64) ** 2).sum())
+        acc += float((gradient(p).astype(np.float64) ** 2).sum())
     return float(np.sqrt(acc))
 
 
@@ -648,10 +653,11 @@ def finite_difference_report(loss_fn, params, step: float = 1e-3) -> GradientChe
 
     zero_grads(params)
     backward(loss_fn())  # the loss_fn calls below build graphs but walk none
+    grads = [gradient(p) for p in params]
 
     worst = 0.0
     where = (params[0].name, (0,) * params[0].value.ndim)
-    for p in params:
+    for p, grad in zip(params, grads):
         for idx in np.ndindex(p.value.shape):
             orig = p.value[idx]
             p.value[idx] = orig + step
@@ -660,7 +666,7 @@ def finite_difference_report(loss_fn, params, step: float = 1e-3) -> GradientChe
             down = float(loss_fn().value)
             p.value[idx] = orig
             estimate = (up - down) / (2.0 * step)
-            a = float(p.grad[idx])
+            a = float(grad[idx])
             rel = abs(a - estimate) / max(1e-8, abs(a) + abs(estimate))
             if rel > worst:
                 worst = rel

@@ -133,7 +133,7 @@ def adam_step(params, state: AdamState, cfg: TrainConfig):
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
+        g = T.gradient(p)
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in {p.name}")
         m *= b1
@@ -239,7 +239,6 @@ def train(
     check_frame_size(model_config, corpus)
     train_ids, val_ids = split_videos(corpus, train_config.seed, train_config.val_fraction)
     by_id = {v.video_id: v for v in corpus}
-    dtype = train_config.dtype
     # every training frame, in (video, frame) order: a batch is rows of these
     frames = FrameStream([by_id[i] for i in train_ids])
     val_videos = [by_id[i] for i in val_ids]
@@ -256,7 +255,7 @@ def train(
     else:
         weights = np.ones(len(AU_ORDER))
 
-    params = ModelParams.init(model_config, train_config.seed, dtype)
+    params = ModelParams.init(model_config, train_config.seed, train_config.dtype)
     adam = AdamState.for_params(params.all_parameters())
 
     history: list[EpochStats] = []
@@ -275,7 +274,7 @@ def train(
             picks = order[start : start + train_config.batch_size]
             if (frames.labels[picks] == -1).all():
                 continue  # no known label to learn from: no step, no Adam update
-            batch = (*frames.inputs(picks, dtype), frames.labels[picks])
+            batch = (*frames.inputs(picks), frames.labels[picks])
             where = f"epoch {epoch}, batch {start // train_config.batch_size}"
             loss, norm = _train_step(params, adam, batch, weights, train_config, where,
                                      workspace)

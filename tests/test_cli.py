@@ -492,7 +492,8 @@ class TestRuntimeErrors:
         )
         assert code == 2
         assert peak < 4 * len(blob)
-        assert "parameters, the file stores" in err
+        assert ("tensor 'fusion.weights' (64, 128) "
+                "where the config puts 'fusion.weights' (1024, 128)") in err
         assert not (tmp_path / "scores").exists()
 
     def test_checkpoint_with_bad_utf8_config_is_a_data_error(self, capsys, cli_env, tmp_path):
@@ -791,7 +792,7 @@ class TestReluClearing:
     def test_every_relu_unit_is_cleared_and_nothing_else_moves(self):
         video = generate_synthetic(SynthConfig(videos=1, frames_per_video=3, seed=7,
                                                image_size=TINY_MODEL.image_size))[0]
-        images, diffs = FrameStream([video]).inputs(slice(None), np.float64)
+        images, diffs = FrameStream([video]).inputs(slice(None))
         params = ModelParams.init(TINY_MODEL, 7, np.float64)
         before = {name: value.copy() for name, value in params.named_arrays()}
         cli.clear_relu_margins(params, images, diffs, self.MARGIN, self.CAP)

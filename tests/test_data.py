@@ -317,7 +317,7 @@ def test_video_count_change_keeps_earlier_videos():
 
 def test_frames_quantised_to_byte_grid():
     videos = generate_synthetic(SynthConfig(videos=1, frames_per_video=4, seed=5, image_size=24))
-    decoded = decode_planes(videos[0].planes, np.float32)
+    decoded = decode_planes(videos[0].planes)
     assert videos[0].planes.dtype == np.uint8 and decoded.dtype == np.float32
     np.testing.assert_array_equal(decoded, (np.round(decoded * 255.0) / 255.0).astype(np.float32))
     np.testing.assert_array_equal(encode_planes(decoded), videos[0].planes)
@@ -637,8 +637,7 @@ def test_plain_video_ids_are_accepted(video_id):
     assert _video(video_id=video_id).video_id == video_id
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_frame_stream_inputs_are_the_rows_of_their_videos(dtype):
+def test_frame_stream_inputs_are_the_rows_of_their_videos():
     corpus = generate_synthetic(SynthConfig(videos=3, frames_per_video=10, seed=4, image_size=12))
     videos = [VideoSequence(v.video_id, v.planes[:n], v.landmarks[:n], v.labels[:n])
               for v, n in zip(corpus, (3, 10, 5))]
@@ -647,13 +646,13 @@ def test_frame_stream_inputs_are_the_rows_of_their_videos(dtype):
     assert len(frames) == len(owners) and frames.lengths.tolist() == [3, 10, 5]
     rows = np.random.default_rng(6).permutation(len(owners))
     for picks in (rows, slice(2, 15)):
-        images, diffs = frames.inputs(picks, dtype)
+        images, diffs = frames.inputs(picks)
         expected = [owners[i] for i in np.arange(len(owners))[picks]]
-        assert images.dtype == dtype and diffs.dtype == dtype
+        assert images.dtype == np.float32 and diffs.dtype == np.float32
         assert len(images) == len(diffs) == len(expected)
         for image, diff, label, (video, t) in zip(images, diffs, frames.labels[picks], expected):
-            assert image.tobytes() == decode_planes(video.planes[t], dtype).tobytes()
-            assert diff.tobytes() == landmark_diffs(video.landmarks)[t].astype(dtype).tobytes()
+            assert image.tobytes() == decode_planes(video.planes[t]).tobytes()
+            assert diff.tobytes() == landmark_diffs(video.landmarks)[t].tobytes()
             assert label.tobytes() == video.labels[t].tobytes()
 
 
@@ -665,10 +664,10 @@ def test_a_frame_stream_needs_a_video():
 def test_decode_planes_keeps_gray_then_edge():
     planes = np.zeros((3, 2, 4, 4), dtype=np.uint8)
     planes[:, 0], planes[:, 1] = 64, 191
-    images, diffs = FrameStream([_video(planes=planes)]).inputs(slice(None), np.float64)
-    assert images.shape == (3, 2, 4, 4) and images.dtype == np.float64
-    assert diffs.shape == (3, 146) and diffs.dtype == np.float64
+    images, diffs = FrameStream([_video(planes=planes)]).inputs(slice(None))
+    assert images.shape == (3, 2, 4, 4) and images.dtype == np.float32
+    assert diffs.shape == (3, 146) and diffs.dtype == np.float32
     np.testing.assert_array_equal(images[:, 0], np.float32(64) / np.float32(255))
     np.testing.assert_array_equal(images[:, 1], np.float32(191) / np.float32(255))
     every = np.arange(256, dtype=np.uint8)
-    np.testing.assert_array_equal(encode_planes(decode_planes(every, np.float32)), every)
+    np.testing.assert_array_equal(encode_planes(decode_planes(every)), every)

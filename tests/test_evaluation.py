@@ -472,7 +472,7 @@ def _cut(videos, lengths):
 def test_score_frames_chunks_match_one_batch(tiny_corpus, monkeypatch):
     params = ModelParams.init(TINY_MODEL, seed=35, dtype=np.float64)
     videos = _cut(tiny_corpus, (3, 10, 5))
-    whole = model_forward(params, *FrameStream(videos).inputs(slice(None), np.float64))
+    whole = model_forward(params, *FrameStream(videos).inputs(slice(None)))
     monkeypatch.setattr(E, "SCORING_BATCH", 4)  # passes of 3+1, 4, 4, 1+3 and 2 frames
     scores = E.score_frames(params, videos, T.Workspace())
     assert [(p.shape, l.shape) for p, l in scores] == [((n, 8), (n, 8, 2)) for n in (3, 10, 5)]

@@ -22,6 +22,7 @@ from audet.model import (
     load_checkpoint,
     model_forward,
     parameter_count,
+    parameter_shapes,
     save_checkpoint,
     static_forward,
 )
@@ -144,6 +145,16 @@ def test_branch_shapes_and_ranges():
     assert probs.dtype == np.float64
     assert np.all((probs > 0.0) & (probs < 1.0))
     assert logits.shape == (1, 8, 2)
+
+
+def test_the_parameters_decide_the_input_dtype():
+    # float32 frames widen exactly, so casting them first changes no bit
+    params = ModelParams.init(TINY_MODEL, seed=1, dtype=np.float64)
+    image, diff = _inputs(TINY_MODEL, seed=3, dtype=np.float32)
+    narrow = model_forward(params, image, diff).value
+    wide = model_forward(params, image.astype(np.float64), diff.astype(np.float64)).value
+    assert narrow.dtype == np.float64
+    assert narrow.tobytes() == wide.tobytes()
 
 
 def test_zero_params_give_indifferent_predictions():
@@ -356,19 +367,43 @@ def test_checkpoint_rejects_a_duplicate_tensor(tmp_path):
     params = ModelParams.init(TINY_MODEL, seed=29)
     named = params.named_arrays()
     path = _save_with(params, tmp_path / "m.auck", named + named[:1])
-    with pytest.raises(FormatError, match="duplicate tensor 'conv0.kernels'"):
+    n = len(named)
+    with pytest.raises(FormatError, match=f"the config has {n} tensors, the file stores {n + 1}$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_duplicate_in_place_of_the_next_tensor(tmp_path):
+    params = ModelParams.init(TINY_MODEL, seed=29)
+    named = params.named_arrays()
+    named[1] = named[0]
+    path = _save_with(params, tmp_path / "m.auck", named)
+    with pytest.raises(FormatError, match=r"tensor 'conv0.kernels' \(3, 2, 5, 5\) "
+                                          r"where the config puts 'conv0.bias' \(3,\)$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_tensors_out_of_table_order(tmp_path):
+    # both biases are (4,): stored by name they would load, stored out of
+    # order they are not the file the writer writes
+    params = ModelParams.init(TINY_MODEL, seed=29)
+    named = params.named_arrays()
+    first, second = (i for i, (name, _) in enumerate(named) if name in ("conv1.bias", "conv2.bias"))
+    named[first], named[second] = named[second], named[first]
+    path = _save_with(params, tmp_path / "m.auck", named)
+    with pytest.raises(FormatError, match=r"tensor 'conv2.bias' \(4,\) "
+                                          r"where the config puts 'conv1.bias' \(4,\)$"):
         load_checkpoint(path)
 
 
 def test_checkpoint_rejects_a_wrong_tensor_shape(tmp_path):
-    # same size, so the parameter total matches and the shape check speaks
+    # same size, so only the stored shape differs
     params = ModelParams.init(TINY_MODEL, seed=30)
     named = params.named_arrays()
     name, value = named[1]
     named[1] = (name, np.zeros((1, value.size), value.dtype))
     path = _save_with(params, tmp_path / "m.auck", named)
-    with pytest.raises(FormatError,
-                       match=rf"tensor '{name}' has shape \(1, {value.size}\), expected"):
+    with pytest.raises(FormatError, match=rf"tensor '{name}' \(1, {value.size}\) "
+                                          rf"where the config puts '{name}' \({value.size},\)$"):
         load_checkpoint(path)
 
 
@@ -378,23 +413,24 @@ def test_checkpoint_rejects_a_wrong_parameter_total_before_allocating(tmp_path):
     name, value = named[1]
     named[1] = (name, np.zeros(value.size + 1, value.dtype))
     path = _save_with(params, tmp_path / "m.auck", named)
-    total = parameter_count(TINY_MODEL)
-    with pytest.raises(FormatError, match=rf"the config has {total} parameters, "
-                                          rf"the file stores {total + 1}$"):
+    with pytest.raises(FormatError, match=rf"tensor '{name}' \({value.size + 1},\) "
+                                          rf"where the config puts '{name}' \({value.size},\)$"):
         load_checkpoint(path)
 
-    # a config about 280 times the size of the tensors stored: the totals must
-    # disagree before anything of the config's size exists, so the failing
-    # load holds no more than a few times the file (building the config's
-    # parameters would hold about 280 times it)
+    # a config about 280 times the size of the tensors stored: the first
+    # tensor whose shape the config changes must fail before anything of
+    # the config's size exists, so the failing load holds no more than a
+    # few times the file (building the config's parameters would hold
+    # about 280 times it)
     params = ModelParams.init(TINY_MODEL, seed=30)
     params.config = replace(TINY_MODEL, fusion_out=512)
     path = save_checkpoint(params, tmp_path / "huge.auck")
-    claimed = parameter_count(params.config)
+    stored = params.tensors["fusion.weights"].value.shape
+    claimed = parameter_shapes(params.config)["fusion.weights"]
 
     def failing_load():
-        with pytest.raises(FormatError, match=rf"the config has {claimed} parameters, "
-                                              rf"the file stores {total}$"):
+        with pytest.raises(FormatError, match=re.escape(f"tensor 'fusion.weights' {stored} where "
+                                                        f"the config puts 'fusion.weights' {claimed}")):
             load_checkpoint(path)
 
     _, peak = traced_peak(failing_load)

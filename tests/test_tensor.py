@@ -404,6 +404,14 @@ def test_fd_check_rejects_nondeterministic_loss():
         T.finite_difference_report(noisy, [w], 1e-3)
 
 
+def test_fd_check_names_a_parameter_no_backward_pass_reaches():
+    w = Parameter(np.array([1.0]), "w")
+    unused = Parameter(np.array([2.0]), "unused")
+    with pytest.raises(ContractViolation,
+                       match="'unused' has no gradient: no backward pass reached it"):
+        T.finite_difference_report(lambda: weighted_sum(w), [w, unused], 1e-3)
+
+
 def test_fd_check_requires_float64():
     w = Parameter(np.array([1.0], dtype=np.float32), "w")
     with pytest.raises(ContractViolation, match="float64"):

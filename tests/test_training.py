@@ -212,6 +212,14 @@ class TestClipGradients:
             assert p.grad is not g
             np.testing.assert_array_equal(p.grad, b * (1.0 / norm))
 
+    def test_a_parameter_without_gradient_is_named(self):
+        # the norm is above the cap, so clipping would scale every gradient
+        params = _params_with_grads(np.random.default_rng(5), 100.0)
+        params.append(Parameter(np.zeros(2), name="unused"))
+        with pytest.raises(ContractViolation,
+                           match="'unused' has no gradient: no backward pass reached it"):
+            clip_gradients(params, 1.0)
+
 
 # ---------------------------------------------------------------------------
 # Adam
@@ -252,6 +260,15 @@ class TestAdam:
             if abs(float(w.value) - 3.0) < 0.01:
                 break
         assert abs(float(w.value) - 3.0) < 0.01
+
+    def test_a_parameter_without_gradient_is_named(self):
+        used = Parameter(np.zeros(3), name="used")
+        used.grad = np.ones(3)
+        unused = Parameter(np.zeros(2), name="unused")
+        state = AdamState.for_params([used, unused])
+        with pytest.raises(ContractViolation,
+                           match="'unused' has no gradient: no backward pass reached it"):
+            adam_step([used, unused], state, TrainConfig())
 
     def test_non_finite_gradient_names_parameter(self):
         p = Parameter(np.zeros(3), name="conv1.bias")
