@@ -637,7 +637,10 @@ def test_plain_video_ids_are_accepted(video_id):
     assert _video(video_id=video_id).video_id == video_id
 
 
-def test_frame_stream_inputs_are_the_rows_of_their_videos():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_frame_stream_inputs_are_the_rows_of_their_videos(dtype):
+    # the stream always yields float32; a model whose parameters are in
+    # ``dtype`` widens the rows exactly, so they stay the videos' own rows
     corpus = generate_synthetic(SynthConfig(videos=3, frames_per_video=10, seed=4, image_size=12))
     videos = [VideoSequence(v.video_id, v.planes[:n], v.landmarks[:n], v.labels[:n])
               for v, n in zip(corpus, (3, 10, 5))]
@@ -650,9 +653,10 @@ def test_frame_stream_inputs_are_the_rows_of_their_videos():
         expected = [owners[i] for i in np.arange(len(owners))[picks]]
         assert images.dtype == np.float32 and diffs.dtype == np.float32
         assert len(images) == len(diffs) == len(expected)
+        images, diffs = images.astype(dtype), diffs.astype(dtype)
         for image, diff, label, (video, t) in zip(images, diffs, frames.labels[picks], expected):
-            assert image.tobytes() == decode_planes(video.planes[t]).tobytes()
-            assert diff.tobytes() == landmark_diffs(video.landmarks)[t].tobytes()
+            assert image.tobytes() == decode_planes(video.planes[t]).astype(dtype).tobytes()
+            assert diff.tobytes() == landmark_diffs(video.landmarks)[t].astype(dtype).tobytes()
             assert label.tobytes() == video.labels[t].tobytes()
 
 
