@@ -1,12 +1,12 @@
 """Scoring: model passes over videos, thresholding, temporal majority
 smoothing, F1, challenge metric.
 
-Every scoring pass, training's validation included, is :func:`score_frames`
-in a :class:`tensor.Workspace`.  The model scores each frame on its own
-(a video matters only through its landmark differences), so
-``score_frames`` reads a list of videos as one :class:`data.FrameStream`
-and fills every forward pass with its next SCORING_BATCH rows, across
-video boundaries, before splitting the scores back per video.
+Every scoring pass, training's validation included, is
+:func:`score_frames`.  The model scores each frame on its own (a video
+matters only through its landmark differences), so ``score_frames``
+reads a list of videos as one :class:`data.FrameStream` and fills every
+forward pass with its next SCORING_BATCH rows, across video boundaries,
+before splitting the scores back per video.
 
 The challenge metric is 0.5 * pooled accuracy + 0.5 * mean per-AU F1.
 Accuracy pools every valid (label != -1) decision across videos and
@@ -150,7 +150,7 @@ def challenge_metric(
 # running the model over videos
 
 
-# Frames per forward pass.  A pass's im2col and conv/relu buffers take
+# Frames per forward pass.  A pass's im2col matrices and conv/relu maps take
 # about 0.5 MB per 64 x 64 frame and the pass allocates little beyond
 # them, so the chunk size sets scoring's memory peak.  Pooled passes on
 # perfbench's infer workload (100 videos x 4 frames, seed 2050, one 36 s
@@ -159,19 +159,18 @@ def challenge_metric(
 #   16      2156             69.2
 #   32      2274             78.1
 #   64      2121             98.4
-# 16 keeps the peak flat, and it is the default training batch, so
-# validation's passes refill the training steps' buffers.
+# 16 keeps the peak flat.
 SCORING_BATCH = 16
 
 
-def score_frames(params: ModelParams, videos: list[VideoSequence], workspace: T.Workspace):
+def score_frames(params: ModelParams, videos: list[VideoSequence]):
     """Probabilities (T x 8) and float64 logits (T x 8 x 2) of every video.
 
     The videos' frames form one :class:`data.FrameStream`, and every
-    forward pass scores its next SCORING_BATCH rows in ``workspace``'s
-    buffers, across video boundaries.  Only that pass's planes are
-    decoded, so memory does not grow with the corpus.  Returns one
-    (probs, logits) pair per video; the arrays never alias the buffers.
+    forward pass scores its next SCORING_BATCH rows, across video
+    boundaries.  Only that pass's planes are decoded, and its graph is
+    freed before the next pass builds its own, so memory does not grow
+    with the corpus.  Returns one (probs, logits) pair per video.
     Raises NumericError on a non-finite probability, which a 0.5
     threshold would read as "inactive".
     """
@@ -179,9 +178,7 @@ def score_frames(params: ModelParams, videos: list[VideoSequence], workspace: T.
     logits = np.empty((len(frames), len(AU_ORDER), 2))
     for start in range(0, len(frames), SCORING_BATCH):
         rows = slice(start, start + SCORING_BATCH)
-        # each pass's graph dies before the next pass builds its own
-        with T.reusing(workspace):
-            logits[rows] = model_forward(params, *frames.inputs(rows)).value
+        logits[rows] = model_forward(params, *frames.inputs(rows)).value
     probs = T.logistic(logits[..., 1] - logits[..., 0])
     if not np.isfinite(probs).all():
         raise NumericError("scoring gave a non-finite activation probability; "
@@ -191,11 +188,11 @@ def score_frames(params: ModelParams, videos: list[VideoSequence], workspace: T.
 
 
 def predict_video(params: ModelParams, video: VideoSequence) -> np.ndarray:
-    """Per-frame activation probabilities, T x 8 float64, scored in a workspace of its own.
+    """Per-frame activation probabilities, T x 8 float64, of one video scored alone.
 
     Only the benchmark harness, ``perfbench/run.py``, calls it.
     """
-    return score_frames(params, [video], T.Workspace())[0][0]
+    return score_frames(params, [video])[0][0]
 
 
 @dataclass
@@ -215,28 +212,25 @@ class EvalReport:
     tracks: list[PredictionTrack]
 
 
-def predict_tracks(params: ModelParams, corpus: list[VideoSequence], window: int,
-                   workspace: T.Workspace | None = None) -> list[PredictionTrack]:
-    """One track per video, scored in ``workspace`` (a new one if None) after
-    checking the window and every video's frame size."""
+def predict_tracks(params: ModelParams, corpus: list[VideoSequence],
+                   window: int) -> list[PredictionTrack]:
+    """One track per video, scored after checking the window and every
+    video's frame size."""
     check_window(window)
     check_frame_size(params.config, corpus)
-    if workspace is None:
-        workspace = T.Workspace()
     tracks = []
-    for video, (probs, logits) in zip(corpus, score_frames(params, corpus, workspace)):
+    for video, (probs, logits) in zip(corpus, score_frames(params, corpus)):
         binary = binarize(probs)
         smoothed = binary if window == 1 else smooth(binary, window)
         tracks.append(PredictionTrack(video.video_id, probs, logits, binary, smoothed))
     return tracks
 
 
-def evaluate(params: ModelParams, corpus: list[VideoSequence], window: int,
-             workspace: T.Workspace | None = None) -> EvalReport:
+def evaluate(params: ModelParams, corpus: list[VideoSequence], window: int) -> EvalReport:
     """Score a corpus with and without temporal smoothing; window 1 smooths nothing."""
     if not corpus:
         raise ContractViolation("evaluate: empty corpus")
-    tracks = predict_tracks(params, corpus, window, workspace)
+    tracks = predict_tracks(params, corpus, window)
     labels = {v.video_id: v.labels for v in corpus}
     raw = challenge_metric({t.video_id: t.binary for t in tracks}, labels)
     smoothed = raw if window == 1 else challenge_metric(

@@ -48,24 +48,12 @@ Build one graph per step and call :func:`backward` on it once.  As
 the walk passes each interior node it releases the node's backward
 closure and gradient, so the arrays only a backward pass needs are freed
 as soon as they have been used; a second :func:`backward` over a
-consumed graph raises ``ContractViolation``.
-
-A :class:`Workspace` lets a pass that repeats with the same shapes, such
-as a training step, store its large forward arrays (each convolution's
-im2col matrix and output map, each relu's output) in the buffers of the
-previous pass instead of fresh allocations.  Inside ``with
-reusing(workspace):`` the i-th buffer request of the pass gets the
-buffer of the previous pass's i-th request when shape and dtype match.
-The values are bitwise the same as on fresh arrays; only where they
-live changes, so nothing computed in one pass may be kept past the
-start of the next.  With no workspace active every request is a plain
-``np.empty``.  A thread has at most one active pass.
+consumed graph raises ``ContractViolation``.  Every op allocates its
+own output arrays, so no array of one pass is written by another.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,61 +96,6 @@ class Parameter(Tensor):
         return f"Parameter({self.name}, shape={self.value.shape})"
 
 
-class Workspace:
-    """Forward buffers handed out again, in request order, on every pass.
-
-    The first request that differs from the previous pass's in shape or
-    dtype drops that buffer and every later one before allocating: a new
-    batch shape changes all of them, and holding the old set while the
-    new one is built would keep two passes' buffers in memory at once.
-    """
-
-    def __init__(self):
-        self.buffers: list[np.ndarray] = []
-        self.allocations = 0  # buffers created so far; steady passes add none
-        self._taken = 0
-
-    def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """The buffer for this pass's next request, uninitialised."""
-        i = self._taken
-        self._taken += 1
-        if i < len(self.buffers):
-            buf = self.buffers[i]
-            if buf.shape == shape and buf.dtype == dtype:
-                return buf
-        del self.buffers[i:]
-        buf = np.empty(shape, dtype)
-        self.allocations += 1
-        self.buffers.append(buf)
-        return buf
-
-
-_active: ContextVar[Workspace | None] = ContextVar("active_workspace", default=None)
-
-
-@contextmanager
-def reusing(workspace: Workspace):
-    """Run one pass with ``workspace`` active.
-
-    On exit, normal or not, the workspace is deactivated and keeps only
-    the buffers this pass requested.
-    """
-    _require(_active.get() is None, "reusing: another workspace pass is already active")
-    workspace._taken = 0
-    token = _active.set(workspace)
-    try:
-        yield
-    finally:
-        _active.reset(token)
-        del workspace.buffers[workspace._taken :]
-
-
-def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised array, from the active workspace if there is one."""
-    workspace = _active.get()
-    return np.empty(shape, dtype) if workspace is None else workspace.take(shape, dtype)
-
-
 def _accum(node: Tensor, g: np.ndarray):
     """Add ``g`` to ``node``'s gradient.
 
@@ -186,7 +119,7 @@ def relu(a: Tensor) -> Tensor:
     def push(g):
         _accum(a, g * (a.value > 0))
 
-    return Tensor(np.maximum(a.value, 0, out=_empty(a.value.shape, a.value.dtype)), (a,), push)
+    return Tensor(np.maximum(a.value, 0), (a,), push)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -335,15 +268,13 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
     sw, sh, sb = c * sc, w * c * sc, h * w * c * sc
     patches = np.lib.stride_tricks.as_strided(
         xs, shape=(b, ho, wo, kh, kh * c), strides=(sb, sh * stride, sw * stride, sh, sc))
-    col = _empty((n, kkc), dtype)
-    np.copyto(col.reshape(b, ho, wo, kh, kh * c), patches)
+    col = patches.reshape(n, kkc)
     km = kernels.value.transpose(2, 3, 1, 0).reshape(kkc, f)  # rows in (u, v, c) order
     # one product per frame: a frame's map does not depend on its batch, and
     # OpenBLAS threads one B*H'*W'-row product over work buffers that stay
     # resident once touched (3.7 MB more RSS after the model's three conv
     # products at B = 16 than after the same work as per-frame products)
-    prod = _empty((n, f), dtype)
-    np.matmul(col.reshape(b, ho * wo, kkc), km, out=prod.reshape(b, ho * wo, f))
+    prod = np.matmul(col.reshape(b, ho * wo, kkc), km).reshape(n, f)
     prod += bias.value
     # an input that is neither a parameter nor computed (the image) needs no gradient
     input_grad = isinstance(x, Parameter) or bool(x.parents)

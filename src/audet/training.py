@@ -10,14 +10,8 @@ shuffling comes from RNGs seeded by (seed, salt), so two runs with the
 same corpus and config produce bitwise identical parameters.
 
 Validation is :func:`evaluation.evaluate` with window 1, the unsmoothed
-score.  One :class:`tensor.Workspace` serves every training step and
-validation pass of a run, so a step of the same batch shape as the one
-before it fills the previous step's forward buffers instead of
-allocating new ones (at the default batch of 16, validation's passes of
-evaluation.SCORING_BATCH = 16 frames do too); it is dropped when
-:func:`train` returns.  Timing
-and gradient-norm telemetry is kept apart from the history, which must
-stay bitwise reproducible.
+score.  Timing and gradient-norm telemetry is kept apart from the
+history, which must stay bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -262,7 +256,6 @@ def train(
     telemetry: list[EpochTelemetry] = []
     best_epoch = -1
     best_metric = -np.inf
-    workspace = T.Workspace()
 
     for epoch in range(train_config.epochs):
         rng = np.random.default_rng([train_config.seed, 3, epoch])
@@ -276,13 +269,11 @@ def train(
                 continue  # no known label to learn from: no step, no Adam update
             batch = (*frames.inputs(picks), frames.labels[picks])
             where = f"epoch {epoch}, batch {start // train_config.batch_size}"
-            loss, norm = _train_step(params, adam, batch, weights, train_config, where,
-                                     workspace)
+            loss, norm = _train_step(params, adam, batch, weights, train_config, where)
             epoch_loss += loss
             norms.append(norm)
         validating = time.perf_counter()
-        stats = _validate_epoch(epoch, epoch_loss / len(norms), params, val_videos, weights,
-                                workspace)
+        stats = _validate_epoch(epoch, epoch_loss / len(norms), params, val_videos, weights)
         done = time.perf_counter()
 
         history.append(stats)
@@ -317,38 +308,35 @@ def train(
     )
 
 
-def _train_step(params, adam, batch, weights, cfg: TrainConfig, where: str,
-                workspace: T.Workspace) -> tuple[float, float]:
+def _train_step(params, adam, batch, weights, cfg: TrainConfig,
+                where: str) -> tuple[float, float]:
     """Forward, backward, clip and Adam on one batch.
 
     The batch is (images, diffs, labels).  Its graph lives only inside
-    this call, so it is freed before the next batch builds its own; its
-    forward arrays live in ``workspace``'s buffers.
+    this call, so it is freed before the next batch builds its own.
     Returns the batch loss and the gradient norm before clipping.
     """
     images, diffs, labels = batch
     plist = params.all_parameters()
     T.zero_grads(plist)
-    with T.reusing(workspace):
-        loss = T.masked_cross_entropy(model_forward(params, images, diffs), labels, weights)
-        value = float(loss.value)
-        if not np.isfinite(value):
-            raise NumericError(f"training diverged: loss {value} at {where}")
-        T.backward(loss)
+    loss = T.masked_cross_entropy(model_forward(params, images, diffs), labels, weights)
+    value = float(loss.value)
+    if not np.isfinite(value):
+        raise NumericError(f"training diverged: loss {value} at {where}")
+    T.backward(loss)
     norm = clip_gradients(plist, cfg.grad_clip_global_norm)
     adam_step(plist, adam, cfg)
     return value, norm
 
 
-def _validate_epoch(epoch, train_loss, params, val_videos, weights,
-                    workspace: T.Workspace) -> EpochStats:
+def _validate_epoch(epoch, train_loss, params, val_videos, weights) -> EpochStats:
     """Score the validation videos unsmoothed, as ``evaluate`` with window 1.
 
     The validation loss is the training objective over all validation
     frames at once, computed in float64 from the tracks' logits.
     """
     try:
-        report = evaluation.evaluate(params, val_videos, 1, workspace)
+        report = evaluation.evaluate(params, val_videos, 1)
     except NumericError as exc:
         raise NumericError(f"epoch {epoch} validation: {exc}") from None
     val_loss = T.masked_cross_entropy(

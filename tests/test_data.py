@@ -289,7 +289,7 @@ def test_au1_stationary_rate():
     videos = generate_synthetic(
         SynthConfig(videos=24, frames_per_video=500, seed=9, image_size=16)
     )
-    labels = np.concatenate([v.labels_array() for v in videos])
+    labels = np.concatenate([v.labels for v in videos])
     assert labels.shape[0] >= 10000
     rate = float((labels[:, AU_ORDER.index("AU1")] == 1).mean())
     assert abs(rate - 0.6) <= 0.05

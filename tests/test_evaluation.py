@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from audet import evaluation as E
-from audet import tensor as T
 from audet.data import (AU_ORDER, PROTOTYPE_LABELS, FrameStream, SynthConfig, VideoSequence,
                         generate_synthetic)
 from audet.errors import ContractViolation, NumericError
@@ -474,7 +473,7 @@ def test_score_frames_chunks_match_one_batch(tiny_corpus, monkeypatch):
     videos = _cut(tiny_corpus, (3, 10, 5))
     whole = model_forward(params, *FrameStream(videos).inputs(slice(None)))
     monkeypatch.setattr(E, "SCORING_BATCH", 4)  # passes of 3+1, 4, 4, 1+3 and 2 frames
-    scores = E.score_frames(params, videos, T.Workspace())
+    scores = E.score_frames(params, videos)
     assert [(p.shape, l.shape) for p, l in scores] == [((n, 8), (n, 8, 2)) for n in (3, 10, 5)]
     np.testing.assert_allclose(np.concatenate([p for p, _ in scores]), probabilities(whole),
                                rtol=1e-12, atol=1e-15)
@@ -482,34 +481,9 @@ def test_score_frames_chunks_match_one_batch(tiny_corpus, monkeypatch):
                                rtol=1e-12, atol=1e-14)
 
 
-def test_scores_from_a_workspace_outlive_the_next_video(tiny_corpus):
-    params = ModelParams.init(TINY_MODEL, seed=37)
-    first, second = ([v] for v in tiny_corpus[:2])
-    assert len(first[0]) == len(second[0])
-    ws = T.Workspace()
-    [(probs, logits)] = E.score_frames(params, first, ws)
-    kept = probs.copy(), logits.copy()
-    allocated = ws.allocations
-    [(other, _)] = E.score_frames(params, second, ws)
-    assert ws.allocations == allocated  # the second video reused every buffer
-    assert probs.tobytes() == kept[0].tobytes() and logits.tobytes() == kept[1].tobytes()
-    assert not np.array_equal(other, probs)
-    [fresh] = E.score_frames(params, first, T.Workspace())
-    assert fresh[0].tobytes() == probs.tobytes() and fresh[1].tobytes() == logits.tobytes()
-
-
-def test_evaluate_in_a_reused_workspace_equals_a_new_one(tiny_params, tiny_corpus):
-    ws = T.Workspace()
-    evaluate(tiny_params, tiny_corpus[3:], 3, ws)  # an earlier pass leaves its buffers
-    reused = evaluate(tiny_params, tiny_corpus, 3, ws)
-    fresh = evaluate(tiny_params, tiny_corpus, 3)
-    assert [t.video_id for t in reused.tracks] == [t.video_id for t in fresh.tracks]
-    for a, b, video in zip(reused.tracks, fresh.tracks, tiny_corpus):
-        for field in ("probs", "logits", "binary", "smoothed"):
-            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
-        assert predict_video(tiny_params, video).tobytes() == a.probs.tobytes()
-    assert reused.unsmoothed.metric == fresh.unsmoothed.metric
-    assert reused.smoothed.metric == fresh.smoothed.metric
+def test_predict_video_scores_as_the_corpus_tracks(tiny_params, tiny_corpus):
+    for track, video in zip(evaluate(tiny_params, tiny_corpus, 3).tracks, tiny_corpus):
+        assert predict_video(tiny_params, video).tobytes() == track.probs.tobytes()
 
 
 class TestAlwaysInactiveBaseline:
@@ -520,7 +494,7 @@ class TestAlwaysInactiveBaseline:
         predictions = {
             v.video_id: np.zeros((len(v), 8), dtype=np.int8) for v in default_corpus
         }
-        labels = {v.video_id: v.labels_array() for v in default_corpus}
+        labels = {v.video_id: v.labels for v in default_corpus}
         report = challenge_metric(predictions, labels)
         assert report.mean_f1 == 0.0
         expected = 0.5 * (1.0 - rate)
@@ -554,15 +528,6 @@ def test_pooled_scores_match_scores_video_by_video(default_params):
         np.testing.assert_allclose(track.probs, alone, rtol=0, atol=1e-6)
         assert track.binary.tobytes() == binarize(alone).tobytes()
         assert track.smoothed.tobytes() == smooth(binarize(alone), 5).tobytes()
-
-
-def test_a_corpus_holds_the_buffers_of_one_pass(default_params, short_videos):
-    ws = T.Workspace()
-    E.predict_tracks(default_params, short_videos, 1, ws)
-    one = T.Workspace()
-    E.score_frames(default_params, short_videos[:4], one)  # one pass of 16 frames
-    assert sum(b.nbytes for b in ws.buffers) == sum(b.nbytes for b in one.buffers) > 0
-    assert ws.allocations == one.allocations  # later passes refilled the first one's
 
 
 def test_scoring_memory_does_not_grow_with_the_corpus(default_params, short_videos):

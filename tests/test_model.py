@@ -649,7 +649,7 @@ def _graph_arrays(root):
     return arrays
 
 
-def test_forward_results_without_a_workspace_are_independent():
+def test_forward_results_of_two_passes_are_independent():
     params = ModelParams.init(TINY_MODEL, seed=39)
     rng = np.random.default_rng(40)
     size = TINY_MODEL.image_size

@@ -643,7 +643,7 @@ def test_fd_report_names_worst_component():
 
 
 # ---------------------------------------------------------------------------
-# single-use graphs and the forward workspace
+# single-use graphs
 
 
 def test_second_backward_on_a_consumed_graph_raises():
@@ -688,63 +688,6 @@ def test_backward_releases_interior_nodes_but_not_leaves():
         assert node.grad is None and node._push is None
     np.testing.assert_array_equal(w.grad, [3.0, 0.0])
     np.testing.assert_array_equal(x.grad, [7.0, -1.0])
-
-
-def test_conv_and_relu_in_a_workspace_match_fresh_arrays():
-    rng = np.random.default_rng(60)
-    x = Tensor(rng.uniform(-1, 1, (3, 9, 9, 2)))
-    k = Parameter(rng.uniform(-1, 1, (4, 2, 3, 3)), "k")
-    b = Parameter(rng.uniform(-1, 1, 4), "b")
-    weights = rng.uniform(-1, 1, (3, 4, 4, 4))
-
-    def step():
-        T.zero_grads([k, b])
-        out = T.relu(T.conv2d(x, k, b, 2))
-        T.backward(weighted_sum(out, weights))
-        return out.value, k.grad.copy(), b.grad.copy()
-
-    fresh = step()
-    ws = T.Workspace()
-    for _ in range(3):
-        with T.reusing(ws):
-            got = step()
-        for want, have in zip(fresh, got):
-            assert want.tobytes() == have.tobytes()
-    # im2col matrix, conv map (the matmul product) and relu map, allocated once
-    assert ws.allocations == len(ws.buffers) == 3
-    assert any(np.shares_memory(got[0], buf) for buf in ws.buffers)
-
-
-def test_workspace_reuses_by_request_order_and_drops_the_rest_on_a_new_shape():
-    ws = T.Workspace()
-    small, large = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
-    with T.reusing(ws):
-        first = [T.relu(small).value, T.relu(large).value]
-    with T.reusing(ws):
-        again = [T.relu(small).value, T.relu(large).value]
-    assert all(a is b for a, b in zip(first, again)) and ws.allocations == 2
-    with T.reusing(ws):
-        swapped = [T.relu(large).value, T.relu(small).value]
-    assert ws.allocations == 4
-    assert not any(np.shares_memory(a, b) for a in swapped for b in first)
-    with T.reusing(ws):
-        T.relu(large)
-    assert len(ws.buffers) == 1  # cut back to what the last pass used
-
-
-def test_an_exception_inside_a_pass_leaves_no_workspace_active():
-    ws = T.Workspace()
-    with pytest.raises(NumericError):
-        with T.reusing(ws):
-            T.relu(Tensor(np.ones(3)))
-            raise NumericError("diverged")
-    assert T._active.get() is None
-    assert not np.shares_memory(T.relu(Tensor(np.ones(3))).value, ws.buffers[0])
-    with T.reusing(T.Workspace()):
-        with pytest.raises(ContractViolation, match="already active"):
-            with T.reusing(ws):
-                pass
-    assert T._active.get() is None
 
 
 def test_conv2d_rejects_mixed_dtypes():
