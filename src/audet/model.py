@@ -1,13 +1,13 @@
 """Three-branch action unit detector.
 
 The static branch runs a strided conv stack over the two-plane frame
-(gray + edges) and scans the resulting feature map position by position
-with a gated recurrent cell, raster order, zero initial state.  The
-dynamic branch is a small MLP over the 146 landmark motion values with
-a tanh output.  Their concatenation (dynamic first) maps through one
-tanh affine layer into the fused state.
+(gray + edges), flattens the resulting feature map and maps it through
+one tanh affine layer into the texture state.  The dynamic branch is a
+small MLP over the 146 landmark motion values with a tanh output.
+Their concatenation (dynamic first) maps through one tanh affine layer
+into the fused state.
 
-Decoding is recurrent over the AU list: a second gated cell starts from
+Decoding is recurrent over the AU list: a gated cell starts from
 the fused state and consumes one learned AU embedding per step; each
 step's output state feeds a shared 2-way affine classifier whose
 softmax gives the activation probability for that AU.  Step i therefore
@@ -53,7 +53,7 @@ class ModelConfig:
 
     image_size: int = 64
     conv_spec: tuple[tuple[int, int, int], ...] = ((16, 5, 2), (32, 3, 2), (32, 3, 2))
-    static_gru_hidden: int = 64
+    static_out: int = 64
     dynamic_hidden: tuple[int, ...] = (128, 64)
     fusion_out: int = 64
     au_embedding_dim: int = 64
@@ -70,7 +70,7 @@ class ModelConfig:
         for width in self.dynamic_hidden:
             if width < 1:
                 raise ContractViolation(f"dynamic layer width {width} < 1")
-        for name in ("static_gru_hidden", "fusion_out", "au_embedding_dim"):
+        for name in ("static_out", "fusion_out", "au_embedding_dim"):
             if getattr(self, name) < 1:
                 raise ContractViolation(f"{name} must be >= 1")
 
@@ -92,7 +92,7 @@ class ModelConfig:
         return {
             "image_size": str(self.image_size),
             "conv_spec": ",".join(":".join(map(str, layer)) for layer in self.conv_layers()),
-            "static_gru_hidden": str(self.static_gru_hidden),
+            "static_out": str(self.static_out),
             "dynamic_hidden": ",".join(f"{w}:{'tanh' if i == last else 'relu'}"
                                        for i, w in enumerate(self.dynamic_hidden)),
             "fusion_out": str(self.fusion_out),
@@ -114,7 +114,7 @@ class ModelConfig:
             cfg = cls(
                 image_size=int(kv["image_size"]),
                 conv_spec=tuple(row[1:] for row in rows),
-                static_gru_hidden=int(kv["static_gru_hidden"]),
+                static_out=int(kv["static_out"]),
                 dynamic_hidden=tuple(dyn),
                 fusion_out=int(kv["fusion_out"]),
                 au_embedding_dim=int(kv["au_embedding_dim"]),
@@ -136,18 +136,11 @@ class ModelConfig:
 # sized so the exhaustive finite-difference sweep finishes in seconds.
 GRADCHECK_CONFIG = ModelConfig(
     conv_spec=((4, 5, 2), (8, 3, 2), (8, 3, 2)),
-    static_gru_hidden=16,
+    static_out=16,
     dynamic_hidden=(16, 16),
     fusion_out=16,
     au_embedding_dim=16,
 )
-
-
-def _gru_shapes(prefix: str, input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of a gated cell's tensors (see tensor.gru_scan)."""
-    return {f"{prefix}.input_weights": (3 * hidden_dim, input_dim),
-            f"{prefix}.hidden_weights": (3 * hidden_dim, hidden_dim),
-            f"{prefix}.biases": (3 * hidden_dim,)}
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -162,8 +155,9 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     for i, (cin, cout, k, _) in enumerate(config.conv_layers()):
         shapes[f"conv{i}.kernels"] = (cout, cin, k, k)
         shapes[f"conv{i}.bias"] = (cout,)
-    h = config.static_gru_hidden
-    shapes.update(_gru_shapes("static_gru", config.conv_spec[-1][0], h))
+    h = config.static_out
+    shapes["static.weights"] = (h, math.prod(config.conv_output_shape()))
+    shapes["static.bias"] = (h,)
     prev = DIFF_DIM
     for i, width in enumerate(config.dynamic_hidden):
         shapes[f"dynamic{i}.weights"] = (width, prev)
@@ -173,7 +167,10 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["fusion.weights"] = (f, prev + h)
     shapes["fusion.bias"] = (f,)
     shapes["au_table"] = (len(AU_ORDER), config.au_embedding_dim)
-    shapes.update(_gru_shapes("query_gru", config.au_embedding_dim, f))
+    # the query cell's gate blocks, stacked as tensor.gru_scan reads them
+    shapes["query_gru.input_weights"] = (3 * f, config.au_embedding_dim)
+    shapes["query_gru.hidden_weights"] = (3 * f, f)
+    shapes["query_gru.biases"] = (3 * f,)
     shapes["classifier.weights"] = (2, f)
     shapes["classifier.bias"] = (2,)
     return shapes
@@ -257,9 +254,10 @@ def channel_last(image: np.ndarray, dtype) -> np.ndarray:
 
 
 def static_forward(params: ModelParams, image: np.ndarray) -> Tensor:
-    """Conv stack over B two-plane frames, then a raster scan of each map.
+    """Conv stack over B two-plane frames, then a tanh affine layer over
+    each flattened map.
 
-    ``image`` is B x 2 x S x S; the result is the B x h last scan states.
+    ``image`` is B x 2 x S x S; the result is the B x h texture states.
     """
     cfg = params.config
     expect = (2, cfg.image_size, cfg.image_size)
@@ -269,10 +267,7 @@ def static_forward(params: ModelParams, image: np.ndarray) -> Tensor:
     x = Tensor(channel_last(image, params.dtype))
     for i, (_, _, stride) in enumerate(cfg.conv_spec):
         x = T.relu(T.conv2d(x, t[f"conv{i}.kernels"], t[f"conv{i}.bias"], stride))
-    seq = T.spatial_sequence(x)
-    h0 = Tensor(np.zeros((len(image), cfg.static_gru_hidden), dtype=params.dtype))
-    states = T.gru_scan(seq, h0, *params.cell("static_gru"))
-    return T.row(states, states.shape[1] - 1)
+    return T.tanh(T.linear(t["static.weights"], t["static.bias"], T.flatten(x)))
 
 
 def dynamic_forward(params: ModelParams, diff: np.ndarray) -> Tensor:
@@ -346,7 +341,7 @@ def check_frame_size(config: ModelConfig, videos) -> None:
 # reader accepts no other count, order, name or shape.
 
 CHECKPOINT_MAGIC = b"AUCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 1 held the static branch's GRU scan
 
 
 def save_checkpoint(params: ModelParams, path) -> Path:

@@ -13,18 +13,18 @@ dtype the inputs carry, so the same graph code serves float32 training
 and float64 gradient checking.
 
 The engine holds the ops the model runs and no others: :func:`conv2d`,
-:func:`relu`, :func:`spatial_sequence`, :func:`gru_scan`, :func:`row`,
-:func:`linear`, :func:`tanh`, :func:`concat` and
-:func:`masked_cross_entropy`.  They take a leading batch axis
-(:func:`conv2d`, :func:`spatial_sequence`, :func:`gru_scan` and
-:func:`masked_cross_entropy` demand one), so a training step builds one
-graph for its whole batch; a single example is a batch of one.  Feature
-maps are channel-last, B x H x W x C: :func:`conv2d` gathers each output
-pixel's patch as k runs of k*C adjacent values, scatters its input
-gradient along whole C-wide rows, and :func:`spatial_sequence` is a
-reshape.  The recurrent scan :func:`gru_scan` is one node for all S
-steps of a gated cell: it projects every step's input with a single
-matmul, then steps the B x h states.
+:func:`relu`, :func:`flatten`, :func:`linear`, :func:`tanh`,
+:func:`concat`, :func:`gru_scan` and :func:`masked_cross_entropy`.
+They take a leading batch axis (:func:`conv2d`, :func:`flatten`,
+:func:`gru_scan` and :func:`masked_cross_entropy` demand one), so a
+training step builds one graph for its whole batch; a single example is
+a batch of one.  Feature maps are channel-last, B x H x W x C:
+:func:`conv2d` gathers each output pixel's patch as k runs of k*C
+adjacent values, scatters its input gradient along whole C-wide rows,
+and :func:`flatten` is a reshape.  The recurrent scan :func:`gru_scan`
+is one node for all S steps of a gated cell: it projects the one input
+sequence that every row reads with a single matmul, then steps the
+B x h states.
 
 Right operands.  Every matmul in a forward pass multiplies by a
 C-contiguous right operand, copying a transposed or permuted weight
@@ -32,17 +32,15 @@ matrix once per call: with a transposed view, OpenBLAS runs the model's
 small products up to 2.7x slower (a scan step's 16 x 64 by 64 x 128
 product 7.4 -> 2.7 us, the first dynamic layer 15.1 -> 6.3 us).
 
-Row counts.  With a contiguous right operand, OpenBLAS gives a row of a
-product the same bits whatever the product's row count, as long as that
-count is a multiple of 4; rows past the last multiple of 4 go through
-other kernels.  :func:`linear`, whose row count is the batch size, pads
-its rows to a multiple of 4; :func:`conv2d` runs one product per frame,
-and the static scan's input projection has S*B rows, a multiple of 4 at
-the model's map size.  That a frame's scores then do not depend on
-which frames share its scoring pass is measured (float32 on SkylakeX
-kernels, float64 on SkylakeX and Haswell kernels), not promised: the
-scans' per-step products (B rows) are not padded, and Haswell's float32
-kernels need other row multiples.
+Row counts.  OpenBLAS can give a row of a product other bits depending
+on the product's row count.  :func:`linear`, whose row count is the
+batch size, pads its rows to a multiple of 4, and :func:`conv2d` runs
+one product per frame.  That does not make a frame's scores independent
+of the frames that share its pass.  Measured for the static layer's
+1,152-wide float32 product against a 64-row product, on SkylakeX
+kernels with one or two threads: row counts 1-12 give a row other bits,
+13-32 the same bits; on Haswell kernels, most counts of 1-32 differ.
+One padding rule for every product is not settled.
 
 Build one graph per step and call :func:`backward` on it once.  As
 the walk passes each interior node it releases the node's backward
@@ -157,20 +155,6 @@ def concat(parts: list[Tensor]) -> Tensor:
     return Tensor(np.concatenate([p.value for p in parts], axis=-1), tuple(parts), push)
 
 
-def row(a: Tensor, index: int) -> Tensor:
-    """Select one row of a matrix, or of every matrix in a batch."""
-    _require(a.value.ndim >= 2, lambda: f"row: expected matrix, got shape {a.value.shape}")
-    _require(0 <= index < a.value.shape[-2],
-             lambda: f"row: index {index} out of range for {a.value.shape}")
-
-    def push(g):
-        full = np.zeros_like(a.value)
-        full[..., index, :] = g
-        _accum(a, full)
-
-    return Tensor(a.value[..., index, :].copy(), (a,), push)
-
-
 def linear(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
     """Affine map ``weights @ x + bias`` of a vector, or of each row of a batch.
 
@@ -205,17 +189,16 @@ def linear(weights: Tensor, bias: Tensor, x: Tensor) -> Tensor:
     return Tensor(out.reshape(*x.value.shape[:-1], n), (weights, bias, x), push)
 
 
-def spatial_sequence(a: Tensor) -> Tensor:
-    """Read each H x W x C map of a B x H x W x C batch as H*W feature
-    vectors in raster order: B x H*W x C, a view of a contiguous input."""
+def flatten(a: Tensor) -> Tensor:
+    """Each H x W x C map of a B x H x W x C batch as one vector of H*W*C
+    values in raster order: B x H*W*C, a view of a contiguous input."""
     _require(a.value.ndim == 4,
-             lambda: f"spatial_sequence: expected a B,H,W,C batch, got {a.value.shape}")
-    b, h, w, c = a.value.shape
+             lambda: f"flatten: expected a B,H,W,C batch, got {a.value.shape}")
 
     def push(g):
         _accum(a, g.reshape(a.value.shape))
 
-    return Tensor(a.value.reshape(b, h * w, c), (a,), push)
+    return Tensor(a.value.reshape(len(a.value), -1), (a,), push)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +295,11 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
 def gru_scan(xs: Tensor, h0: Tensor, wi: Tensor, wh: Tensor, bias: Tensor) -> Tensor:
     """Run a gated recurrent cell over S steps, as a single node.
 
-    ``h0`` is the B x h batch of initial states, and the output is the
-    B x S x h sequence of states, [b, t] being row b's state after
-    consuming its input t.  ``xs`` is either B x S x d, one input
-    sequence per row, or S x d, one sequence shared by every row
-    (projected once, not B times).  The cell's three gate blocks are
+    ``h0`` is the B x h batch of initial states, ``xs`` the S x d input
+    sequence that every row consumes, and the output is the B x S x h
+    sequence of states, [b, t] being row b's state after consuming
+    input t.  The inputs are projected once, not B times; a batch of
+    per-row sequences is rejected.  The cell's three gate blocks are
     stacked row-wise in the order update, reset, candidate: the input
     weights ``wi`` are 3h x d, the hidden weights ``wh`` 3h x h and
     ``bias`` 3h.
@@ -344,24 +327,19 @@ def gru_scan(xs: Tensor, h0: Tensor, wi: Tensor, wh: Tensor, bias: Tensor) -> Te
              lambda: f"gru: biases must be ({3 * hd},), got {bias.value.shape}")
     _require(h0.value.ndim == 2 and h0.value.shape[1] == hd,
              lambda: f"gru_scan: state must be a B x {hd} batch, got {h0.value.shape}")
-    _require(xs.value.ndim in (2, 3) and xs.value.shape[-1] == d,
-             lambda: f"gru_scan: inputs must be S x {d} or B x S x {d}, got {xs.value.shape}")
-    _require(xs.value.ndim == 2 or xs.value.shape[0] == h0.value.shape[0],
-             lambda: f"gru_scan: input batch {xs.value.shape} does not match "
-                     f"state {h0.value.shape}")
-    _require(xs.value.shape[-2] >= 1, "gru_scan: no steps")
+    _require(xs.value.ndim == 2 and xs.value.shape[1] == d,
+             lambda: f"gru_scan: inputs must be one S x {d} sequence, got {xs.value.shape}")
+    _require(len(xs.value) >= 1, "gru_scan: no steps")
     hv = h0.value
-    rows, steps = hv.shape[0], xs.value.shape[-2]
-    shared = xs.value.ndim == 2
+    rows, steps = hv.shape[0], len(xs.value)
     half = hv.dtype.type(0.5)
     zr_cols, c_cols = slice(0, 2 * hd), slice(2 * hd, None)
     wh_zr, wh_c = wh.value[zr_cols], wh.value[c_cols]
-    # step-major inputs, S x d or S x B x d, and every step's projection at once
-    xv = xs.value if shared else np.ascontiguousarray(xs.value.swapaxes(0, 1))
-    gi = (xv.reshape(-1, d) @ np.ascontiguousarray(wi.value.T)).reshape(*xv.shape[:-1], 3 * hd)
+    # every step's projection at once, S x 3h, added to all B rows of its step
+    gi = xs.value @ np.ascontiguousarray(wi.value.T)
     gi += bias.value
-    gi[..., zr_cols] *= half
-    gi_zr, gi_c = gi[..., zr_cols], gi[..., c_cols]
+    gi[:, zr_cols] *= half
+    gi_zr, gi_c = gi[:, zr_cols], gi[:, c_cols]
     half_wh_zr_t = np.ascontiguousarray((wh_zr * half).T)
     wh_c_t = np.ascontiguousarray(wh_c.T)
 
@@ -416,12 +394,10 @@ def gru_scan(xs: Tensor, h0: Tensor, wi: Tensor, wh: Tensor, bias: Tensor) -> Te
         dwh[zr_cols] = flat[:, zr_cols].T @ h_prevs.reshape(steps * rows, hd)
         dwh[c_cols] = flat[:, c_cols].T @ rh.reshape(steps * rows, hd)
         _accum(wh, dwh)
-        dgi = dpre.sum(axis=1) if shared else dpre  # shared inputs gather every row
-        dgi_flat = dgi.reshape(-1, 3 * hd)
-        _accum(wi, dgi_flat.T @ xv.reshape(-1, d))
-        _accum(bias, dgi_flat.sum(axis=0))
-        dx = (dgi_flat @ wi.value).reshape(xv.shape)
-        _accum(xs, dx if shared else dx.swapaxes(0, 1))
+        dgi = dpre.sum(axis=1)  # every row read the same inputs
+        _accum(wi, dgi.T @ xs.value)
+        _accum(bias, dgi.sum(axis=0))
+        _accum(xs, dgi @ wi.value)
         _accum(h0, dh)
 
     return Tensor(hs[1:].swapaxes(0, 1), (xs, h0, wi, wh, bias), push)

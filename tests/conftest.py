@@ -14,7 +14,7 @@ from audet.training import TrainConfig, train
 TINY_MODEL = ModelConfig(
     image_size=24,
     conv_spec=((3, 5, 2), (4, 3, 2), (4, 3, 1)),
-    static_gru_hidden=8,
+    static_out=8,
     dynamic_hidden=(10, 8),
     fusion_out=8,
     au_embedding_dim=8,
@@ -33,6 +33,21 @@ def weighted_sum(a, weights=1.0):
         T._accum(a, g * w)
 
     return T.Tensor(np.asarray((a.value * w).sum()), (a,), push)
+
+
+def first_state(states):
+    """Node of the B x h states after step 0 of a B x S x h scan output,
+    for chaining one-step scans in a test.
+
+    The model reads whole scan outputs, so the engine has no such op.
+    """
+
+    def push(g):
+        full = np.zeros_like(states.value)
+        full[:, 0] = g
+        T._accum(states, full)
+
+    return T.Tensor(states.value[:, 0].copy(), (states,), push)
 
 
 def gru_cell(input_dim, hidden_dim, fill=np.zeros):

