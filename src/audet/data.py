@@ -1,9 +1,9 @@
 """Corpus handling: synthetic face videos, input features, binary storage.
 
 A video is held column-wise, T-leading, in the corpus file's own units:
-u8 pixel planes (grayscale rendering of a schematic 73-point face, then
-its Sobel edge map), f32 landmark coordinates, and one i8 label per
-action unit (-1 marks unknown).  One record dtype describes a stored
+one u8 gray plane per frame (the rendering of a schematic 73-point
+face), f32 landmark coordinates, and one i8 label per action unit (-1
+marks unknown).  One record dtype describes a stored
 frame, so a video is written and read as one block of bytes.  A
 :class:`FrameStream` numbers the frames of a list of videos as rows,
 and its :meth:`FrameStream.inputs` is the only place stored frames
@@ -159,7 +159,7 @@ def check_video_id(video_id: str) -> None:
 class VideoSequence:
     """One video as T-leading arrays, T >= 3.
 
-    planes: T x 2 x H x W uint8, gray then edge, 0..255 standing for [0, 1]
+    planes: T x H x W uint8 gray planes, 0..255 standing for [0, 1]
     landmarks: T x 73 x 2 float32, normalised coordinates, all finite
     labels: T x 8 int8 in {-1, 0, 1}
     """
@@ -183,10 +183,8 @@ class VideoSequence:
                 )
             if tail is not None and arr.shape[1:] != tail:
                 raise ContractViolation(f"{where}: {name} must be T x {tail}, got {arr.shape}")
-        if self.planes.ndim != 4 or self.planes.shape[1] != 2:
-            raise ContractViolation(
-                f"{where}: planes must be T x 2 x H x W, got {self.planes.shape}"
-            )
+        if self.planes.ndim != 3:
+            raise ContractViolation(f"{where}: planes must be T x H x W, got {self.planes.shape}")
         lengths = {len(self.planes), len(self.landmarks), len(self.labels)}
         if len(lengths) > 1:
             raise ContractViolation(
@@ -234,38 +232,6 @@ def decode_planes(planes: np.ndarray) -> np.ndarray:
 # input features
 
 
-def sobel_edge(gray: np.ndarray) -> np.ndarray:
-    """Sobel gradient magnitude per frame, replicate padding, peak-normalised.
-
-    Takes and returns a T x 1 x H x W float array.  Each frame is
-    divided by max(1e-8, its max magnitude), so values land in [0, 1]
-    and a flat frame maps to all zeros.
-    """
-    if gray.ndim != 4 or gray.shape[1] != 1:
-        raise ContractViolation(f"sobel_edge: expected T,1,H,W, got {gray.shape}")
-    if gray.shape[2] < 3 or gray.shape[3] < 3:
-        raise ContractViolation(f"sobel_edge: image must be at least 3 x 3, got {gray.shape}")
-    if not np.issubdtype(gray.dtype, np.floating):
-        raise ContractViolation(f"sobel_edge: expected a float image, got {gray.dtype}")
-    p = np.pad(gray[:, 0], ((0, 0), (1, 1), (1, 1)), mode="edge").astype(np.float64)
-    # separable: [1, 2, 1] smoothing across the derivative's direction, then a
-    # central difference.  A whole video's float64 planes are megabytes each,
-    # so intermediates are dropped as soon as they are used and squared in place.
-    down = p[:, :-2] + 2 * p[:, 1:-1] + p[:, 2:]
-    gx = down[:, :, 2:] - down[:, :, :-2]
-    del down
-    across = p[:, :, :-2] + 2 * p[:, :, 1:-1] + p[:, :, 2:]
-    del p
-    gy = across[:, 2:] - across[:, :-2]
-    del across
-    gx *= gx
-    gy *= gy
-    gx += gy
-    mag = np.sqrt(gx, out=gx)
-    mag /= np.maximum(1e-8, mag.max(axis=(1, 2), keepdims=True))
-    return mag[:, None].astype(gray.dtype)
-
-
 def landmark_diffs(landmarks: np.ndarray) -> np.ndarray:
     """Scaled landmark motion of every frame, T x 146, from T x 73 x 2 landmarks.
 
@@ -307,7 +273,7 @@ class FrameStream:
         return len(self.labels)
 
     def inputs(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """Decoded planes (B x 2 x H x W) and motion features (B x 146), in
+        """Decoded gray planes (B x H x W) and motion features (B x 146), in
         float32, of ``rows``: an index array or a slice."""
         planes = np.stack([self.videos[v].planes[t] for v, t in
                            zip(self.video[rows].tolist(), self.frame[rows].tolist())])
@@ -443,10 +409,8 @@ def generate_synthetic(config: SynthConfig) -> list[VideoSequence]:
     put with ``stay_probability`` and otherwise jumps uniformly to one
     of the other four states.  Activations ramp by 1/3 per frame toward
     the current prototype; frame 0 starts settled.  The per-frame loop
-    only draws random numbers; each video is then rendered and
-    edge-filtered as one T-leading batch.  The edge map is taken from
-    the gray plane as decoded from the u8 grid, so it sees exactly what
-    the model sees.
+    only draws random numbers; each video is then rendered as one
+    T-leading batch.
     """
     config.validate()
     return [_synthesize_video(config, v) for v in range(config.videos)]
@@ -460,7 +424,7 @@ def _synthesize_video(config: SynthConfig, v: int) -> VideoSequence:
     # threshold, and training then re-faulted its memory on every epoch.
     size, n = config.image_size, config.frames_per_video
     rng = np.random.default_rng([config.seed, v])
-    planes = np.empty((n, 2, size, size), np.uint8)
+    planes = np.empty((n, size, size), np.uint8)
     landmarks = np.empty((n, LANDMARK_COUNT, 2), np.float32)
     labels = np.empty((n, len(AU_ORDER)), np.int8)
     noise = np.empty((n, size, size))
@@ -484,8 +448,7 @@ def _synthesize_video(config: SynthConfig, v: int) -> VideoSequence:
         landmarks[t] = np.clip(lm, 0.0, 1.0)
         noise[t] = rng.normal(0.0, config.pixel_noise_sigma, (size, size))
 
-    planes[:, 0] = encode_planes(render_face(landmarks, size) + noise)
-    planes[:, 1] = encode_planes(sobel_edge(decode_planes(planes[:, :1]))[:, 0])
+    planes[:] = encode_planes(render_face(landmarks, size) + noise)
     return VideoSequence(f"synth{v:04d}", planes, landmarks, labels)
 
 
@@ -494,18 +457,17 @@ def _synthesize_video(config: SynthConfig, v: int) -> VideoSequence:
 #
 # magic "AUC1", version u16, height u16, width u16, video count u32, then
 # per video: id (u16 length + utf8), frame count u32, then one
-# frame_record(height, width) per frame: gray u8*H*W, edge u8*H*W,
-# landmarks 146 * f32, labels 8 * i8.  All integers and floats little
-# endian.
+# frame_record(height, width) per frame: gray u8*H*W, landmarks
+# 146 * f32, labels 8 * i8.  All integers and floats little endian.
 
 CORPUS_MAGIC = b"AUC1"
-CORPUS_VERSION = 1
+CORPUS_VERSION = 2  # 1 also stored an edge-map plane per frame
 
 
 def frame_record(height: int, width: int) -> np.dtype:
     """Packed dtype of one stored frame; its fields are VideoSequence's arrays."""
     return np.dtype([
-        ("planes", "u1", (2, height, width)),
+        ("planes", "u1", (height, width)),
         ("landmarks", "<f4", (LANDMARK_COUNT, 2)),
         ("labels", "i1", (len(AU_ORDER),)),
     ])
@@ -519,15 +481,15 @@ def store_corpus(videos: list[VideoSequence], path) -> Path:
     """Write videos to one .auc file; a directory path gets corpus.auc."""
     if not videos:
         raise ContractViolation("store_corpus: no videos to store")
-    h, w = videos[0].planes.shape[2:]
+    h, w = videos[0].planes.shape[1:]
     record = frame_record(h, w)
     chunks = [CORPUS_MAGIC, struct.pack("<HHHI", CORPUS_VERSION, h, w, len(videos))]
     for video in videos:
         check_video_id(video.video_id)
-        if video.planes.shape[2:] != (h, w):
+        if video.planes.shape[1:] != (h, w):
             raise ContractViolation(
                 f"store_corpus: video {video.video_id!r} frame size "
-                f"{video.planes.shape[2:]} != corpus size {(h, w)}"
+                f"{video.planes.shape[1:]} != corpus size {(h, w)}"
             )
         rows = np.empty(len(video), record)
         rows["planes"], rows["landmarks"], rows["labels"] = (
@@ -579,8 +541,8 @@ def load_corpus(path) -> list[VideoSequence]:
     source = {}
     for f in files:
         loaded = _load_file(f)
-        if videos and loaded[0].planes.shape[2:] != videos[0].planes.shape[2:]:
-            (h, w), (h0, w0) = loaded[0].planes.shape[2:], videos[0].planes.shape[2:]
+        if videos and loaded[0].planes.shape[1:] != videos[0].planes.shape[1:]:
+            (h, w), (h0, w0) = loaded[0].planes.shape[1:], videos[0].planes.shape[1:]
             raise FormatError(f"{f}: frames are {h} x {w} px, but {files[0]} holds "
                               f"{h0} x {w0} px frames; a corpus has one image size")
         for video in loaded:

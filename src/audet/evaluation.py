@@ -151,15 +151,16 @@ def challenge_metric(
 
 
 # Frames per forward pass.  A pass's im2col matrices and conv/relu maps take
-# about 0.5 MB per 64 x 64 frame and the pass allocates little beyond
+# about 0.4 MB per 64 x 64 frame and the pass allocates little beyond
 # them, so the chunk size sets scoring's memory peak.  Pooled passes on
-# perfbench's infer workload (100 videos x 4 frames, seed 2050, one 36 s
-# run each on a 2-vCPU Xeon host with OpenBLAS, channel-last conv stack):
+# perfbench's infer workload (100 videos x 4 frames, two 36 s runs each,
+# --seed 1 and 2, on a 2-vCPU Xeon host with OpenBLAS's SkylakeX kernels;
+# one gray plane per frame, scan-free static branch):
 #   chunk   infer frames/s   peak RSS MB
-#   16      2156             69.2
-#   32      2274             78.1
-#   64      2121             98.4
-# 16 keeps the peak flat.
+#   16      3005, 2845       60.7, 62.0
+#   32      2067, 1953       65.6, 65.8
+#   64      1825, 1827       79.7, 80.1
+# 16 is the fastest and keeps the peak flat.
 SCORING_BATCH = 16
 
 

@@ -1,8 +1,8 @@
 """Three-branch action unit detector.
 
-The static branch runs a strided conv stack over the two-plane frame
-(gray + edges), flattens the resulting feature map and maps it through
-one tanh affine layer into the texture state.  The dynamic branch is a
+The static branch runs a strided conv stack over the frame's gray
+plane, flattens the resulting feature map and maps it through one tanh
+affine layer into the texture state.  The dynamic branch is a
 small MLP over the 146 landmark motion values with a tanh output.
 Their concatenation (dynamic first) maps through one tanh affine layer
 into the fused state.
@@ -16,7 +16,7 @@ sees only embeddings 0..i, never later ones.
 The trainable tensors are declared once, in the ordered name -> shape
 table of :func:`parameter_shapes`; building, counting, copying, saving
 and checking them all follow it.  The forward functions take batches
-only, B x 2 x S x S images and B x 146 motion vectors, run a batch as
+only, B x S x S images and B x 146 motion vectors, run a batch as
 one graph (one frame is a batch of one), and read the tensors by name.
 """
 
@@ -43,7 +43,7 @@ class ModelConfig:
     """Architecture dimensions, each one independent of the others.
 
     ``conv_spec`` rows are (filters, kernel, stride), each layer followed
-    by relu: layer 0 reads the 2 image planes, every later layer the
+    by relu: layer 0 reads the gray plane, every later layer the
     filters of the layer before.  ``dynamic_hidden`` lists the widths of
     the landmark-motion MLP: relu on every layer but the last, tanh on
     the last.  The checkpoint text spells out those derived values (in
@@ -76,7 +76,7 @@ class ModelConfig:
 
     def conv_layers(self):
         """(in channels, filters, kernel, stride) of each conv layer."""
-        channels = 2  # the gray and edge planes
+        channels = 1  # the gray plane
         for filters, k, s in self.conv_spec:
             yield channels, filters, k, s
             channels = filters
@@ -239,32 +239,19 @@ class ModelParams:
 # forward passes
 
 
-def channel_last(image: np.ndarray, dtype) -> np.ndarray:
-    """A B x H x W x C copy, in ``dtype``, of a B x C x H x W image batch:
-    the conv stack's layout.
-
-    Copying plane by plane is several times faster than a whole-array
-    transpose.
-    """
-    b, c, h, w = image.shape
-    out = np.empty((b, h, w, c), dtype=dtype)
-    for i in range(c):
-        out[..., i] = image[:, i]
-    return out
-
-
 def static_forward(params: ModelParams, image: np.ndarray) -> Tensor:
-    """Conv stack over B two-plane frames, then a tanh affine layer over
-    each flattened map.
+    """Conv stack over B gray frames, then a tanh affine layer over each
+    flattened map.
 
-    ``image`` is B x 2 x S x S; the result is the B x h texture states.
+    ``image`` is B x S x S; the result is the B x h texture states.  The
+    conv stack reads it as a B x S x S x 1 channel-last batch.
     """
     cfg = params.config
-    expect = (2, cfg.image_size, cfg.image_size)
-    if image.ndim != 4 or image.shape[1:] != expect:
+    expect = (cfg.image_size, cfg.image_size)
+    if image.ndim != 3 or image.shape[1:] != expect:
         raise ContractViolation(f"static_forward: image {image.shape}, expected B x {expect}")
     t = params.tensors
-    x = Tensor(channel_last(image, params.dtype))
+    x = Tensor(np.asarray(image, dtype=params.dtype).reshape(*image.shape, 1))
     for i, (_, _, stride) in enumerate(cfg.conv_spec):
         x = T.relu(T.conv2d(x, t[f"conv{i}.kernels"], t[f"conv{i}.bias"], stride))
     return T.tanh(T.linear(t["static.weights"], t["static.bias"], T.flatten(x)))
@@ -308,8 +295,8 @@ def classify_aus(params: ModelParams, fused: Tensor) -> Tensor:
 def model_forward(params: ModelParams, image: np.ndarray, diff: np.ndarray) -> Tensor:
     """Full pass over a batch: the B x 8 x 2 logits node of all 8 AUs.
 
-    ``image`` is B x 2 x H x W (gray plus edge planes, see
-    data.FrameStream.inputs) and ``diff`` B x 146; the batch runs as one graph.
+    ``image`` is B x H x W (gray planes, see data.FrameStream.inputs)
+    and ``diff`` B x 146; the batch runs as one graph.
     """
     if image.shape[:1] != diff.shape[:1]:
         raise ContractViolation(
@@ -324,7 +311,7 @@ def check_frame_size(config: ModelConfig, videos) -> None:
     """Raise ContractViolation naming the first video whose frames are not image_size square."""
     size = config.image_size
     for video in videos:
-        h, w = video.planes.shape[2:]
+        h, w = video.planes.shape[1:]
         if (h, w) != (size, size):
             raise ContractViolation(f"video {video.video_id!r} has {h} x {w} px frames, "
                                     f"but the model's image_size is {size}")

@@ -103,7 +103,7 @@ def test_sweep_checks_exactly_the_ops_of_a_training_step():
     params = ModelParams.init(ModelConfig(), seed=0)
     rng = np.random.default_rng(43)
     size = params.config.image_size
-    images = rng.uniform(0, 1, (3, 2, size, size)).astype(np.float32)
+    images = rng.uniform(0, 1, (3, size, size)).astype(np.float32)
     diffs = rng.uniform(-1, 1, (3, 146)).astype(np.float32)
     labels = rng.integers(-1, 2, (3, 8)).astype(np.int8)
     labels[0, 0] = 1
@@ -291,7 +291,7 @@ def test_causality_property(capsys):
     violations = []
     for trial in range(100):
         params = ModelParams.init(TINY_MODEL, seed=int(rng.integers(1 << 31)), dtype=np.float64)
-        image = rng.uniform(0.0, 1.0, (2, size, size))
+        image = rng.uniform(0.0, 1.0, (size, size))
         diff = rng.uniform(-1.0, 1.0, 146)
         base = probabilities(model_forward(params, image[None], diff[None]))
         j = int(rng.integers(1, 8))

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from audet import cli, tensor as T
-from audet.data import (FrameStream, SynthConfig, frame_record, generate_synthetic,
-                        store_corpus)
+from audet.data import (CORPUS_VERSION, FrameStream, SynthConfig, frame_record,
+                        generate_synthetic, store_corpus)
 from audet.errors import ConfigError, ContractViolation
 from audet.model import (CHECKPOINT_VERSION, ModelParams, load_checkpoint, model_forward,
                          parameter_shapes)
@@ -459,18 +459,25 @@ class TestRuntimeErrors:
             self, capsys, cli_env, tmp_path):
         mutated = tmp_path / "mutated.auck"
         blob = cli_env["checkpoint"].read_bytes()
-        assert blob.count(b"128:relu") == 1
-        mutated.write_bytes(blob.replace(b"128:relu", b"128:tanh"))  # same length
-        code, _, err = run(
-            capsys,
-            "eval",
-            "--checkpoint", str(mutated),
-            "--corpus", str(cli_env["corpus"]),
-            "--out", str(tmp_path / "scores"),
-        )
-        assert code == 2
-        assert "dynamic_hidden = '128:tanh,64:tanh', expected '128:relu,64:tanh'" in err
-        assert not (tmp_path / "scores").exists()
+        for written, stored, message in (
+                (b"128:relu", b"128:tanh",
+                 "dynamic_hidden = '128:tanh,64:tanh', expected '128:relu,64:tanh'"),
+                # a model whose first conv layer read a gray and an edge-map plane
+                (b"conv_spec=1:", b"conv_spec=2:",
+                 "conv_spec = '2:16:5:2,16:32:3:2,32:32:3:2', "
+                 "expected '1:16:5:2,16:32:3:2,32:32:3:2'")):
+            assert blob.count(written) == 1
+            mutated.write_bytes(blob.replace(written, stored))  # same length
+            code, _, err = run(
+                capsys,
+                "eval",
+                "--checkpoint", str(mutated),
+                "--corpus", str(cli_env["corpus"]),
+                "--out", str(tmp_path / "scores"),
+            )
+            assert code == 2
+            assert message in err
+            assert not (tmp_path / "scores").exists()
 
     def test_oversized_checkpoint_config_fails_before_allocating(
             self, capsys, cli_env, tmp_path):
@@ -524,6 +531,23 @@ class TestRuntimeErrors:
             "--out", str(tmp_path),
         )
         assert code == 2
+
+    def test_version_1_corpus_is_a_data_error(self, capsys, cli_env, tmp_path):
+        # version 1 stored an edge-map plane after each frame's gray plane
+        stale = tmp_path / "stale.auc"
+        blob = bytearray(cli_env["corpus"].read_bytes())
+        blob[4:6] = struct.pack("<H", 1)
+        stale.write_bytes(bytes(blob))
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--checkpoint", str(cli_env["checkpoint"]),
+            "--corpus", str(stale),
+            "--out", str(tmp_path / "scores"),
+        )
+        assert code == 2
+        assert f"corpus version 1, this reader supports {CORPUS_VERSION}" in err
+        assert not (tmp_path / "scores").exists()
 
     def test_non_finite_landmark_is_a_data_error(self, capsys, cli_env, tmp_path):
         poisoned = tmp_path / "nan.auc"

@@ -1,5 +1,5 @@
-"""Data module tests: edge features, motion features, the synthetic
-generator's statistics, and the corpus container format."""
+"""Data module tests: motion features, the synthetic generator's
+statistics, and the corpus container format."""
 
 import hashlib
 import itertools
@@ -12,6 +12,7 @@ from audet.binio import write_atomic
 from audet.data import (
     _DRAWN_GROUPS,
     AU_ORDER,
+    CORPUS_VERSION,
     EXPRESSION_PROTOTYPES,
     FrameStream,
     EXPRESSION_STATES,
@@ -26,7 +27,6 @@ from audet.data import (
     landmark_diffs,
     load_corpus,
     render_face,
-    sobel_edge,
     store_corpus,
 )
 from audet.errors import (
@@ -35,78 +35,6 @@ from audet.errors import (
     EmptyCorpusError,
     FormatError,
 )
-
-
-# ---------------------------------------------------------------------------
-# edge features
-
-
-def test_sobel_flat_image_is_zero():
-    out = sobel_edge(np.full((1, 1, 8, 8), 0.37, dtype=np.float32))
-    np.testing.assert_array_equal(out, np.zeros((1, 1, 8, 8), dtype=np.float32))
-
-
-def test_sobel_vertical_step_peaks_at_step():
-    img = np.zeros((1, 1, 10, 10), dtype=np.float32)
-    img[..., 5:] = 1.0
-    out = sobel_edge(img)[0, 0]
-    # strongest response on the two columns around the 4|5 boundary
-    np.testing.assert_allclose(out[:, 4], 1.0)
-    np.testing.assert_allclose(out[:, 5], 1.0)
-    np.testing.assert_array_equal(out[:, :3], np.zeros((10, 3)))
-    np.testing.assert_array_equal(out[:, 7:], np.zeros((10, 3)))
-
-
-def test_sobel_range_and_shape():
-    rng = np.random.default_rng(1)
-    img = rng.uniform(0, 1, (3, 1, 12, 9)).astype(np.float32)
-    out = sobel_edge(img)
-    assert out.shape == (3, 1, 12, 9) and out.dtype == np.float32
-    assert out.min() >= 0.0 and out.max() <= 1.0
-    # each frame is normalised by its own peak
-    np.testing.assert_array_equal(out.max(axis=(1, 2, 3)), np.ones(3, dtype=np.float32))
-
-
-def test_sobel_rejects_bad_shapes():
-    with pytest.raises(ContractViolation, match="T,1,H,W"):
-        sobel_edge(np.zeros((1, 8, 8)))
-    with pytest.raises(ContractViolation, match="T,1,H,W"):
-        sobel_edge(np.zeros((2, 2, 8, 8)))
-    with pytest.raises(ContractViolation, match="3 x 3"):
-        sobel_edge(np.zeros((1, 1, 2, 8)))
-    with pytest.raises(ContractViolation, match="3 x 3"):
-        sobel_edge(np.zeros((1, 1, 8, 2)))
-    # an integer image would have its [0, 1] magnitudes truncated to 0 or 1
-    with pytest.raises(ContractViolation, match="float"):
-        sobel_edge(np.zeros((1, 1, 8, 8), dtype=np.uint8))
-
-
-def _sobel_frame(gray):
-    """Per-frame reference: one 1 x H x W image, the formula as first written."""
-    g = gray[0].astype(np.float64)
-    p = np.pad(g, 1, mode="edge")
-    gx = (p[:-2, 2:] + 2 * p[1:-1, 2:] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2 * p[1:-1, :-2] + p[2:, :-2]
-    )
-    gy = (p[2:, :-2] + 2 * p[2:, 1:-1] + p[2:, 2:]) - (
-        p[:-2, :-2] + 2 * p[:-2, 1:-1] + p[:-2, 2:]
-    )
-    mag = np.sqrt(gx * gx + gy * gy)
-    mag /= max(1e-8, mag.max())
-    return mag[None].astype(gray.dtype)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_sobel_equals_per_frame_reference(dtype):
-    rng = np.random.default_rng(4)
-    for n, h, w in ((1, 8, 8), (7, 12, 9), (3, 64, 64)):
-        img = rng.uniform(0, 1, (n, 1, h, w)).astype(dtype)
-        img[0] = 0.37  # a flat frame maps to zeros without touching its neighbours
-        want = np.stack([_sobel_frame(frame) for frame in img])
-        got = sobel_edge(img)
-        assert got.dtype == dtype
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got[0], np.zeros((1, h, w), dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +383,13 @@ def test_failed_write_atomic_keeps_the_old_file_and_removes_its_temporary(tmp_pa
 def test_load_rejects_unknown_version(small_corpus, tmp_path):
     path = store_corpus(small_corpus, tmp_path / "c.auc")
     data = bytearray(path.read_bytes())
-    data[4:6] = (99).to_bytes(2, "little")
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="version 99"):
-        load_corpus(path)
+    # version 1 stored an edge-map plane after each frame's gray plane
+    for version in (1, 99):
+        data[4:6] = version.to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=rf"c\.auc: corpus version {version}, "
+                                              rf"this reader supports {CORPUS_VERSION}$"):
+            load_corpus(path)
 
 
 def test_load_reports_truncation_offset(small_corpus, tmp_path):
@@ -515,21 +446,23 @@ def test_load_zero_video_file(tmp_path):
     import struct
 
     path = tmp_path / "z.auc"
-    path.write_bytes(b"AUC1" + struct.pack("<HHHI", 1, 8, 8, 0))
+    path.write_bytes(b"AUC1" + struct.pack("<HHHI", CORPUS_VERSION, 8, 8, 0))
     with pytest.raises(EmptyCorpusError):
         load_corpus(path)
 
 
-# corpus bytes written by the per-frame store loop and per-frame renderer
-# that preceded the record dtype and the batched renderer; neither the
-# format nor the generator's output changed, so these must not move
+# corpus bytes of format version 2 (one gray plane per frame).  Each
+# version-2 record is the version-1 record with its edge-map plane cut
+# out, and the gray planes, landmarks and labels are those that the
+# per-frame store loop and per-frame renderer wrote before them, so these
+# move only when the format or the generator's output does
 PINNED_CORPORA = [
     (SynthConfig(videos=2, frames_per_video=4, seed=11, image_size=16),
-     "bdb7584a1c97dffc2f5dc1d504a22c29d842cdcc12975adf0846e025266e134f"),
+     "1f9f37ffcaf01f5f41dee9840e0a24e841618013d0c0385ced96cb72f9b1b948"),
     (SynthConfig(videos=3, frames_per_video=5, seed=3, image_size=12, label_flip_noise=0.3),
-     "57d92d634590b743d0dea6b79c08088311bc04a798b5108808e76698f09d9bd3"),
+     "e607839dd4c849706d665d4157d1bb778337e62bb9009d54b18ef4f65b69d72d"),
     (SynthConfig(videos=2, frames_per_video=12, seed=5),
-     "a7ee0fc5019a086d41d0a0e3c9fa243c8a8967b76942c19928cf9de734cc0bec"),
+     "e9d5b561f892d27f5e541b36271426885390902138c889df89a513f6fe445baf"),
 ]
 
 
@@ -540,10 +473,10 @@ def test_stored_corpus_bytes_are_pinned(tmp_path, config, digest):
 
 
 def test_stock_corpus_bytes_are_pinned(tmp_path, default_corpus):
-    # the acceptance gate trains on this corpus; its digest predates the batched renderer
+    # the acceptance gate trains on this corpus; its gray planes predate the batched renderer
     path = store_corpus(default_corpus, tmp_path / "c.auc")
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
-            == "c2b1d7c36f1e6f77a2d0c6a249aeb96b2185cbc3abf15b7d8f2d1dd8366df923")
+            == "7db03b4ddcfa4c23d8d28383776d3ed87f26c59a7c83e3416859aeec35601650")
 
 
 def _stored_with(tmp_path, small_corpus, edit):
@@ -553,7 +486,7 @@ def _stored_with(tmp_path, small_corpus, edit):
     path = store_corpus(small_corpus, tmp_path / "c.auc")
     data = bytearray(path.read_bytes())
     first = 4 + 10 + 2 + len(small_corpus[0].video_id) + 4
-    record = frame_record(*small_corpus[0].planes.shape[2:])
+    record = frame_record(*small_corpus[0].planes.shape[1:])
     edit(np.frombuffer(data, record, count=len(small_corpus[0]), offset=first))
     path.write_bytes(bytes(data))
     return path
@@ -584,7 +517,7 @@ def test_load_rejects_out_of_range_label(tmp_path, small_corpus):
 def _video(n=3, size=8, **kw):
     base = dict(
         video_id="v",
-        planes=np.zeros((n, 2, size, size), dtype=np.uint8),
+        planes=np.zeros((n, size, size), dtype=np.uint8),
         landmarks=np.zeros((n, 73, 2), dtype=np.float32),
         labels=np.zeros((n, 8), dtype=np.int8),
     )
@@ -599,10 +532,12 @@ def test_video_sequence_field_validation():
         _video(labels=bad_labels)
     with pytest.raises(ContractViolation, match="73"):
         _video(landmarks=np.zeros((3, 70, 2), dtype=np.float32))
-    with pytest.raises(ContractViolation, match="2 x H x W"):
+    with pytest.raises(ContractViolation, match=r"planes must be T x H x W, got \(3, 1, 8, 8\)"):
         _video(planes=np.zeros((3, 1, 8, 8), dtype=np.uint8))
+    with pytest.raises(ContractViolation, match=r"planes must be T x H x W, got \(3, 8\)"):
+        _video(planes=np.zeros((3, 8), dtype=np.uint8))
     with pytest.raises(ContractViolation, match="planes must be uint8, got float32"):
-        _video(planes=np.zeros((3, 2, 8, 8), dtype=np.float32))
+        _video(planes=np.zeros((3, 8, 8), dtype=np.float32))
     with pytest.raises(ContractViolation, match="landmarks must be float32, got float64"):
         _video(landmarks=np.zeros((3, 73, 2)))
     with pytest.raises(ContractViolation, match="labels must be int8, got int64"):
@@ -620,7 +555,7 @@ def test_video_sequence_validation():
     with pytest.raises(ContractViolation, match="frame counts differ"):
         _video(labels=np.zeros((4, 8), dtype=np.int8))
     with pytest.raises(ContractViolation, match="frame counts differ"):
-        _video(planes=np.zeros((2, 2, 8, 8), dtype=np.uint8))
+        _video(planes=np.zeros((2, 8, 8), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("video_id", ["", ".", "..", "../escaped/x", "a/b", "a\\b", "/abs",
@@ -665,13 +600,13 @@ def test_a_frame_stream_needs_a_video():
         FrameStream([])
 
 
-def test_decode_planes_keeps_gray_then_edge():
-    planes = np.zeros((3, 2, 4, 4), dtype=np.uint8)
-    planes[:, 0], planes[:, 1] = 64, 191
+def test_decode_planes_keeps_one_gray_plane_per_frame():
+    planes = np.zeros((3, 4, 4), dtype=np.uint8)
+    planes[0], planes[1], planes[2] = 64, 191, 255
     images, diffs = FrameStream([_video(planes=planes)]).inputs(slice(None))
-    assert images.shape == (3, 2, 4, 4) and images.dtype == np.float32
+    assert images.shape == (3, 4, 4) and images.dtype == np.float32
     assert diffs.shape == (3, 146) and diffs.dtype == np.float32
-    np.testing.assert_array_equal(images[:, 0], np.float32(64) / np.float32(255))
-    np.testing.assert_array_equal(images[:, 1], np.float32(191) / np.float32(255))
+    for image, value in zip(images, (64, 191, 255)):
+        np.testing.assert_array_equal(image, np.float32(value) / np.float32(255))
     every = np.arange(256, dtype=np.uint8)
     np.testing.assert_array_equal(encode_planes(decode_planes(every)), every)

@@ -33,9 +33,9 @@ from conftest import TINY_MODEL, first_state, probabilities, traced_peak, weight
 
 
 def _inputs(config, seed=0, dtype=np.float64):
-    """A batch of one frame: 1 x 2 x S x S image and 1 x 146 diff."""
+    """A batch of one frame: 1 x S x S image and 1 x 146 diff."""
     rng = np.random.default_rng(seed)
-    image = rng.uniform(0, 1, (2, config.image_size, config.image_size)).astype(dtype)
+    image = rng.uniform(0, 1, (config.image_size, config.image_size)).astype(dtype)
     diff = rng.uniform(-1, 1, 146).astype(dtype)
     return image[None], diff[None]
 
@@ -48,7 +48,7 @@ def test_default_config_dimensions():
     cfg = ModelConfig()
     cfg.validate()
     assert cfg.conv_output_shape() == (32, 6, 6)
-    assert parameter_count(cfg) == 149234
+    assert parameter_count(cfg) == 148834
 
 
 def test_parameter_count_matches_actual_parameters():
@@ -84,7 +84,7 @@ def test_default_config_text_is_pinned():
     # the checkpoint's config block: in channels and activations spelled out
     assert ModelConfig().to_kv() == {
         "image_size": "64",
-        "conv_spec": "2:16:5:2,16:32:3:2,32:32:3:2",
+        "conv_spec": "1:16:5:2,16:32:3:2,32:32:3:2",
         "static_out": "64",
         "dynamic_hidden": "128:relu,64:tanh",
         "fusion_out": "64",
@@ -98,12 +98,14 @@ def test_config_kv_round_trip():
 
 
 @pytest.mark.parametrize("key,text", [
+    # the text of a model that read a gray and an edge-map plane
+    ("conv_spec", "2:16:5:2,16:32:3:2,32:32:3:2"),
     ("conv_spec", "3:16:5:2,16:32:3:2,32:32:3:2"),
-    ("conv_spec", "2:16:5:2,8:32:3:2,32:32:3:2"),
+    ("conv_spec", "1:16:5:2,8:32:3:2,32:32:3:2"),
     ("dynamic_hidden", "128:gelu,64:tanh"),
     ("dynamic_hidden", "128:tanh,64:tanh"),
     ("dynamic_hidden", "128:relu,64:relu"),
-], ids=["in-channels-3", "in-channels-8", "gelu", "tanh-hidden", "relu-last"])
+], ids=["in-channels-2", "in-channels-3", "in-channels-8", "gelu", "tanh-hidden", "relu-last"])
 def test_config_from_kv_rejects_text_its_dimensions_do_not_write(key, text):
     kv = ModelConfig().to_kv()
     expected = kv[key]
@@ -220,13 +222,16 @@ def test_decoder_causality():
 def test_static_forward_rejects_wrong_image():
     params = ModelParams.zeros(TINY_MODEL)
     size = TINY_MODEL.image_size
+    with pytest.raises(ContractViolation, match=r"image \(1, 8, 8\), expected B x \(24, 24\)"):
+        static_forward(params, np.zeros((1, 8, 8), dtype=np.float32))
+    # one gray plane per frame, with no plane axis
     with pytest.raises(ContractViolation, match="image"):
-        static_forward(params, np.zeros((1, 2, 8, 8), dtype=np.float32))
+        static_forward(params, np.zeros((1, 1, size, size), dtype=np.float32))
     with pytest.raises(ContractViolation, match="diff"):
         dynamic_forward(params, np.zeros((1, 10), dtype=np.float32))
     # a single frame must come as a batch of one
     with pytest.raises(ContractViolation, match="image"):
-        static_forward(params, np.zeros((2, size, size), dtype=np.float32))
+        static_forward(params, np.zeros((size, size), dtype=np.float32))
     with pytest.raises(ContractViolation, match="diff"):
         dynamic_forward(params, np.zeros(146, dtype=np.float32))
 
@@ -281,8 +286,8 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 
 @pytest.mark.parametrize("cfg, pin", [
-    (ModelConfig(), "18f4f0b447fe013444d559994d11fc329b9554aa487924dfd81725fe358df7fb"),
-    (TINY_MODEL, "063ef9730583cc6c5941c211144ad15363171f8fa431b0d20d9c4837abc28c85"),
+    (ModelConfig(), "22c5bc90894bdee85028aa03653660657e7b4781c4fa0eae464efbb6ecdc3515"),
+    (TINY_MODEL, "fb15f4e325f53b32e9f4ff3d5a2cd675ae755bd687d17107fa6c57a0fa4a46d1"),
 ], ids=["default", "tiny"])
 def test_initial_checkpoint_bytes_are_pinned(tmp_path, cfg, pin):
     # init draws from numpy's generator and does no BLAS arithmetic, so the
@@ -379,7 +384,7 @@ def test_checkpoint_rejects_a_duplicate_in_place_of_the_next_tensor(tmp_path):
     named = params.named_arrays()
     named[1] = named[0]
     path = _save_with(params, tmp_path / "m.auck", named)
-    with pytest.raises(FormatError, match=r"tensor 'conv0.kernels' \(3, 2, 5, 5\) "
+    with pytest.raises(FormatError, match=r"tensor 'conv0.kernels' \(3, 1, 5, 5\) "
                                           r"where the config puts 'conv0.bias' \(3,\)$"):
         load_checkpoint(path)
 
@@ -497,7 +502,7 @@ def test_grad_norm_sums_each_gradient_in_c_order(seed):
     rng = np.random.default_rng(seed)
     config = ModelConfig()
     params = ModelParams.init(config, seed=seed)
-    images = rng.uniform(0, 1, (4, 2, config.image_size, config.image_size)).astype(np.float32)
+    images = rng.uniform(0, 1, (4, config.image_size, config.image_size)).astype(np.float32)
     diffs = rng.uniform(-1, 1, (4, 146)).astype(np.float32)
     labels = rng.integers(0, 2, (4, len(AU_ORDER)))
     T.backward(T.masked_cross_entropy(model_forward(params, images, diffs), labels,
@@ -543,7 +548,7 @@ def _per_frame_reference(params, image, diff, labels, weights):
     Returns (probs, loss node or None).
     """
     cfg, p = params.config, params.tensors
-    x = Tensor(image.transpose(1, 2, 0)[None])  # channel-last
+    x = Tensor(image[None, :, :, None])  # one channel-last frame
     for i, (_, _, stride) in enumerate(cfg.conv_spec):
         x = T.relu(T.conv2d(x, p[f"conv{i}.kernels"], p[f"conv{i}.bias"], stride))
     h = T.tanh(T.linear(p["static.weights"], p["static.bias"], T.flatten(x)))
@@ -590,7 +595,7 @@ def test_batched_forward_loss_and_gradients_match_per_frame_graphs(frames):
     params = ModelParams.init(TINY_MODEL, seed=31, dtype=np.float64)
     rng = np.random.default_rng(32)
     size = TINY_MODEL.image_size
-    images = rng.uniform(0, 1, (frames, 2, size, size))
+    images = rng.uniform(0, 1, (frames, size, size))
     diffs = rng.uniform(-1, 1, (frames, 146))
     labels = rng.integers(-1, 2, (frames, 8)).astype(np.int8)
     labels[0, :3] = (1, 0, -1)  # partly unknown
@@ -628,7 +633,7 @@ def test_batch_extents_of_images_and_diffs_must_agree():
     params = ModelParams.zeros(TINY_MODEL)
     size = TINY_MODEL.image_size
     with pytest.raises(ContractViolation, match="batch"):
-        model_forward(params, np.zeros((3, 2, size, size), np.float32),
+        model_forward(params, np.zeros((3, size, size), np.float32),
                       np.zeros((2, 146), np.float32))
     with pytest.raises(ContractViolation, match="batch"):
         model_forward(params, np.zeros((2, size, size), np.float32),
@@ -652,7 +657,7 @@ def test_forward_results_of_two_passes_are_independent():
     params = ModelParams.init(TINY_MODEL, seed=39)
     rng = np.random.default_rng(40)
     size = TINY_MODEL.image_size
-    batches = [(rng.uniform(0, 1, (3, 2, size, size)).astype(np.float32),
+    batches = [(rng.uniform(0, 1, (3, size, size)).astype(np.float32),
                 rng.uniform(-1, 1, (3, 146)).astype(np.float32)) for _ in range(2)]
     a = model_forward(params, *batches[0])
     kept = a.value.copy()

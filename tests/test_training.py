@@ -48,7 +48,7 @@ def _video(video_id, label_rows, size=24):
     n = len(label_rows)
     return VideoSequence(
         video_id=video_id,
-        planes=np.zeros((n, 2, size, size), dtype=np.uint8),
+        planes=np.zeros((n, size, size), dtype=np.uint8),
         landmarks=np.full((n, LANDMARK_COUNT, 2), 0.5, dtype=np.float32),
         labels=np.asarray(label_rows, dtype=np.int8),
     )
@@ -499,8 +499,8 @@ PIN_HOST = "numpy 2.4.6 and OpenBLAS 0.3.31 on a host whose own kernels are Skyl
 # runs the host's own kernels (SkylakeX on PIN_HOST), and Haswell forces
 # the kernels that CI's second step checks
 FLOAT32_PINS = {
-    None: "2c44ce33e2cc17645d8ef25f7853d2618c6a3e380da2e1a16578a9f81178c8e7",
-    "Haswell": "32005678a1b210e471b8b4fd992ea3ef3bc02d89f0f08fefb67e8cf523ea471d",
+    None: "ba287c00651d21cf3428daff7b9d25016fe5802d8f85f675c071b941bba91d49",
+    "Haswell": "b4fb72a0d31bea3eba5d341fb10b0a67b8bcfaf04762a8d136535708e836b03c",
 }
 
 
@@ -522,37 +522,38 @@ def test_final_parameters_are_pinned():
 
 
 # float64 (sum, sum of squares) of each final parameter of the pinned
-# run, recorded with the static branch's tanh layer over the conv map
+# run, recorded with the static branch's tanh layer over the conv map of
+# the gray plane
 DOUBLE_REFERENCE = {
-    "conv0.kernels": (-2.1484576171228484, 2.4417355970906867),
-    "conv0.bias": (0.007481888663593303, 2.8032021820118007e-05),
-    "conv1.kernels": (-0.7302503941900269, 3.1623805938126273),
-    "conv1.bias": (0.012727848086319982, 0.00027928829214662464),
-    "conv2.kernels": (1.2144733641845413, 4.0410528702718),
-    "conv2.bias": (0.015716231192398445, 0.0001490535856723816),
-    "static.weights": (1.8385279442083553, 10.684728748171583),
-    "static.bias": (0.018628696533057487, 0.0006579654364316388),
-    "dynamic0.weights": (6.9626014625464805, 18.30250501800173),
-    "dynamic0.bias": (-0.003077125909922614, 0.00038407015247495803),
-    "dynamic1.weights": (-4.862326881663638, 8.301252428740614),
-    "dynamic1.bias": (0.001655912204213494, 0.0005014086869789287),
-    "fusion.weights": (9.293063704315498, 12.718236921394501),
-    "fusion.bias": (0.005342545874191355, 0.0002749688613187077),
-    "au_table": (-0.0860143838691812, 0.22432049653005084),
-    "query_gru.input_weights": (-1.0880163732893597, 11.531703441028766),
-    "query_gru.hidden_weights": (-3.126316772266919, 12.802042317984203),
-    "query_gru.biases": (0.054355063538578524, 0.0014257713566139326),
-    "classifier.weights": (-2.1384620940340833, 3.263236323151642),
-    "classifier.bias": (-1.734723475976807e-18, 0.0001634695558017994),
+    "conv0.kernels": (-1.7752816398313978, 1.2481169077926366),
+    "conv0.bias": (-0.006181744179604045, 2.081050103701842e-05),
+    "conv1.kernels": (-2.1301156818882583, 3.5120417660239394),
+    "conv1.bias": (-0.011635650780724077, 6.910055641007757e-05),
+    "conv2.kernels": (-0.48326784080340046, 3.949642484355887),
+    "conv2.bias": (-0.011988033264657276, 0.00015121901933998075),
+    "static.weights": (3.0490205274485973, 10.37297986255544),
+    "static.bias": (0.012396285601610645, 0.0003044144665149763),
+    "dynamic0.weights": (5.799217058907469, 18.287843616984738),
+    "dynamic0.bias": (0.009477311287131824, 0.0003113411723622202),
+    "dynamic1.weights": (2.0493602698161966, 9.783033525495686),
+    "dynamic1.bias": (-0.010041991437827328, 0.00030953704984148063),
+    "fusion.weights": (1.5288544644622002, 10.996061589765313),
+    "fusion.bias": (-0.006460588624114509, 0.000336336322547322),
+    "au_table": (0.7098074844004801, 0.2501836058978598),
+    "query_gru.input_weights": (0.40071766190622726, 11.294733760506693),
+    "query_gru.hidden_weights": (0.08117736871594394, 12.793853260508351),
+    "query_gru.biases": (-0.10826460084264687, 0.0014408579802741208),
+    "classifier.weights": (2.5799620375320775, 2.85676798345318),
+    "classifier.bias": (0.0, 0.00015725781936098458),
 }
 DOUBLE_RTOL = 1e-10
 
 
 def test_double_precision_training_matches_the_reference():
     # The float64 run of the pinned training, within DOUBLE_RTOL of the
-    # recorded reference on any BLAS kernel (the two agreed to 2.7e-15 on
+    # recorded reference on any BLAS kernel (the two agreed to 6.9e-15 on
     # SkylakeX and Haswell kernels), each number relative to itself.  The
-    # sum of classifier.bias = [x, -x] is 0 up to rounding (-2^-59 here),
+    # sum of classifier.bias = [x, -x] is 0 up to rounding (exactly 0 here),
     # so it is compared relative to sqrt(n * sum of squares) instead, the
     # largest |sum| that n values with that sum of squares can have.
     named = _pin_training("double").named_arrays()
